@@ -143,21 +143,20 @@ type Query struct {
 }
 
 // shard is one partition of the engine's handle index: a mutex, the
-// condition variable build-waiters sleep on, the partition's LRU list of
-// resident handles, and its share of the rebuild counter. Handles are
-// assigned to shards at registration and never migrate.
+// condition variable build-waiters sleep on, and the partition's LRU list
+// of resident handles. Handles are assigned to shards at registration and
+// never migrate.
 type shard struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	lru      *list.List // resident handles of this shard, most recent first
-	rebuilds int        // staleness-forced query-path re-analyses
+	mu   sync.Mutex
+	cond *sync.Cond
+	lru  *list.List // resident handles of this shard, most recent first
 }
 
 // handle is the engine's per-function cache slot. The irMu field guards
 // the function's IR structure against the background rebuild pool (see
-// Engine.Edit); every other field is guarded by the owning shard's mutex.
-// The Analyze call itself runs unlocked with `building` set so concurrent
-// requesters wait instead of duplicating it.
+// Engine.Edit); every other field is guarded by the owning shard's mutex,
+// except that the single in-flight builder (building set, see flight)
+// owns st.verified and st.probed.
 type handle struct {
 	f     *ir.Func
 	shard *shard
@@ -169,36 +168,37 @@ type handle struct {
 	irMu sync.RWMutex
 
 	live     *Liveness
-	err      error          // Analyze failure, held until the function is edited again
-	errAt    backend.Epochs // epochs the failure was recorded at
+	st       buildState
 	building bool
-	// Quarantine state, set when a build panics (err then holds a
-	// *BuildPanicError): panics counts the consecutive panicking builds at
-	// the current epochs, retryAt gates the next backoff-paced retry, and
-	// backoff produces the decorrelated-jitter delays. All reset on an
-	// edit (errAt mismatch) or a successful build.
-	panics  int
-	retryAt time.Time
-	backoff *retry.Backoff
-	// verified/verifiedAt record that ir.Verify passed for the function as
-	// of verifiedAt's epochs, so rebuilds, eviction refills and snapshot
-	// restores of unchanged IR skip the verifier's full IR walk. Only the
-	// single in-flight builder (building flag) touches them.
-	verified   bool
-	verifiedAt backend.Epochs
-	queued bool // sitting in the rebuild pool's queue
+	queued   bool // sitting in the rebuild pool's queue
 	// prefetchQueued dedupes the warm-start prefetch queue exactly as
 	// queued dedupes the rebuild queue (see Engine.Prefetch).
 	prefetchQueued bool
-	// snapProbed/snapProbedAt record that a prefetch consulted the
-	// snapshot tier for this function's IR as of snapProbedAt and found no
-	// usable snapshot, so the immediately following build skips the
-	// redundant store probe. Like verified/verifiedAt, only the single
-	// in-flight builder touches them.
-	snapProbed   bool
-	snapProbedAt backend.Epochs
-	gen          int // bumped by invalidation and eviction; in-flight builds from older gens are discarded
-	elem         *list.Element
+	gen            int // bumped by invalidation and eviction; in-flight builds from older gens are discarded
+	elem           *list.Element
+}
+
+// buildState is what the engine has learned about building a function,
+// true only as of the edit epochs it is stamped with (the paper's §4
+// property: the precomputation depends only on the IR those epochs name).
+// resetState clears it when the epochs move or on Invalidate.
+type buildState struct {
+	at backend.Epochs
+	// err is the last build's failure. When it is a *BuildPanicError the
+	// function is quarantined: panics counts the consecutive panicking
+	// builds, retryAt gates the next backoff-paced retry, and backoff
+	// produces the decorrelated-jitter delays.
+	err     error
+	panics  int
+	retryAt time.Time
+	backoff *retry.Backoff
+	// verified records that ir.Verify passed, so rebuilds, eviction
+	// refills and snapshot restores of unchanged IR skip the verifier's
+	// full IR walk. probed records that a prefetch consulted the snapshot
+	// tier and found no usable snapshot, so the next build skips the
+	// redundant store probe.
+	verified bool
+	probed   bool
 }
 
 // Engine analyzes a whole program: a set of functions registered with Add
@@ -217,8 +217,8 @@ type handle struct {
 // "pervar", "loops", or "auto" when it picks one) any edit triggers a
 // rebuild on the next request. Rebuilds reports how many staleness-forced
 // re-analyses the query path has paid; with a rebuild pool
-// (EngineConfig.RebuildWorkers) BackgroundRebuilds reports the ones the
-// workers absorbed off the hot path instead.
+// (EngineConfig.RebuildWorkers) Metrics().BackgroundRebuilds reports the
+// ones the workers absorbed off the hot path instead.
 //
 // The one hazard left with the caller is handle lifetime: a *Liveness or
 // Querier obtained before an edit keeps answering against the pre-edit
@@ -442,29 +442,24 @@ func (e *Engine) liveness(ctx context.Context, h *handle) (*Liveness, error) {
 		if e.closed.Load() {
 			return nil, fmt.Errorf("fastliveness: %w", ErrEngineClosed)
 		}
+		// A recorded failure describes the function as of the record's
+		// epochs; once it is edited again, retry instead of reporting a
+		// verdict about a program that no longer exists.
+		e.resetState(h, false)
 		switch {
-		case h.err != nil:
-			// A failure describes the function as of the epochs it was
-			// recorded at; once the function is edited again, retry
-			// instead of reporting a verdict about a program that no
-			// longer exists.
-			if h.errAt != backend.EpochsOf(h.f) {
-				h.err = nil
-				e.clearQuarantine(h)
-				continue
-			}
+		case h.st.err != nil:
 			var bp *BuildPanicError
-			if errors.As(h.err, &bp) {
+			if errors.As(h.st.err, &bp) {
 				// Quarantined: fail fast while the retry budget is spent
 				// or the backoff has not elapsed; otherwise clear the
 				// sticky error (keeping the panic count) and retry.
-				if h.panics > e.config.buildRetries() || time.Now().Before(h.retryAt) {
-					return nil, quarantineErr(h.f.Name, h.err)
+				if h.st.panics > e.config.buildRetries() || time.Now().Before(h.st.retryAt) {
+					return nil, quarantineErr(h.f.Name, h.st.err)
 				}
-				h.err = nil
+				h.st.err = nil
 				continue
 			}
-			return nil, h.err
+			return nil, h.st.err
 		case h.live != nil:
 			if h.live.Stale() {
 				// An edit invalidated the resident analysis for this
@@ -472,7 +467,7 @@ func (e *Engine) liveness(ctx context.Context, h *handle) (*Liveness, error) {
 				// In-flight builds from before the drop are discarded via
 				// the generation counter, exactly like Invalidate.
 				e.drop(h)
-				s.rebuilds++
+				e.met.rebuilds.Inc()
 				continue
 			}
 			s.lru.MoveToFront(h.elem)
@@ -499,51 +494,94 @@ func (e *Engine) drop(h *handle) {
 	h.live, h.elem = nil, nil
 }
 
-// buildResult carries a detached build's outcome back to the caller that
-// initiated it.
-type buildResult struct {
-	live *Liveness
-	err  error
-}
-
 // startBuild analyzes h.f (which is neither resident nor building) and
 // publishes the result. Called — and returns — with h's shard mutex held.
 //
 // Without a cancellable context the build runs synchronously on this
-// goroutine with the shard unlocked, exactly as before. With one, the
-// build runs on a detached goroutine that locks the shard and publishes
-// on its own whether or not the initiating caller is still waiting:
-// cancellation abandons the wait, never the build, so an in-flight build
-// is always either fully published or discarded by the generation rules —
-// never half-cached, and never wasted for the waiters it wakes.
+// goroutine with the shard unlocked. With one, the build runs detached
+// (see flight) and publishes on its own whether or not the initiating
+// caller is still waiting: cancellation abandons the wait, never the
+// build, so an in-flight build is always either fully published or
+// discarded by the generation rules — never half-cached, and never wasted
+// for the waiters it wakes.
 func (e *Engine) startBuild(ctx context.Context, h *handle) (*Liveness, error) {
-	s := h.shard
-	h.building = true
-	gen := h.gen
-	if ctx.Done() == nil {
-		s.mu.Unlock()
-		live, err := e.runBuild(h)
-		s.mu.Lock()
-		return e.publishBuild(h, gen, live, err)
+	var live *Liveness
+	var err error
+	var done chan struct{} // closed once a detached build has landed
+	if ctx.Done() != nil {
+		done = make(chan struct{})
 	}
-	done := make(chan buildResult, 1)
-	go func() {
-		live, err := e.runBuild(h)
-		s.mu.Lock()
-		live, err = e.publishBuild(h, gen, live, err)
-		s.mu.Unlock()
-		done <- buildResult{live, err}
-	}()
-	s.mu.Unlock()
-	var res buildResult
+	e.flight(h, done != nil, func() { live, err = e.runBuild(h) }, func(current bool) {
+		switch {
+		case !current:
+			// Invalidated or evicted mid-build: the result describes a CFG
+			// that may no longer exist. Hand it to this caller (whose view
+			// predates the invalidation) but do not cache it.
+		case err != nil:
+			e.recordFailure(h, err)
+		default:
+			e.publish(h, live)
+		}
+		// Wrap panic-derived errors so errors.Is(err, ErrQuarantined)
+		// holds from the very first failing call, not only for the
+		// fail-fast ones.
+		var bp *BuildPanicError
+		if errors.As(err, &bp) {
+			err = quarantineErr(h.f.Name, err)
+		}
+		if done != nil {
+			close(done)
+		}
+	})
+	if done == nil {
+		return live, err
+	}
+	h.shard.mu.Unlock()
+	defer h.shard.mu.Lock() // the caller's deferred unlock expects the lock held
 	select {
-	case res = <-done:
+	case <-done:
+		return live, err
 	case <-ctx.Done():
-		s.mu.Lock() // the caller's deferred unlock expects the lock held
 		return nil, ctx.Err()
 	}
-	s.mu.Lock()
-	return res.live, res.err
+}
+
+// flight is the single-flight build protocol every build path shares (the
+// query path, the rebuild pool and the warm-start prefetch). Called with
+// h's shard mutex held, h neither resident nor building: it brings h's
+// state record up to date, claims the build by setting building (so
+// concurrent requesters wait instead of duplicating it), captures the
+// generation, and runs build with the shard unlocked. It then relocks,
+// releases the claim, wakes waiters and calls land under the mutex with
+// whether the generation survived — false means Invalidate or eviction
+// superseded the build and its result must not be cached.
+//
+// flight returns with the mutex held. With detach the unlocked half runs
+// on a new goroutine, which takes the mutex itself for land, and flight
+// returns as soon as the build is claimed.
+func (e *Engine) flight(h *handle, detach bool, build func(), land func(current bool)) {
+	e.resetState(h, false)
+	h.building = true
+	gen := h.gen
+	if detach {
+		go func() {
+			landFlight(h, gen, build, land)
+			h.shard.mu.Unlock()
+		}()
+		return
+	}
+	h.shard.mu.Unlock()
+	landFlight(h, gen, build, land)
+}
+
+// landFlight is flight's unlocked half: run build, then relock, release
+// the claim, wake waiters and land. Returns with the mutex held.
+func landFlight(h *handle, gen int, build func(), land func(current bool)) {
+	build()
+	h.shard.mu.Lock()
+	h.building = false
+	h.shard.cond.Broadcast()
+	land(h.gen == gen)
 }
 
 // runBuild executes the analysis for h outside any shard lock, converting
@@ -569,74 +607,72 @@ func (e *Engine) runBuild(h *handle) (live *Liveness, err error) {
 	return e.analyze(h)
 }
 
-// publishBuild installs a finished build's outcome. Called with h's shard
-// mutex held: wakes waiters, discards results whose generation was
-// superseded mid-build, records failures (with quarantine accounting for
-// panics), and caches successes. Returns the caller-facing outcome.
-func (e *Engine) publishBuild(h *handle, gen int, live *Liveness, err error) (*Liveness, error) {
+// publish caches a successful build — the one place an analysis enters
+// the LRU — and reports whether it is still resident after the cache
+// bound was enforced. Called with h's shard mutex held.
+func (e *Engine) publish(h *handle, live *Liveness) bool {
 	s := h.shard
-	h.building = false
-	s.cond.Broadcast()
-	if h.gen != gen {
-		// Invalidated or evicted mid-build: the result describes a CFG
-		// that may no longer exist. Hand it to this caller (whose view
-		// predates the invalidation) but do not cache it.
-		return live, callerErr(h, err)
-	}
-	if err != nil {
-		h.live, h.err = nil, err
-		e.recordFailure(h, err)
-		return nil, callerErr(h, err)
-	}
-	h.live, h.err = live, nil
+	h.live = live
 	e.clearQuarantine(h)
 	h.elem = s.lru.PushFront(h)
 	e.resident.Add(1)
 	e.enforceCacheBound(s)
-	return live, nil
+	return h.elem != nil
 }
 
-// recordFailure notes a failed build under the shard mutex: the epochs
-// the failure describes, plus quarantine pacing when it was a panic.
+// recordFailure notes a failed build in h's state record under the shard
+// mutex, with quarantine pacing when it was a panic.
 func (e *Engine) recordFailure(h *handle, err error) {
-	h.errAt = backend.EpochsOf(h.f)
+	h.st.err = err
 	var bp *BuildPanicError
 	if !errors.As(err, &bp) {
 		return
 	}
-	h.panics++
-	if h.panics == 1 {
+	h.st.panics++
+	if h.st.panics == 1 {
 		e.met.quarantined.Add(1)
 		e.tracer.QuarantineEnter(h.f.Name)
 	}
-	if h.backoff == nil {
-		h.backoff = retry.NewBackoff(quarantineBackoffBase, quarantineBackoffCap, 0)
+	if h.st.backoff == nil {
+		h.st.backoff = retry.NewBackoff(quarantineBackoffBase, quarantineBackoffCap, 0)
 	}
-	h.retryAt = time.Now().Add(h.backoff.Next())
+	h.st.retryAt = time.Now().Add(h.st.backoff.Next())
 }
 
 // clearQuarantine resets h's panic-retry state after a successful build
-// or an edit. Called with the shard mutex held.
+// or a state reset. Called with the shard mutex held.
 func (e *Engine) clearQuarantine(h *handle) {
-	if h.panics > 0 {
+	if h.st.panics > 0 {
 		e.met.quarantined.Add(-1)
 		e.tracer.QuarantineClear(h.f.Name)
 	}
-	h.panics, h.retryAt = 0, time.Time{}
-	if h.backoff != nil {
-		h.backoff.Reset()
+	h.st.panics, h.st.retryAt = 0, time.Time{}
+	if h.st.backoff != nil {
+		h.st.backoff.Reset()
 	}
 }
 
-// callerErr is the caller-facing form of a build error: panic-derived
-// errors are wrapped so errors.Is(err, ErrQuarantined) holds from the
-// very first failing call, not only for the fail-fast ones.
-func callerErr(h *handle, err error) error {
-	var bp *BuildPanicError
-	if errors.As(err, &bp) {
-		return quarantineErr(h.f.Name, err)
+// resetState clears h's state record and restamps it with the function's
+// current epochs — when those epochs moved past the record's stamp, or
+// unconditionally with force (Invalidate). Called with the shard mutex
+// held. While a build is in flight it clears the quarantine half alone:
+// the builder owns verified and probed until it lands (if the epochs
+// moved, the first reset after that clears them too).
+func (e *Engine) resetState(h *handle, force bool) {
+	if !force && h.stateCurrent() {
+		return
 	}
-	return err
+	e.clearQuarantine(h)
+	if !h.building {
+		h.st = buildState{at: backend.EpochsOf(h.f), backoff: h.st.backoff}
+	}
+}
+
+// stateCurrent reports whether h's state record describes the function's
+// IR as it is now. Builders call it under the function's read lock, where
+// an Edit cannot move the epochs under them.
+func (h *handle) stateCurrent() bool {
+	return h.st.at == backend.EpochsOf(h.f)
 }
 
 // enforceCacheBound evicts from s's LRU tail while the global resident
@@ -654,11 +690,12 @@ func (e *Engine) enforceCacheBound(s *shard) {
 	}
 }
 
-// Invalidate eagerly drops any cached analysis (and any recorded error)
-// for f. Since the engine detects stale analyses from the function's edit
-// epochs and rebuilds on its own, Invalidate is a now-trivial alias for
-// "drop it immediately" — useful to release memory for a function that
-// will not be queried again soon, never required for correctness.
+// Invalidate eagerly drops any cached analysis for f and resets its build
+// state as an edit would: a recorded error or quarantine is cleared, and
+// the next build re-verifies. Since the engine detects stale analyses
+// from the function's edit epochs and rebuilds on its own, Invalidate is
+// never required for correctness — it releases memory for a function that
+// will not be queried again soon, or retries a failed build at once.
 // Analyses already handed out keep answering against the old program.
 func (e *Engine) Invalidate(f *ir.Func) {
 	h := e.lookup(f)
@@ -668,8 +705,8 @@ func (e *Engine) Invalidate(f *ir.Func) {
 	s := h.shard
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h.err = nil
 	e.drop(h)
+	e.resetState(h, true)
 }
 
 // Resident reports how many per-function analyses are currently cached
@@ -687,30 +724,14 @@ func (e *Engine) Shards() int {
 // Rebuilds reports how many re-analyses stale results have forced on the
 // query path so far — first builds and refills after LRU eviction or
 // explicit Invalidate do not count, and neither do rebuilds the
-// background pool absorbed (those are BackgroundRebuilds). This is the
-// measurable form of the paper's asymmetry: over an instruction-editing
-// pipeline (destruction, the spill loop) a checker-backed engine reports
-// 0 while set-producing backends pay one rebuild per edit-then-query;
-// cmd/benchtables -table pipeline records exactly this per backend. The
-// total is invariant under the shard count.
-//
-// Rebuilds always equals Metrics().Rebuilds — it is the single-field
-// accessor kept (like BackgroundRebuilds, QueuedRebuilds and
-// SnapshotStats) for callers that want one number without the full
-// consolidated snapshot; Metrics() delegates here.
-func (e *Engine) Rebuilds() int {
-	total := 0
-	for _, s := range e.shards {
-		s.mu.Lock()
-		total += s.rebuilds
-		s.mu.Unlock()
-	}
-	return total
-}
-
-// Queries reports how many individual liveness questions the engine has
-// answered (batch entries plus Oracle queries) — Metrics().Queries.
-func (e *Engine) Queries() int64 { return e.met.queries.Load() }
+// background pool absorbed (those are Metrics().BackgroundRebuilds). This
+// is the measurable form of the paper's asymmetry: over an
+// instruction-editing pipeline (destruction, the spill loop) a
+// checker-backed engine reports 0 while set-producing backends pay one
+// rebuild per edit-then-query; cmd/benchtables -table pipeline records
+// exactly this per backend. The total is invariant under the shard count.
+// It is Metrics().Rebuilds, kept for callers that want the one number.
+func (e *Engine) Rebuilds() int { return int(e.met.rebuilds.Load()) }
 
 // BackendStats summarizes the resident analyses served by one backend.
 type BackendStats struct {

@@ -97,7 +97,7 @@ func TestEngineCloseDrainsWorkers(t *testing.T) {
 	waitFor(t, "worker goroutines to exit", func() bool {
 		return runtime.NumGoroutine() <= before
 	})
-	if got := e.QueuedRebuilds(); got != 0 {
+	if got := e.Metrics().QueuedRebuilds; got != 0 {
 		t.Fatalf("QueuedRebuilds = %d after Close, want 0", got)
 	}
 	// Still usable: queries rebuild on demand after Close.
@@ -113,7 +113,7 @@ func TestEngineCloseDrainsWorkers(t *testing.T) {
 	// MarkDirty after Close is a safe no-op.
 	splitSomeEdge(t, funcs[0])
 	e.MarkDirty(funcs[0])
-	if got := e.QueuedRebuilds(); got != 0 {
+	if got := e.Metrics().QueuedRebuilds; got != 0 {
 		t.Fatalf("QueuedRebuilds = %d after post-Close MarkDirty, want 0", got)
 	}
 }
@@ -131,7 +131,7 @@ func TestEngineMarkDirtyRebuildsAhead(t *testing.T) {
 	f := funcs[0]
 	splitSomeEdge(t, f) // CFG edit: stales the checker
 	e.MarkDirty(f)
-	waitFor(t, "background rebuild", func() bool { return e.BackgroundRebuilds() == 1 })
+	waitFor(t, "background rebuild", func() bool { return e.Metrics().BackgroundRebuilds == 1 })
 	live, err := e.Liveness(f)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestEngineMarkDirtyRebuildsAhead(t *testing.T) {
 	e.MarkDirty(ir.NewFunc("stranger"))
 	// A fresh function is a safe no-op (nothing stale to do).
 	e.MarkDirty(funcs[1])
-	if got := e.QueuedRebuilds(); got != 0 {
+	if got := e.Metrics().QueuedRebuilds; got != 0 {
 		t.Fatalf("QueuedRebuilds = %d after no-op MarkDirtys, want 0", got)
 	}
 }
@@ -178,7 +178,7 @@ func TestEngineSupersededBackgroundBuildDiscarded(t *testing.T) {
 	if live.Stale() {
 		t.Fatal("on-demand rebuild after discarded background build is stale")
 	}
-	if got := e.BackgroundRebuilds(); got != 0 {
+	if got := e.Metrics().BackgroundRebuilds; got != 0 {
 		t.Fatalf("BackgroundRebuilds = %d, want 0 (the build was superseded)", got)
 	}
 	if got := e.Resident(); got != 1 {
@@ -214,7 +214,7 @@ func TestEngineEvictedWhileQueuedNotResurrected(t *testing.T) {
 	// so the tail is f).
 	addSomeUse(t, f)
 	e.MarkDirty(f)
-	if got := e.QueuedRebuilds(); got != 1 {
+	if got := e.Metrics().QueuedRebuilds; got != 1 {
 		t.Fatalf("QueuedRebuilds = %d with the worker parked, want 1 (f)", got)
 	}
 	if _, err := e.Liveness(h2); err != nil {
@@ -226,7 +226,7 @@ func TestEngineEvictedWhileQueuedNotResurrected(t *testing.T) {
 	release()
 	hf := e.lookup(f)
 	waitFor(t, "worker to drain the queue", func() bool {
-		if e.QueuedRebuilds() != 0 {
+		if e.Metrics().QueuedRebuilds != 0 {
 			return false
 		}
 		hf.shard.mu.Lock()
@@ -239,12 +239,12 @@ func TestEngineEvictedWhileQueuedNotResurrected(t *testing.T) {
 	if resurrected {
 		t.Fatal("evicted function was resurrected into the cache by its queued rebuild")
 	}
-	if got := e.BackgroundRebuilds(); got != 1 {
+	if got := e.Metrics().BackgroundRebuilds; got != 1 {
 		t.Fatalf("BackgroundRebuilds = %d, want 1 (g only)", got)
 	}
 	// MarkDirty on the evicted function is a safe no-op.
 	e.MarkDirty(f)
-	if got := e.QueuedRebuilds(); got != 0 {
+	if got := e.Metrics().QueuedRebuilds; got != 0 {
 		t.Fatalf("QueuedRebuilds = %d after MarkDirty on an evicted function, want 0", got)
 	}
 	// And f still answers correctly on demand.

@@ -8,6 +8,7 @@ package fastliveness
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,11 +173,11 @@ func TestEngineChaosRebuildWorkerSurvivesPanic(t *testing.T) {
 	waitFor(t, "the armed panic to fire", func() bool { return in.Fired(site) == 1 })
 
 	// The pool still works: a rebuild of another function completes.
-	before := e.BackgroundRebuilds()
+	before := e.Metrics().BackgroundRebuilds
 	addSomeUse(t, funcs[1])
 	e.MarkDirty(funcs[1])
 	waitFor(t, "pool to rebuild after the panic", func() bool {
-		return e.BackgroundRebuilds() > before
+		return e.Metrics().BackgroundRebuilds > before
 	})
 	// The victim recovers through the backoff-paced retry (the injected
 	// panic was one-shot), and every answer matches a fresh recompute.
@@ -326,6 +327,66 @@ func TestEngineChaosSnapshotSaveRetriesTransientError(t *testing.T) {
 	}
 	if got := ss.BreakerState(); got != "closed" {
 		t.Fatalf("breaker state %q, want closed (one transient failure is below the threshold)", got)
+	}
+}
+
+// Invalidate, edits and background rebuilds racing query-path builds that
+// panic at random — run under -race in CI. Each handle's state record is
+// reset by Invalidate and by edits while builds (some of them quarantine
+// retries) are in flight; the race detector holds the ownership rule (the
+// in-flight builder alone touches the verified/probed bits, resets run
+// under the shard mutex), and once the faults are disarmed and every
+// record is reset, the quarantine gauge must have balanced back to 0.
+func TestEngineChaosStateResetRacesBuilds(t *testing.T) {
+	funcs := engineCorpus(t, 6, 208)
+	in := faults.New(8)
+	in.Add(
+		faults.Rule{Site: backend.FaultSiteAnalyze, Action: faults.ActionDelay, Delay: 100 * time.Microsecond, P: 0.5},
+		faults.Rule{Site: backend.FaultSiteAnalyze, Action: faults.ActionPanic, P: 0.3},
+	)
+	armFaulty(t, faulty, in)
+	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, MaxBuildRetries: 1, RebuildWorkers: 2})
+	defer e.Close()
+	e.Add(funcs...)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				// Quarantine errors are expected while the faults fire.
+				_, _ = e.Liveness(funcs[(g+i)%len(funcs)])
+			}
+		}(g)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 60; i++ {
+			e.Invalidate(funcs[i%len(funcs)])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 12; i++ {
+			f := funcs[i%len(funcs)]
+			e.Edit(f, func() { splitSomeEdge(t, f) })
+		}
+	}()
+	wg.Wait()
+
+	faulty.SetInjector(nil)
+	e.Close()
+	for _, f := range funcs {
+		e.Invalidate(f)
+		assertMatchesFresh(t, e, f)
+	}
+	if got := e.Metrics().Quarantined; got != 0 {
+		t.Fatalf("Quarantined = %d after every record was reset and rebuilt cleanly, want 0", got)
+	}
+	if in.Fired(backend.FaultSiteAnalyze) == 0 {
+		t.Fatal("no injected fault fired; the race exercised nothing")
 	}
 }
 

@@ -7,6 +7,7 @@ package fastliveness
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 	}
 	splitSomeEdge(t, funcs[1])
 	e.MarkDirty(funcs[1])
-	waitFor(t, "background rebuild", func() bool { return e.BackgroundRebuilds() == 1 })
+	waitFor(t, "background rebuild", func() bool { return e.Metrics().BackgroundRebuilds == 1 })
 	// Quiesce: drain the pool's pending snapshot saves so the counters
 	// below are settled, not racing a write-back worker.
 	e.Close()
@@ -122,11 +123,11 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 	if m.Rebuilds != e.Rebuilds() || m.Rebuilds != 1 {
 		t.Fatalf("Rebuilds = %d (accessor %d), want 1", m.Rebuilds, e.Rebuilds())
 	}
-	if m.BackgroundRebuilds != e.BackgroundRebuilds() || m.BackgroundRebuilds != 1 {
-		t.Fatalf("BackgroundRebuilds = %d (accessor %d), want 1", m.BackgroundRebuilds, e.BackgroundRebuilds())
+	if m.BackgroundRebuilds != 1 {
+		t.Fatalf("BackgroundRebuilds = %d, want 1", m.BackgroundRebuilds)
 	}
-	if m.QueuedRebuilds != e.QueuedRebuilds() || m.QueuedRebuilds != 0 {
-		t.Fatalf("QueuedRebuilds = %d (accessor %d), want 0", m.QueuedRebuilds, e.QueuedRebuilds())
+	if m.QueuedRebuilds != 0 {
+		t.Fatalf("QueuedRebuilds = %d, want 0", m.QueuedRebuilds)
 	}
 	if m.RebuildEnqueues != 1 || m.RebuildDiscards != 0 {
 		t.Fatalf("RebuildEnqueues/Discards = %d/%d, want 1/0", m.RebuildEnqueues, m.RebuildDiscards)
@@ -148,8 +149,8 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 		t.Fatalf("Batches/BatchNs.Count = %d/%d, want 6/6", m.Batches, m.BatchNs.Count)
 	}
 	// 6×8 batch entries + 6×2 oracle queries.
-	if m.Queries != 60 || m.Queries != e.Queries() {
-		t.Fatalf("Queries = %d (accessor %d), want 60", m.Queries, e.Queries())
+	if m.Queries != 60 {
+		t.Fatalf("Queries = %d, want 60", m.Queries)
 	}
 	// Every build consulted the (checker-backed) snapshot tier, so each
 	// observed a load latency.
@@ -198,6 +199,45 @@ func TestEngineMetricsQuarantineGauge(t *testing.T) {
 	}
 	if tr.count("QuarantineClear") != 1 {
 		t.Fatalf("QuarantineClear events = %d, want 1", tr.count("QuarantineClear"))
+	}
+
+	// Invalidate resets the whole state record, as an edit does: after a
+	// fresh panic, Invalidate alone (no edit) lowers the gauge, fires
+	// QuarantineClear and resets the panic count — so the next request
+	// builds (and, still faulty, enters quarantine anew) instead of
+	// failing fast on the spent retry budget.
+	faulty.SetInjector(in)
+	splitSomeEdge(t, victim) // stales the resident analysis: rebuild
+	if _, err := e.Liveness(victim); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("re-armed build: err = %v, want ErrQuarantined", err)
+	}
+	if got := e.Metrics().Quarantined; got != 1 {
+		t.Fatalf("Quarantined = %d after the second panic, want 1", got)
+	}
+	e.Invalidate(victim)
+	if got := e.Metrics().Quarantined; got != 0 {
+		t.Fatalf("Quarantined = %d after Invalidate dropped the recorded error, want 0", got)
+	}
+	if tr.count("QuarantineClear") != 2 {
+		t.Fatalf("QuarantineClear events = %d after Invalidate, want 2", tr.count("QuarantineClear"))
+	}
+	fired := in.Fired(backend.FaultSiteAnalyze + ":" + victim.Name)
+	if _, err := e.Liveness(victim); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("build after Invalidate: err = %v, want ErrQuarantined", err)
+	}
+	if got := in.Fired(backend.FaultSiteAnalyze + ":" + victim.Name); got != fired+1 {
+		t.Fatalf("injected panics = %d after Invalidate, want %d (a retry, not a fail-fast)", got, fired+1)
+	}
+	if tr.count("QuarantineEnter") != 3 {
+		t.Fatalf("QuarantineEnter events = %d, want 3 (the panic count restarted at 0)", tr.count("QuarantineEnter"))
+	}
+	faulty.SetInjector(nil)
+	e.Invalidate(victim)
+	if _, err := e.Liveness(victim); err != nil {
+		t.Fatalf("clean build after Invalidate: %v", err)
+	}
+	if got := e.Metrics().Quarantined; got != 0 {
+		t.Fatalf("Quarantined = %d after the clean build, want 0", got)
 	}
 }
 
@@ -350,14 +390,19 @@ func TestEngineMetricsScrapeRace(t *testing.T) {
 	defer e.Shutdown()
 
 	const iters = 60
+	// Take the query sets before the editors start: walking the IR outside
+	// Edit's lock would race the edits.
+	qss := make([][]Query, len(funcs))
+	for i, f := range funcs {
+		qss[i] = allQueries(f)[:16]
+	}
 	var wg sync.WaitGroup
 	// Queriers: batch traffic on every function.
 	for i := range funcs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f := funcs[i]
-			qs := allQueries(f)[:16]
+			f, qs := funcs[i], qss[i]
 			for n := 0; n < iters; n++ {
 				if _, err := e.BatchIsLiveIn(f, qs); err != nil {
 					t.Errorf("%s: %v", f.Name, err)

@@ -69,9 +69,9 @@ func TestEngineSnapshotWarmStart(t *testing.T) {
 	if s2.Computes != 0 {
 		t.Fatalf("warm run ran %d precomputes on an unchanged corpus, want 0", s2.Computes)
 	}
-	if e2.Rebuilds() != 0 || e2.BackgroundRebuilds() != 0 {
+	if e2.Rebuilds() != 0 || e2.Metrics().BackgroundRebuilds != 0 {
 		t.Fatalf("warm run: %d query-path + %d background rebuilds, want 0/0",
-			e2.Rebuilds(), e2.BackgroundRebuilds())
+			e2.Rebuilds(), e2.Metrics().BackgroundRebuilds)
 	}
 	if s2.LoadedBytes == 0 {
 		t.Fatal("warm run loaded 0 bytes")
@@ -379,6 +379,24 @@ func TestEngineSnapshotConcurrentEditQuery(t *testing.T) {
 	}
 	defer e.Close()
 
+	// Pick each function's query value and blocks before the editor
+	// starts: walking the IR outside Edit's lock would race the edits.
+	// Edits only add values and split edges, so the picks stay valid.
+	type probe struct {
+		v      *ir.Value
+		blocks []*ir.Block
+	}
+	probes := make(map[*ir.Func]probe, len(funcs))
+	for _, f := range funcs {
+		var v *ir.Value
+		f.Values(func(x *ir.Value) {
+			if v == nil && x.Op.HasResult() {
+				v = x
+			}
+		})
+		probes[f] = probe{v, append([]*ir.Block(nil), f.Blocks[:min(4, len(f.Blocks))]...)}
+	}
+
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -390,13 +408,8 @@ func TestEngineSnapshotConcurrentEditQuery(t *testing.T) {
 				if err != nil {
 					continue // racing a CFG edit that momentarily broke analysis
 				}
-				var v *ir.Value
-				f.Values(func(x *ir.Value) {
-					if v == nil && x.Op.HasResult() {
-						v = x
-					}
-				})
-				for _, b := range f.Blocks[:min(4, len(f.Blocks))] {
+				v := probes[f].v
+				for _, b := range probes[f].blocks {
 					o.IsLiveIn(v, b)
 					o.IsLiveOut(v, b)
 				}

@@ -201,7 +201,7 @@ func contentionRow(master []*ir.Func, queriers, shards, rebuildWorkers int, wind
 		QueriesPerSec:      float64(nQueries.Load()) / elapsed.Seconds(),
 		Edits:              nEdits.Load(),
 		QueryRebuilds:      e.Rebuilds(),
-		BackgroundRebuilds: e.BackgroundRebuilds(),
+		BackgroundRebuilds: e.Metrics().BackgroundRebuilds,
 	}, e.Shards()
 }
 

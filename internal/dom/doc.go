@@ -9,11 +9,11 @@
 // "most-dominating relevant back-edge target" is simply the lowest set bit
 // of a T bitset. Package core depends on exactly these properties.
 //
-// Two independent constructions are provided and cross-checked by the test
-// suite: the iterative algorithm of Cooper, Harvey and Kennedy ("A Simple,
-// Fast Dominance Algorithm") — the default, dom.Iterative — and the classic
-// Lengauer–Tarjan algorithm with path compression (lt.go). Both run in
-// effectively O(|E|) on the CFG sizes the paper reports (§6.1: avg 35
+// The construction is the iterative algorithm of Cooper, Harvey and
+// Kennedy ("A Simple, Fast Dominance Algorithm"), dom.Iterative. The test
+// suite cross-checks it against the classic Lengauer–Tarjan algorithm with
+// path compression (lt_test.go), kept there as a reference oracle. It runs
+// in effectively O(|E|) on the CFG sizes the paper reports (§6.1: avg 35
 // blocks, max ~2240). IrreducibleBackEdges and IsReducible implement the
 // §6.1 reducibility measurement: a back edge contributes irreducibility
 // when its target does not dominate its source.

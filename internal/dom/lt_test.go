@@ -4,8 +4,8 @@ import "fastliveness/internal/cfg"
 
 // LengauerTarjan computes the dominator tree with the classic
 // Lengauer–Tarjan algorithm (the "simple" variant with path compression).
-// It produces exactly the same Tree as Iterative; the test suite holds the
-// two against each other and against a set-based reference.
+// It is the tests' reference oracle: it must produce exactly the same Tree
+// as Iterative, and both are also held against a set-based reference.
 func LengauerTarjan(g *cfg.Graph, d *cfg.DFS) *Tree {
 	n := g.N()
 	idom := make([]int, n)

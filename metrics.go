@@ -1,7 +1,7 @@
-// Consolidated engine observability: the one Metrics() snapshot that
-// supersedes the scattered accessor surface (Rebuilds, BackgroundRebuilds,
-// QueuedRebuilds, SnapshotStats — all now thin wrappers over it), and the
-// Prometheus text exporter behind the /metrics debug endpoint.
+// Consolidated engine observability: the one Metrics() snapshot of every
+// engine counter (Rebuilds and SnapshotStats remain as single-number
+// accessors reading the same instruments), and the Prometheus text
+// exporter behind the /metrics debug endpoint.
 //
 // Shard invariance: like query answers, every field of EngineMetrics is
 // invariant under EngineConfig.Shards — sharding is a lock-contention
@@ -52,10 +52,14 @@ type engineMetrics struct {
 	// quarantined gauges how many functions are currently quarantined
 	// (a panicking build recorded, not yet cleared by retry or edit).
 	quarantined telemetry.Gauge
-	// Rebuild-pool accounting (all zero without a pool).
-	rebuildEnqueues telemetry.Counter
-	rebuildDiscards telemetry.Counter
-	queueDepth      telemetry.Gauge
+	// rebuilds counts staleness-forced re-analyses paid on the query path.
+	rebuilds telemetry.Counter
+	// Rebuild-pool accounting (all zero without a pool): rebuilds the pool
+	// published, entries queued and thrown away, and the queue depth.
+	backgroundRebuilds telemetry.Counter
+	rebuildEnqueues    telemetry.Counter
+	rebuildDiscards    telemetry.Counter
+	queueDepth         telemetry.Gauge
 	// Snapshot-tier latency (the hit/miss/store counts live in
 	// snapshotCounters, surfaced as SnapshotStats).
 	snapLoadNs telemetry.Histogram
@@ -71,8 +75,7 @@ type engineMetrics struct {
 }
 
 // EngineMetrics is one consistent-enough snapshot of everything the
-// engine counts: the consolidated form of the old accessor pile, the
-// struct behind livecheck -stats, and the data the /metrics endpoint
+// engine counts: the struct behind livecheck -stats, and the data the /metrics endpoint
 // renders. Counters are read atomically; fields sourced from different
 // instruments may be skewed by in-flight operations (this is a health
 // summary, not a transaction log). Every field is invariant under the
@@ -143,11 +146,9 @@ type EngineMetrics struct {
 }
 
 // Metrics returns a snapshot of every engine counter, gauge and latency
-// histogram. It is the consolidated successor of Rebuilds,
-// BackgroundRebuilds, QueuedRebuilds and SnapshotStats (all of which now
-// delegate here) plus the instruments this layer added. Safe to call
-// concurrently with queries, edits and rebuilds; cost is a shard-mutex
-// sweep for the rebuild counters plus four histogram copies.
+// histogram. Safe to call concurrently with queries, edits and rebuilds;
+// every counter is an atomic read, and the cost is dominated by four
+// histogram copies.
 func (e *Engine) Metrics() EngineMetrics {
 	m := EngineMetrics{
 		Resident: int(e.resident.Load()),
@@ -157,10 +158,12 @@ func (e *Engine) Metrics() EngineMetrics {
 		Queries: e.met.queries.Load(),
 		Batches: e.met.batches.Load(),
 
-		QueuedRebuilds:  int(e.met.queueDepth.Load()),
-		RebuildEnqueues: e.met.rebuildEnqueues.Load(),
-		RebuildDiscards: e.met.rebuildDiscards.Load(),
-		Quarantined:     int(e.met.quarantined.Load()),
+		Rebuilds:           int(e.met.rebuilds.Load()),
+		BackgroundRebuilds: int(e.met.backgroundRebuilds.Load()),
+		QueuedRebuilds:     int(e.met.queueDepth.Load()),
+		RebuildEnqueues:    e.met.rebuildEnqueues.Load(),
+		RebuildDiscards:    e.met.rebuildDiscards.Load(),
+		Quarantined:        int(e.met.quarantined.Load()),
 
 		PrefetchHits:         e.met.prefetchHits.Load(),
 		PrefetchMisses:       e.met.prefetchMisses.Load(),
@@ -177,8 +180,6 @@ func (e *Engine) Metrics() EngineMetrics {
 	e.regMu.Lock()
 	m.Funcs = len(e.funcs)
 	e.regMu.Unlock()
-	m.Rebuilds = e.Rebuilds()
-	m.BackgroundRebuilds = e.BackgroundRebuilds()
 	if ss := e.config.SnapshotStore; ss != nil {
 		m.BreakerState = ss.BreakerState()
 		m.BreakerTransitions = ss.BreakerTransitions()

@@ -28,7 +28,6 @@ package fastliveness
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"fastliveness/internal/ir"
 )
@@ -49,8 +48,7 @@ type rebuildPool struct {
 	saves    []func()
 	closed   bool
 
-	wg      sync.WaitGroup
-	rebuilt atomic.Int64 // analyses the pool rebuilt and published
+	wg sync.WaitGroup
 }
 
 func newRebuildPool(e *Engine, workers int) *rebuildPool {
@@ -190,8 +188,7 @@ func (p *rebuildPool) close() {
 		h.shard.mu.Lock()
 		h.queued = false
 		h.shard.mu.Unlock()
-		p.e.met.rebuildDiscards.Inc()
-		p.e.tracer.RebuildDiscard(h.f.Name)
+		p.e.discardRebuild(h)
 	}
 	for _, h := range prefetches {
 		h.shard.mu.Lock()
@@ -205,12 +202,13 @@ func (p *rebuildPool) close() {
 }
 
 // rebuildOne re-analyzes one dequeued handle if it still needs it. The
-// decision runs under the shard mutex; the Analyze itself runs unlocked
-// (with building set, sharing the single-flight path with queries) and
-// under the function's read lock, so it cannot race an Edit.
+// decision runs under the shard mutex; the Analyze itself runs through
+// flight, sharing the single-flight path with queries, and under the
+// function's read lock, so it cannot race an Edit.
 func (e *Engine) rebuildOne(h *handle) {
 	s := h.shard
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	h.queued = false
 	if h.building || h.live == nil || !h.live.Stale() {
 		// Already being built (a query got there first and the result
@@ -218,54 +216,42 @@ func (e *Engine) rebuildOne(h *handle) {
 		// be resurrected into the cache), or no longer stale (a query
 		// already rebuilt it). All are no-ops — but the evicted case is a
 		// discard (queued work thrown away), not work done elsewhere.
-		discarded := !h.building && h.live == nil
-		s.mu.Unlock()
-		if discarded {
-			e.met.rebuildDiscards.Inc()
-			e.tracer.RebuildDiscard(h.f.Name)
+		if !h.building && h.live == nil {
+			e.discardRebuild(h)
 		}
 		return
 	}
 	e.drop(h)
-	h.building = true
-	gen := h.gen
-	s.mu.Unlock()
-
 	// runBuild recovers backend panics into a *BuildPanicError, so a
 	// panicking analysis quarantines its function (via recordFailure
 	// below) instead of killing this pool worker.
-	live, err := e.runBuild(h)
-
-	s.mu.Lock()
-	h.building = false
-	s.cond.Broadcast()
-	switch {
-	case h.gen != gen:
-		// Superseded while building (Invalidate, or an eviction of a
-		// racing publisher bumped the generation): discard. Queries that
-		// waited on this build find live == nil and build on demand.
-		e.met.rebuildDiscards.Inc()
-		e.tracer.RebuildDiscard(h.f.Name)
-	case err != nil:
-		h.err = err
-		e.recordFailure(h, err)
-	case live.Stale():
-		// Another edit landed mid-build; the result is already dead.
-		// Leave the slot empty — the next query (or MarkDirty) rebuilds
-		// against the newer program.
-		e.met.rebuildDiscards.Inc()
-		e.tracer.RebuildDiscard(h.f.Name)
-	default:
-		h.live = live
-		e.clearQuarantine(h)
-		h.elem = s.lru.PushFront(h)
-		e.resident.Add(1)
-		e.enforceCacheBound(s)
-		if h.elem != nil { // not self-evicted by the bound
-			e.pool.rebuilt.Add(1)
+	var live *Liveness
+	var err error
+	e.flight(h, false, func() { live, err = e.runBuild(h) }, func(current bool) {
+		switch {
+		case !current:
+			// Superseded while building (Invalidate, or an eviction of a
+			// racing publisher bumped the generation). Queries that waited
+			// on this build find live == nil and build on demand.
+			e.discardRebuild(h)
+		case err != nil:
+			e.recordFailure(h, err)
+		case live.Stale():
+			// Another edit landed mid-build; the result is already dead.
+			// Leave the slot empty — the next query (or MarkDirty) rebuilds
+			// against the newer program.
+			e.discardRebuild(h)
+		case e.publish(h, live): // not self-evicted by the bound
+			e.met.backgroundRebuilds.Inc()
 		}
-	}
-	s.mu.Unlock()
+	})
+}
+
+// discardRebuild counts and traces one queued or in-flight rebuild thrown
+// away.
+func (e *Engine) discardRebuild(h *handle) {
+	e.met.rebuildDiscards.Inc()
+	e.tracer.RebuildDiscard(h.f.Name)
 }
 
 // MarkDirty tells the engine f may have been edited. With a rebuild pool
@@ -317,26 +303,6 @@ func (e *Engine) Edit(f *ir.Func, edit func()) {
 	edit()
 	h.irMu.Unlock()
 	e.MarkDirty(f)
-}
-
-// BackgroundRebuilds reports how many stale analyses the rebuild pool has
-// re-analyzed and published so far — re-analysis work absorbed off the
-// query path. The query-path counterpart is Rebuilds; an edit-heavy
-// workload with enough workers shifts its count from the latter to the
-// former. Zero when no pool is configured.
-func (e *Engine) BackgroundRebuilds() int {
-	if e.pool == nil {
-		return 0
-	}
-	return int(e.pool.rebuilt.Load())
-}
-
-// QueuedRebuilds reports how many functions currently sit in the rebuild
-// pool's queue — the queue-depth gauge Metrics().QueuedRebuilds reads,
-// maintained atomically at enqueue/dequeue so neither caller touches the
-// pool lock. Zero when no pool is configured.
-func (e *Engine) QueuedRebuilds() int {
-	return int(e.met.queueDepth.Load())
 }
 
 // Close stops the background rebuild workers, if any, and waits for

@@ -353,49 +353,57 @@ func (e *Engine) snapshotTier() *SnapshotStore {
 // touch, eviction refill, staleness rebuild, background rebuild — funnels
 // through here, which is what makes the snapshot tier sit under the whole
 // LRU rather than under one code path. Callers hold the function's read
-// lock with the handle's building flag set, exactly as they did around the
-// direct Analyze call this replaces — which also makes them the sole
-// toucher of the handle's verification record.
-//
-// Verification is epoch-tracked: ir.Verify runs at most once per function
-// per edit epoch, and every later build of the same IR — eviction refill,
-// snapshot restore, background rebuild — reuses the recorded pass instead
-// of re-walking every instruction. Unless Config.SkipVerify opts out
-// entirely, the first build after any edit still verifies, so the safety
-// contract of direct Analyze is kept; only the redundant re-runs go.
+// lock inside flight, which makes them the sole toucher of the state
+// record's verified and probed bits.
 func (e *Engine) analyze(h *handle) (*Liveness, error) {
-	f := h.f
-	config := e.config.Config
-	if !config.SkipVerify {
-		if now := backend.EpochsOf(f); !h.verified || h.verifiedAt != now {
-			if err := ir.Verify(f); err != nil {
-				return nil, err
-			}
-			h.verified, h.verifiedAt = true, now
-		}
-		config.SkipVerify = true // verified above (or recorded earlier)
+	if err := e.verify(h); err != nil {
+		return nil, err
 	}
+	config := e.config.Config
+	config.SkipVerify = true // verified above (or recorded earlier)
 	st := e.snapshotTier()
 	if st != nil {
 		// A prefetch worker may already have consulted the store for
 		// exactly this IR and come up empty; consuming its record here
 		// skips the redundant disk probe and keeps the hit/miss accounting
-		// at one store consultation per build. The record is epoch-stamped,
-		// so any intervening edit re-probes.
-		skip := h.snapProbed && h.snapProbedAt == backend.EpochsOf(f)
-		h.snapProbed = false
+		// at one store consultation per build.
+		skip := h.st.probed && h.stateCurrent()
+		h.st.probed = false
 		if !skip {
-			if live, res := e.loadSnapshot(st, f); res == snapHit {
+			if live, res := e.loadSnapshot(st, h.f); res == snapHit {
 				return live, nil
 			}
 		}
 	}
 	e.snap.computes.Add(1)
-	live, err := Analyze(f, config)
+	live, err := Analyze(h.f, config)
 	if st != nil && err == nil {
 		e.saveSnapshot(st, live)
 	}
 	return live, err
+}
+
+// verify runs ir.Verify on h's function unless Config.SkipVerify opts out
+// or the state record shows it already passed for this IR. Verification
+// is thereby epoch-tracked: it runs at most once per function per edit
+// epoch, and every later build of the same IR — eviction refill, snapshot
+// restore, background rebuild, prefetch — reuses the recorded pass instead
+// of re-walking every instruction. The first build after any edit still
+// verifies, so the safety contract of direct Analyze is kept. Called by
+// the in-flight builder under the function's read lock.
+func (e *Engine) verify(h *handle) error {
+	if e.config.Config.SkipVerify {
+		return nil
+	}
+	current := h.stateCurrent()
+	if h.st.verified && current {
+		return nil
+	}
+	if err := ir.Verify(h.f); err != nil {
+		return err
+	}
+	h.st.verified = current
+	return nil
 }
 
 // snapResult classifies one consultation of the snapshot tier. The build
@@ -542,7 +550,7 @@ func (e *Engine) prefetchFuncs(funcs []*ir.Func) int {
 		}
 		s := h.shard
 		s.mu.Lock()
-		if h.prefetchQueued || h.queued || h.building || h.live != nil || h.err != nil {
+		if h.prefetchQueued || h.queued || h.building || h.live != nil || h.st.err != nil {
 			s.mu.Unlock()
 			continue
 		}
@@ -557,82 +565,63 @@ func (e *Engine) prefetchFuncs(funcs []*ir.Func) int {
 
 // prefetchOne runs one dequeued prefetch on a pool worker, mirroring
 // rebuildOne: the decision runs under the shard mutex, the load itself
-// runs unlocked with building set (sharing the single-flight path with
-// queries) and under the function's read lock, and the publish re-checks
-// the generation so a prefetch superseded mid-load by Invalidate or an
-// edit is discarded, never cached.
+// runs through flight (sharing the single-flight path with queries) and
+// under the function's read lock, and a prefetch superseded mid-load by
+// Invalidate or an edit is discarded, never cached.
 func (e *Engine) prefetchOne(h *handle) {
 	st := e.snapshotTier()
 	s := h.shard
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	h.prefetchQueued = false
-	if st == nil || h.building || h.queued || h.live != nil || h.err != nil {
+	if st == nil || h.building || h.queued || h.live != nil || h.st.err != nil {
 		// Already resident, already being built (the builder's own store
 		// probe covers it), queued for a rebuild, or sticky-failed: nothing
 		// for a prefetch to add.
-		s.mu.Unlock()
 		e.met.prefetchDiscards.Inc()
 		return
 	}
-	h.building = true
-	gen := h.gen
-	s.mu.Unlock()
-
-	live, res := e.runPrefetch(h, st)
-
-	s.mu.Lock()
-	h.building = false
-	s.cond.Broadcast()
-	switch {
-	case res != snapHit:
-		// Miss or breaker skip: the on-demand build recomputes (skipping
-		// the store probe recorded via snapProbed). Not a discard — the
-		// load ran and its outcome was counted.
-	case h.gen != gen || live.Stale():
-		// Invalidated, evicted or edited mid-load: the adopted analysis
-		// may describe a CFG that no longer exists.
-		e.met.prefetchDiscards.Inc()
-	default:
-		h.live = live
-		e.clearQuarantine(h)
-		h.elem = s.lru.PushFront(h)
-		e.resident.Add(1)
-		e.enforceCacheBound(s)
-	}
-	s.mu.Unlock()
+	var live *Liveness
+	var res snapResult
+	e.flight(h, false, func() { live, res = e.runPrefetch(h, st) }, func(current bool) {
+		switch {
+		case res != snapHit:
+			// Miss or breaker skip: the on-demand build recomputes (skipping
+			// the store probe recorded in the state record). Not a discard —
+			// the load ran and its outcome was counted.
+		case !current || live.Stale():
+			// Invalidated, evicted or edited mid-load: the adopted analysis
+			// may describe a CFG that no longer exists.
+			e.met.prefetchDiscards.Inc()
+		default:
+			e.publish(h, live)
+		}
+	})
 }
 
 // runPrefetch executes one prefetch load under the function's read lock:
-// the same epoch-tracked verification as analyze (the prefetcher is the
-// sole in-flight builder, so it owns the handle's verification record),
-// then the store consultation. On anything but a hit the probe is
-// recorded on the handle so the next build of the same IR skips it. A
-// function that fails verification is left untouched for the on-demand
-// build to diagnose — a prefetch never publishes failures.
+// the same epoch-tracked verification as analyze, then the store
+// consultation. On anything but a hit the probe is recorded in the state
+// record so the next build of the same IR skips it. A function that fails
+// verification is left untouched for the on-demand build to diagnose — a
+// prefetch never publishes failures.
 func (e *Engine) runPrefetch(h *handle, st *SnapshotStore) (*Liveness, snapResult) {
 	h.irMu.RLock()
 	defer h.irMu.RUnlock()
-	f := h.f
-	if !e.config.Config.SkipVerify {
-		if now := backend.EpochsOf(f); !h.verified || h.verifiedAt != now {
-			if err := ir.Verify(f); err != nil {
-				e.met.prefetchMisses.Inc()
-				return nil, snapMiss
-			}
-			h.verified, h.verifiedAt = true, now
-		}
+	if e.verify(h) != nil {
+		e.met.prefetchMisses.Inc()
+		return nil, snapMiss
 	}
-	probedAt := backend.EpochsOf(f) // stable: Edit write-locks irMu
-	live, res := e.loadSnapshot(st, f)
+	live, res := e.loadSnapshot(st, h.f)
 	switch res {
 	case snapHit:
 		e.met.prefetchHits.Inc()
+		return live, res
 	case snapBreakerOpen:
 		e.met.prefetchSkips.Inc()
-		h.snapProbed, h.snapProbedAt = true, probedAt
 	default:
 		e.met.prefetchMisses.Inc()
-		h.snapProbed, h.snapProbedAt = true, probedAt
 	}
+	h.st.probed = h.stateCurrent()
 	return live, res
 }
