@@ -119,13 +119,13 @@ func main() {
 		construct = flag.Bool("construct", false, "run SSA construction (slot-form inputs)")
 		backendN  = flag.String("backend", "checker",
 			"liveness backend: "+strings.Join(fastliveness.Backends(), "|"))
-		verify   = flag.Bool("verify", true, "verify strict SSA before analyzing")
-		stat     = flag.Bool("stats", false, "print CFG/analysis statistics")
-		parallel = flag.Int("parallel", 0, "whole-program precompute workers (0 = GOMAXPROCS)")
-		regs     = flag.Int("regalloc", 0, "allocate that many registers and print the assignment (0 = off)")
-		pipe     = flag.Bool("pipeline", false, "run the full pass pipeline and print the per-pass report")
-		shards   = flag.Int("shards", 0, "engine shard count (0 = default); a contention knob, never changes answers")
-		rebuild  = flag.Int("rebuild-workers", 0, "background rebuild workers re-analyzing edited functions ahead of queries (0 = off)")
+		verify    = flag.Bool("verify", true, "verify strict SSA before analyzing")
+		stat      = flag.Bool("stats", false, "print CFG/analysis statistics")
+		parallel  = flag.Int("parallel", 0, "whole-program precompute workers (0 = GOMAXPROCS)")
+		regs      = flag.Int("regalloc", 0, "allocate that many registers and print the assignment (0 = off)")
+		pipe      = flag.Bool("pipeline", false, "run the full pass pipeline and print the per-pass report")
+		shards    = flag.Int("shards", 0, "engine shard count (0 = default); a contention knob, never changes answers")
+		rebuild   = flag.Int("rebuild-workers", 0, "background rebuild workers re-analyzing edited functions ahead of queries (0 = off)")
 		snapDir   = flag.String("snapshot-dir", "", "persist checker precomputations under this directory and reuse them across runs")
 		failFast  = flag.Bool("fail-fast", false, "abort a whole-program run on the first failing function instead of collecting failures")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")

@@ -156,7 +156,7 @@ type shard struct {
 // the function's IR structure against the background rebuild pool (see
 // Engine.Edit); every other field is guarded by the owning shard's mutex,
 // except that the single in-flight builder (building set, see flight)
-// owns st.verified and st.probed.
+// owns st.verified.
 type handle struct {
 	f     *ir.Func
 	shard *shard
@@ -171,11 +171,8 @@ type handle struct {
 	st       buildState
 	building bool
 	queued   bool // sitting in the rebuild pool's queue
-	// prefetchQueued dedupes the warm-start prefetch queue exactly as
-	// queued dedupes the rebuild queue (see Engine.Prefetch).
-	prefetchQueued bool
-	gen            int // bumped by invalidation and eviction; in-flight builds from older gens are discarded
-	elem           *list.Element
+	gen      int  // bumped by invalidation and eviction; in-flight builds from older gens are discarded
+	elem     *list.Element
 }
 
 // buildState is what the engine has learned about building a function,
@@ -194,11 +191,8 @@ type buildState struct {
 	backoff *retry.Backoff
 	// verified records that ir.Verify passed, so rebuilds, eviction
 	// refills and snapshot restores of unchanged IR skip the verifier's
-	// full IR walk. probed records that a prefetch consulted the snapshot
-	// tier and found no usable snapshot, so the next build skips the
-	// redundant store probe.
+	// full IR walk.
 	verified bool
-	probed   bool
 }
 
 // Engine analyzes a whole program: a set of functions registered with Add
@@ -330,6 +324,8 @@ func (e *Engine) Funcs() []*ir.Func {
 // scheduling-dependent artifact is which analyses remain resident when
 // MaxCached is smaller than the program — LRU order follows completion
 // order — but evicted analyses rebuild on demand to identical answers.
+// With a snapshot store every build tries a fingerprint-keyed load first,
+// so these workers are also the engine's warm-start fan-out.
 func (e *Engine) Precompute() error {
 	return e.PrecomputeContext(context.Background())
 }
@@ -342,16 +338,6 @@ func (e *Engine) Precompute() error {
 // stay resident, the rest build on demand.
 func (e *Engine) PrecomputeContext(ctx context.Context) error {
 	funcs := e.Funcs()
-
-	// With a rebuild pool and a snapshot tier, fan warm-start snapshot
-	// loads across the pool's workers first: functions whose snapshots
-	// validate are published before (or while) the precompute workers
-	// below reach them, and a worker arriving mid-prefetch shares the
-	// in-flight load through the usual single-flight machinery instead of
-	// duplicating it. Functions that miss are built below as always,
-	// skipping the store probe the prefetch already paid.
-	e.prefetchFuncs(funcs)
-
 	workers := e.config.workers()
 	if workers > len(funcs) {
 		workers = len(funcs)
@@ -546,8 +532,8 @@ func (e *Engine) startBuild(ctx context.Context, h *handle) (*Liveness, error) {
 	}
 }
 
-// flight is the single-flight build protocol every build path shares (the
-// query path, the rebuild pool and the warm-start prefetch). Called with
+// flight is the single-flight build protocol both build paths share (the
+// query path's startBuild and the rebuild pool's rebuildOne). Called with
 // h's shard mutex held, h neither resident nor building: it brings h's
 // state record up to date, claims the build by setting building (so
 // concurrent requesters wait instead of duplicating it), captures the
@@ -656,8 +642,8 @@ func (e *Engine) clearQuarantine(h *handle) {
 // current epochs — when those epochs moved past the record's stamp, or
 // unconditionally with force (Invalidate). Called with the shard mutex
 // held. While a build is in flight it clears the quarantine half alone:
-// the builder owns verified and probed until it lands (if the epochs
-// moved, the first reset after that clears them too).
+// the builder owns verified until it lands (if the epochs moved, the
+// first reset after that clears it too).
 func (e *Engine) resetState(h *handle, force bool) {
 	if !force && h.stateCurrent() {
 		return

@@ -233,6 +233,9 @@ func TestEngineChaosSnapshotBreakerOpensAndSkipsDisk(t *testing.T) {
 	if saves := in.Calls(snapshot.FaultSiteSave); saves != 2 {
 		t.Fatalf("store.Save ran %d times, want 2 (first attempt + one retry before the breaker opened)", saves)
 	}
+	if got := e.Metrics().SnapshotSaveNs.Count; got != 1 {
+		t.Fatalf("%d save latency samples, want 1: an open breaker must skip the save before any work", got)
+	}
 	for _, f := range funcs {
 		assertMatchesFresh(t, e, f)
 	}
@@ -334,7 +337,7 @@ func TestEngineChaosSnapshotSaveRetriesTransientError(t *testing.T) {
 // panic at random — run under -race in CI. Each handle's state record is
 // reset by Invalidate and by edits while builds (some of them quarantine
 // retries) are in flight; the race detector holds the ownership rule (the
-// in-flight builder alone touches the verified/probed bits, resets run
+// in-flight builder alone touches the verified bit, resets run
 // under the shard mutex), and once the faults are disarmed and every
 // record is reset, the quarantine gauge must have balanced back to 0.
 func TestEngineChaosStateResetRacesBuilds(t *testing.T) {

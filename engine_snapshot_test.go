@@ -76,6 +76,16 @@ func TestEngineSnapshotWarmStart(t *testing.T) {
 	if s2.LoadedBytes == 0 {
 		t.Fatal("warm run loaded 0 bytes")
 	}
+	// Every warm load is a build like any other: counted, timed, and
+	// checked against the store's per-section accounting (5 sections per
+	// load, each either scanned or skipped).
+	m2 := e2.Metrics()
+	if m2.Builds != n || m2.BuildNs.Count != uint64(m2.Builds) {
+		t.Fatalf("warm run: %d builds with %d latency samples, want %d/%d", m2.Builds, m2.BuildNs.Count, n, n)
+	}
+	if got := s2.SectionScans + s2.SectionSkips; got != 5*s2.Hits {
+		t.Fatalf("warm run: %d section scans + %d skips, want 5 per hit (%d)", s2.SectionScans, s2.SectionSkips, 5*s2.Hits)
+	}
 	if fp1 != fp2 {
 		t.Fatal("snapshot-loaded answers differ from freshly computed answers")
 	}

@@ -89,8 +89,8 @@ func MeasureWarmStart(sizes []int, reps int) (*WarmStart, error) {
 			"structural section checksums verified; CFG/DFS/dom arrays and the dense R/T arenas adopted zero-copy " +
 			"from the mapping, arena scans deferred per the store's default policy; no structural re-derivation); " +
 			"savings = 1 - warm/cold, min over reps, Precompute timed alone, verification skipped on both sides, " +
-			"GC pinned during timing, parallelism 1 and rebuild workers 0 throughout (the prefetch pipeline is " +
-			"pool-backed and therefore idle here — timings are the serial per-function cost)",
+			"GC pinned during timing, parallelism 1 and rebuild workers 0 throughout (timings are the serial " +
+			"per-function cost)",
 	}
 	for _, n := range sizes {
 		row, err := warmStartRow(n, reps)

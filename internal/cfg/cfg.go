@@ -80,7 +80,7 @@ func FromFunc(f *ir.Func) (*Graph, []int) {
 	pArena := make([]int, nEdges)
 	pOff := 0
 	for i, b := range f.Blocks {
-		g.Preds[i] = pArena[pOff:pOff:pOff+len(b.Preds)]
+		g.Preds[i] = pArena[pOff : pOff : pOff+len(b.Preds)]
 		pOff += len(b.Preds)
 	}
 	for i := range f.Blocks {

@@ -216,7 +216,12 @@ func (st *Store) Load(fp uint64) (*Snapshot, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prior, ok := st.cache[fp]; ok {
-		return prior, nil // a concurrent loader won; this mapping stays too
+		// A concurrent loader won. Nothing else holds this load's snapshot,
+		// so its mapping can go: one mapping per fingerprint per process.
+		if decodeAliases() {
+			unmap()
+		}
+		return prior, nil
 	}
 	st.cache[fp] = s
 	return s, nil

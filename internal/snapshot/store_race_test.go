@@ -7,9 +7,16 @@ package snapshot_test
 // snapshot, and errors are limited to the benign not-found kind.
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fastliveness/internal/faults"
 	"fastliveness/internal/snapshot"
@@ -120,5 +127,67 @@ func TestStoreConcurrentLoadsWithInjectedFaults(t *testing.T) {
 		if err != nil || got.FP != s.FP {
 			t.Fatalf("clean load of %016x after the fault storm: %v", s.FP, err)
 		}
+	}
+}
+
+// Loads of one fingerprint racing past the decoded cache each map the
+// file, but only the winner's snapshot is cached and handed out; every
+// loser must release its mapping, leaving one per fingerprint in the
+// process. A delay at the load fault site holds all loaders between the
+// cache check and the map, and /proc/self/maps counts the survivors.
+func TestStoreRacingLoadsKeepOneMapping(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts mappings through /proc/self/maps")
+	}
+	if strconv.IntSize != 64 || binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		t.Skip("decoded snapshots alias their mapping only on 64-bit little-endian hosts")
+	}
+	dir := t.TempDir()
+	st, err := snapshot.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := captureOne(t, 3, 37)
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("store directory holds %v (%v), want one snapshot file", files, err)
+	}
+	in := faults.New(19)
+	in.Add(faults.Rule{Site: snapshot.FaultSiteLoad, Action: faults.ActionDelay, Delay: 100 * time.Millisecond})
+	st.SetFaultInjector(in)
+	defer st.SetFaultInjector(nil)
+
+	const loaders = 8
+	start := make(chan struct{})
+	got := make([]*snapshot.Snapshot, loaders)
+	var wg sync.WaitGroup
+	for g := 0; g < loaders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			var err error
+			got[g], err = st.Load(s.FP)
+			if err != nil {
+				t.Errorf("load: %v", err)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for _, g := range got[1:] {
+		if g != got[0] {
+			t.Fatal("racing loads handed out different snapshots")
+		}
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(maps), files[0]+"\n"); n != 1 {
+		t.Fatalf("%d live mappings of the snapshot file after %d racing loads, want 1", n, loaders)
 	}
 }

@@ -64,14 +64,6 @@ type engineMetrics struct {
 	// snapshotCounters, surfaced as SnapshotStats).
 	snapLoadNs telemetry.Histogram
 	snapSaveNs telemetry.Histogram
-	// Warm-start prefetch accounting (all zero without a rebuild pool and
-	// a snapshot tier): loads by outcome, plus prefetches dropped without
-	// publishing — dequeued to find the handle busy or resident,
-	// superseded mid-load, or still pending at Close.
-	prefetchHits     telemetry.Counter
-	prefetchMisses   telemetry.Counter
-	prefetchSkips    telemetry.Counter
-	prefetchDiscards telemetry.Counter
 }
 
 // EngineMetrics is one consistent-enough snapshot of everything the
@@ -113,17 +105,6 @@ type EngineMetrics struct {
 	// a panicking build (ErrQuarantined) and have not yet recovered.
 	Quarantined int
 
-	// Warm-start prefetch pipeline traffic (Engine.Prefetch): snapshot
-	// loads that hit (published ahead of demand unless superseded), loads
-	// that missed (left for the on-demand build, which skips the duplicate
-	// store probe), loads skipped on an open breaker, and prefetches
-	// discarded without publishing. All zero without a rebuild pool and a
-	// snapshot tier.
-	PrefetchHits         int64
-	PrefetchMisses       int64
-	PrefetchBreakerSkips int64
-	PrefetchDiscards     int64
-
 	// Snapshot is the disk tier's traffic (hits, misses, stores, computes,
 	// bytes, breaker skips) — SnapshotStats verbatim. BreakerState and
 	// BreakerTransitions describe the store's circuit breaker; both are
@@ -164,11 +145,6 @@ func (e *Engine) Metrics() EngineMetrics {
 		RebuildEnqueues:    e.met.rebuildEnqueues.Load(),
 		RebuildDiscards:    e.met.rebuildDiscards.Load(),
 		Quarantined:        int(e.met.quarantined.Load()),
-
-		PrefetchHits:         e.met.prefetchHits.Load(),
-		PrefetchMisses:       e.met.prefetchMisses.Load(),
-		PrefetchBreakerSkips: e.met.prefetchSkips.Load(),
-		PrefetchDiscards:     e.met.prefetchDiscards.Load(),
 
 		Snapshot: e.SnapshotStats(),
 
@@ -244,10 +220,6 @@ func WriteEngineMetrics(w io.Writer, m EngineMetrics) {
 	c("snapshot_decoded_cache_misses_total", "store loads that touched a snapshot file", m.Snapshot.DecodedCacheMisses)
 	c("snapshot_section_scans_total", "per-section checksum scans run", m.Snapshot.SectionScans)
 	c("snapshot_section_skips_total", "per-section checksum scans avoided", m.Snapshot.SectionSkips)
-	c("prefetch_hits_total", "warm-start prefetch loads served by a validated snapshot", m.PrefetchHits)
-	c("prefetch_misses_total", "warm-start prefetch loads left for the on-demand build", m.PrefetchMisses)
-	c("prefetch_breaker_skips_total", "warm-start prefetch loads skipped on an open breaker", m.PrefetchBreakerSkips)
-	c("prefetch_discards_total", "warm-start prefetches discarded without publishing", m.PrefetchDiscards)
 	g("snapshot_breaker_state", "snapshot breaker state (0 closed, 1 open, 2 half-open, -1 none)", breakerStateValue(m.BreakerState))
 	c("snapshot_breaker_transitions_total", "snapshot breaker state changes", m.BreakerTransitions)
 	c("snapshot_gc_runs_total", "snapshot directory byte-budget GC passes", int64(m.SnapshotGCRuns))

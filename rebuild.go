@@ -32,21 +32,18 @@ import (
 	"fastliveness/internal/ir"
 )
 
-// rebuildPool runs EngineConfig.RebuildWorkers goroutines over three
+// rebuildPool runs EngineConfig.RebuildWorkers goroutines over two
 // queues in strict priority order: a deduplicated queue of dirty handles
-// (rebuilds keep queries fast now), a deduplicated queue of warm-start
-// snapshot prefetches (Engine.Prefetch — they only make upcoming first
-// touches cheaper), and snapshot write-back jobs (engine.saveSnapshot —
-// they only help future processes).
+// (rebuilds keep queries fast now), then snapshot write-back jobs
+// (engine.saveSnapshot — they only help future processes).
 type rebuildPool struct {
 	e *Engine
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*handle
-	prefetch []*handle
-	saves    []func()
-	closed   bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []*handle
+	saves  []func()
+	closed bool
 
 	wg sync.WaitGroup
 }
@@ -64,12 +61,10 @@ func newRebuildPool(e *Engine, workers int) *rebuildPool {
 func (p *rebuildPool) worker() {
 	defer p.wg.Done()
 	for {
-		h, isPrefetch, save, ok := p.next()
+		h, save, ok := p.next()
 		switch {
 		case !ok:
 			return
-		case h != nil && isPrefetch:
-			p.e.prefetchOne(h)
 		case h != nil:
 			p.e.rebuildOne(h)
 		default:
@@ -79,30 +74,25 @@ func (p *rebuildPool) worker() {
 }
 
 // next blocks until work is queued or the pool is closed, handing out
-// rebuilds before prefetches before saves.
-func (p *rebuildPool) next() (h *handle, isPrefetch bool, save func(), ok bool) {
+// rebuilds before saves.
+func (p *rebuildPool) next() (h *handle, save func(), ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.queue) == 0 && len(p.prefetch) == 0 && len(p.saves) == 0 && !p.closed {
+	for len(p.queue) == 0 && len(p.saves) == 0 && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
-		return nil, false, nil, false
+		return nil, nil, false
 	}
 	if len(p.queue) > 0 {
 		h := p.queue[0]
 		p.queue = p.queue[1:]
 		p.e.met.queueDepth.Add(-1)
-		return h, false, nil, true
-	}
-	if len(p.prefetch) > 0 {
-		h := p.prefetch[0]
-		p.prefetch = p.prefetch[1:]
-		return h, true, nil, true
+		return h, nil, true
 	}
 	save = p.saves[0]
 	p.saves = p.saves[1:]
-	return nil, false, save, true
+	return nil, save, true
 }
 
 // enqueueSave adds a snapshot write-back job. On a closed pool the job
@@ -141,32 +131,12 @@ func (p *rebuildPool) enqueue(h *handle) {
 	p.e.tracer.RebuildEnqueue(h.f.Name)
 }
 
-// enqueuePrefetch adds h to the warm-start prefetch queue. The caller has
-// already set h.prefetchQueued under the shard mutex; on a closed pool
-// the flag is rolled back and false returned — a dropped prefetch costs
-// nothing, the function just loads (or builds) on its first query.
-func (p *rebuildPool) enqueuePrefetch(h *handle) bool {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		h.shard.mu.Lock()
-		h.prefetchQueued = false
-		h.shard.mu.Unlock()
-		return false
-	}
-	p.prefetch = append(p.prefetch, h)
-	p.mu.Unlock()
-	p.cond.Signal()
-	return true
-}
-
 // close stops the workers and waits for them to exit. Pending rebuild
 // entries are discarded — an un-rebuilt dirty function is simply rebuilt
-// on demand by its next query — and pending prefetches likewise (a
-// function not prefetched just loads on first touch); but pending
-// snapshot saves are drained to disk, so an engine that was Closed has
-// flushed every write-back it scheduled (the property the warm-start
-// story rests on: process one Closes, process two hits).
+// on demand by its next query — but pending snapshot saves are drained
+// to disk, so an engine that was Closed has flushed every write-back it
+// scheduled (the property the warm-start story rests on: process one
+// Closes, process two hits).
 func (p *rebuildPool) close() {
 	p.mu.Lock()
 	if p.closed {
@@ -177,8 +147,6 @@ func (p *rebuildPool) close() {
 	pending := p.queue
 	p.queue = nil
 	p.e.met.queueDepth.Add(-int64(len(pending)))
-	prefetches := p.prefetch
-	p.prefetch = nil
 	saves := p.saves
 	p.saves = nil
 	p.mu.Unlock()
@@ -189,12 +157,6 @@ func (p *rebuildPool) close() {
 		h.queued = false
 		h.shard.mu.Unlock()
 		p.e.discardRebuild(h)
-	}
-	for _, h := range prefetches {
-		h.shard.mu.Lock()
-		h.prefetchQueued = false
-		h.shard.mu.Unlock()
-		p.e.met.prefetchDiscards.Inc()
 	}
 	for _, save := range saves {
 		save()

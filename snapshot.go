@@ -354,7 +354,7 @@ func (e *Engine) snapshotTier() *SnapshotStore {
 // through here, which is what makes the snapshot tier sit under the whole
 // LRU rather than under one code path. Callers hold the function's read
 // lock inside flight, which makes them the sole toucher of the state
-// record's verified and probed bits.
+// record's verified bit.
 func (e *Engine) analyze(h *handle) (*Liveness, error) {
 	if err := e.verify(h); err != nil {
 		return nil, err
@@ -363,16 +363,8 @@ func (e *Engine) analyze(h *handle) (*Liveness, error) {
 	config.SkipVerify = true // verified above (or recorded earlier)
 	st := e.snapshotTier()
 	if st != nil {
-		// A prefetch worker may already have consulted the store for
-		// exactly this IR and come up empty; consuming its record here
-		// skips the redundant disk probe and keeps the hit/miss accounting
-		// at one store consultation per build.
-		skip := h.st.probed && h.stateCurrent()
-		h.st.probed = false
-		if !skip {
-			if live, res := e.loadSnapshot(st, h.f); res == snapHit {
-				return live, nil
-			}
+		if live := e.loadSnapshot(st, h.f); live != nil {
+			return live, nil
 		}
 	}
 	e.snap.computes.Add(1)
@@ -387,8 +379,8 @@ func (e *Engine) analyze(h *handle) (*Liveness, error) {
 // or the state record shows it already passed for this IR. Verification
 // is thereby epoch-tracked: it runs at most once per function per edit
 // epoch, and every later build of the same IR — eviction refill, snapshot
-// restore, background rebuild, prefetch — reuses the recorded pass instead
-// of re-walking every instruction. The first build after any edit still
+// restore, background rebuild — reuses the recorded pass instead of
+// re-walking every instruction. The first build after any edit still
 // verifies, so the safety contract of direct Analyze is kept. Called by
 // the in-flight builder under the function's read lock.
 func (e *Engine) verify(h *handle) error {
@@ -406,34 +398,23 @@ func (e *Engine) verify(h *handle) error {
 	return nil
 }
 
-// snapResult classifies one consultation of the snapshot tier. The build
-// path treats everything but a hit as "run the real precompute"; the
-// prefetch pipeline additionally tells misses from breaker skips for its
-// own accounting.
-type snapResult int
-
-const (
-	snapHit snapResult = iota
-	snapMiss
-	snapBreakerOpen
-)
-
-// loadSnapshot tries to serve f's analysis from the store. Every failure —
-// no file, torn or bit-flipped file, version skew, a fingerprint that
-// collides but fails Restore's structural re-validation, an I/O error, an
-// open circuit breaker — lands in the same place: report a miss and let
-// the caller run the real precompute. The disk tier can therefore never
-// produce a wrong answer, only a slower one.
+// loadSnapshot tries to serve f's analysis from the store, returning nil
+// on a miss. Every failure — no file, torn or bit-flipped file, version
+// skew, a fingerprint that collides but fails Restore's structural
+// re-validation, an I/O error, an open circuit breaker — lands in the same
+// place: count a miss (and a breaker skip for the last) and let the caller
+// run the real precompute. The disk tier can therefore never produce a
+// wrong answer, only a slower one.
 //
 // The warm path never builds a CFG: FingerprintFunc derives the key (and
 // the block index) straight off the IR, and under format v3 a validating
 // RestoreFrom adopts the graph, DFS and dominator tree from the file.
-func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness, res snapResult) {
+func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness) {
 	start := time.Now()
 	defer func() {
 		d := time.Since(start)
 		e.met.snapLoadNs.Observe(d.Nanoseconds())
-		e.tracer.SnapshotLoad(f.Name, res == snapHit, d)
+		e.tracer.SnapshotLoad(f.Name, live != nil, d)
 	}()
 	opts := e.config.Config.coreOptions()
 	fp, index := snapshot.FingerprintFunc(f, snapshot.FlagsFor(opts))
@@ -442,18 +423,17 @@ func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness, re
 		e.snap.snapMisses.Add(1)
 		if errors.Is(err, errSnapshotBreakerOpen) {
 			e.snap.snapBreakerSkips.Add(1)
-			return nil, snapBreakerOpen
 		}
-		return nil, snapMiss
+		return nil
 	}
 	cr, err := s.RestoreFrom(f, index, opts)
 	if err != nil {
 		e.snap.snapMisses.Add(1)
-		return nil, snapMiss
+		return nil
 	}
 	e.snap.snapHits.Add(1)
 	e.snap.snapLoadedBytes.Add(s.SizeBytes())
-	return livenessFromResult(f, cr, e.config.Config), snapHit
+	return livenessFromResult(f, cr, e.config.Config)
 }
 
 // livenessFromResult wraps an adopted checker result as a query handle,
@@ -475,6 +455,9 @@ func livenessFromResult(f *ir.Func, cr *backend.CheckerResult, config Config) *L
 // ride the rebuild pool's workers when the engine has them (rebuild jobs
 // take priority; Close drains pending saves to disk). Without a pool the
 // save runs inline, so single-shot tools still leave a warm store behind.
+// While the store's breaker is not closed the save is skipped before any
+// work — no capture, no stat, no latency sample — since the store would
+// refuse it anyway.
 //
 // Snapshots are keyed by fingerprint, not by function, so a save executing
 // long after its function was edited or evicted is still correct: it
@@ -482,7 +465,7 @@ func livenessFromResult(f *ir.Func, cr *backend.CheckerResult, config Config) *L
 // that exact shape will load it.
 func (e *Engine) saveSnapshot(ss *SnapshotStore, live *Liveness) {
 	cr, ok := live.res.(*backend.CheckerResult)
-	if !ok {
+	if !ok || ss.breaker.State() != retry.Closed {
 		return
 	}
 	snap, err := snapshot.Capture(cr.Prep(), cr.Checker())
@@ -511,117 +494,4 @@ func (e *Engine) saveSnapshot(ss *SnapshotStore, live *Liveness) {
 		return
 	}
 	job()
-}
-
-// Prefetch enqueues a warm-start snapshot load for every registered
-// function with no resident analysis, fanned across the rebuild pool's
-// workers: each prefetch fingerprints the function, loads and validates
-// its snapshot if one exists, and publishes the adopted analysis into the
-// cache ahead of the first query — so a warm process front-loads its disk
-// tier instead of paying one load per first touch. Prefetches ride the
-// pool at a priority between staleness rebuilds (which keep queries fast
-// now) and snapshot saves (which only help future processes), share the
-// engine's single-flight machinery (a query arriving mid-prefetch waits
-// for and reuses it), and obey the store's circuit breaker. A function
-// whose snapshot misses is left for the on-demand build, which skips the
-// duplicate store probe the prefetch already paid.
-//
-// Prefetch returns how many loads it enqueued. It is a safe no-op — and
-// returns 0 — without a rebuild pool, without a snapshot tier (no store,
-// or a non-checker backend), or after Shutdown. Precompute calls it
-// implicitly; call it directly to warm the cache without forcing the
-// recompute of functions that miss.
-func (e *Engine) Prefetch() int {
-	return e.prefetchFuncs(e.Funcs())
-}
-
-// prefetchFuncs enqueues prefetches for the given registered functions,
-// deduplicated per handle via prefetchQueued exactly as MarkDirty
-// deduplicates rebuilds via queued.
-func (e *Engine) prefetchFuncs(funcs []*ir.Func) int {
-	if e.pool == nil || e.snapshotTier() == nil || e.closed.Load() {
-		return 0
-	}
-	n := 0
-	for _, f := range funcs {
-		h := e.lookup(f)
-		if h == nil {
-			continue
-		}
-		s := h.shard
-		s.mu.Lock()
-		if h.prefetchQueued || h.queued || h.building || h.live != nil || h.st.err != nil {
-			s.mu.Unlock()
-			continue
-		}
-		h.prefetchQueued = true
-		s.mu.Unlock()
-		if e.pool.enqueuePrefetch(h) {
-			n++
-		}
-	}
-	return n
-}
-
-// prefetchOne runs one dequeued prefetch on a pool worker, mirroring
-// rebuildOne: the decision runs under the shard mutex, the load itself
-// runs through flight (sharing the single-flight path with queries) and
-// under the function's read lock, and a prefetch superseded mid-load by
-// Invalidate or an edit is discarded, never cached.
-func (e *Engine) prefetchOne(h *handle) {
-	st := e.snapshotTier()
-	s := h.shard
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h.prefetchQueued = false
-	if st == nil || h.building || h.queued || h.live != nil || h.st.err != nil {
-		// Already resident, already being built (the builder's own store
-		// probe covers it), queued for a rebuild, or sticky-failed: nothing
-		// for a prefetch to add.
-		e.met.prefetchDiscards.Inc()
-		return
-	}
-	var live *Liveness
-	var res snapResult
-	e.flight(h, false, func() { live, res = e.runPrefetch(h, st) }, func(current bool) {
-		switch {
-		case res != snapHit:
-			// Miss or breaker skip: the on-demand build recomputes (skipping
-			// the store probe recorded in the state record). Not a discard —
-			// the load ran and its outcome was counted.
-		case !current || live.Stale():
-			// Invalidated, evicted or edited mid-load: the adopted analysis
-			// may describe a CFG that no longer exists.
-			e.met.prefetchDiscards.Inc()
-		default:
-			e.publish(h, live)
-		}
-	})
-}
-
-// runPrefetch executes one prefetch load under the function's read lock:
-// the same epoch-tracked verification as analyze, then the store
-// consultation. On anything but a hit the probe is recorded in the state
-// record so the next build of the same IR skips it. A function that fails
-// verification is left untouched for the on-demand build to diagnose — a
-// prefetch never publishes failures.
-func (e *Engine) runPrefetch(h *handle, st *SnapshotStore) (*Liveness, snapResult) {
-	h.irMu.RLock()
-	defer h.irMu.RUnlock()
-	if e.verify(h) != nil {
-		e.met.prefetchMisses.Inc()
-		return nil, snapMiss
-	}
-	live, res := e.loadSnapshot(st, h.f)
-	switch res {
-	case snapHit:
-		e.met.prefetchHits.Inc()
-		return live, res
-	case snapBreakerOpen:
-		e.met.prefetchSkips.Inc()
-	default:
-		e.met.prefetchMisses.Inc()
-	}
-	h.st.probed = h.stateCurrent()
-	return live, res
 }
