@@ -1,12 +1,11 @@
 package fastliveness
 
-// The arena PR's contract: steady-state IsLiveIn/IsLiveOut checker queries
-// allocate nothing — not on the default fresh-read path, not on the
-// CacheUses path once a value's use-set is built, not through a Querier.
-// These tests pin that at 0 allocs/op with testing.AllocsPerRun so a
-// regression (a scratch buffer that stops being reused, a row view that
-// starts escaping) fails loudly instead of showing up as a benchmark
-// drift.
+// The arena PR's contract: steady-state IsLiveIn/IsLiveOut/Interfere
+// checker queries allocate nothing — not through a Liveness, not through a
+// Querier, not through an engine Oracle. These tests pin that at 0
+// allocs/op with testing.AllocsPerRun so a regression (a scratch buffer
+// that stops being reused, a row view or method value that starts
+// escaping) fails loudly instead of showing up as a benchmark drift.
 
 import (
 	"testing"
@@ -42,9 +41,7 @@ func TestCheckerQueriesZeroAlloc(t *testing.T) {
 		config Config
 	}{
 		{"default", Config{}},
-		{"cacheUses", Config{CacheUses: true}},
 		{"sortedT", Config{SortedT: true}},
-		{"cacheUses+sortedT", Config{CacheUses: true, SortedT: true}},
 		{"exact", Config{Strategy: StrategyExact}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,25 +49,26 @@ func TestCheckerQueriesZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sweep := func(in func(*ir.Value, *ir.Block) bool, out func(*ir.Value, *ir.Block) bool) func() {
+			sweep := func(in, out func(*ir.Value, *ir.Block) bool, interfere func(x, y *ir.Value) bool) func() {
 				return func() {
-					for _, v := range vals {
+					for i, v := range vals {
 						for _, b := range f.Blocks {
 							in(v, b)
 							out(v, b)
 						}
+						interfere(v, vals[(i+1)%len(vals)])
 					}
 				}
 			}
 
-			liveSweep := sweep(live.IsLiveIn, live.IsLiveOut)
-			liveSweep() // warm: scratch capacity, use-set cache entries
+			liveSweep := sweep(live.IsLiveIn, live.IsLiveOut, live.Interfere)
+			liveSweep() // warm: scratch capacity
 			if avg := testing.AllocsPerRun(10, liveSweep); avg != 0 {
 				t.Errorf("Liveness steady-state sweep: %v allocs, want 0", avg)
 			}
 
 			qr := live.NewQuerier()
-			qrSweep := sweep(qr.IsLiveIn, qr.IsLiveOut)
+			qrSweep := sweep(qr.IsLiveIn, qr.IsLiveOut, qr.Interfere)
 			qrSweep()
 			if avg := testing.AllocsPerRun(10, qrSweep); avg != 0 {
 				t.Errorf("Querier steady-state sweep: %v allocs, want 0", avg)
@@ -79,17 +77,17 @@ func TestCheckerQueriesZeroAlloc(t *testing.T) {
 	}
 }
 
-// CacheUses answers must track ResetSets: a cached use-set describes the
-// uses as of its build, ResetSets flushes every handle's cache (Liveness
-// and Queriers alike) through the epoch, and the refreshed answers must
-// again match both a fresh analysis and the fresh-read default path.
-func TestCacheUsesResetSets(t *testing.T) {
+// Checker answers read the def-use chain fresh, so instruction edits need
+// no reset of any kind: after each edit — a use added, the use removed
+// again, a value created after Analyze — the handle and its Querier must
+// answer like a fresh analysis of the edited program.
+func TestCheckerQueriesTrackInstructionEdits(t *testing.T) {
 	f, vals := allocWorkload(t)
-	cached, err := Analyze(f, Config{CacheUses: true})
+	live, err := Analyze(f, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qr := cached.NewQuerier()
+	qr := live.NewQuerier()
 
 	agree := func(stage string) {
 		t.Helper()
@@ -99,35 +97,31 @@ func TestCacheUsesResetSets(t *testing.T) {
 		}
 		for _, v := range vals {
 			for _, b := range f.Blocks {
-				if got, want := cached.IsLiveOut(v, b), fresh.IsLiveOut(v, b); got != want {
-					t.Fatalf("%s: cached IsLiveOut(%s, %s) = %v, fresh analysis says %v", stage, v, b, got, want)
+				if got, want := live.IsLiveOut(v, b), fresh.IsLiveOut(v, b); got != want {
+					t.Fatalf("%s: IsLiveOut(%s, %s) = %v, fresh analysis says %v", stage, v, b, got, want)
 				}
 				if got, want := qr.IsLiveIn(v, b), fresh.IsLiveIn(v, b); got != want {
-					t.Fatalf("%s: cached Querier.IsLiveIn(%s, %s) = %v, fresh analysis says %v", stage, v, b, got, want)
+					t.Fatalf("%s: Querier.IsLiveIn(%s, %s) = %v, fresh analysis says %v", stage, v, b, got, want)
 				}
 			}
 		}
 	}
 	agree("baseline")
 
-	// Extend a live range: give the first value a brand-new use in every
-	// block it dominates... its own block suffices and is always legal.
+	// Extend a live range: a brand-new use of the first value in its own
+	// block is always legal.
 	v := vals[0]
 	added := v.Block.NewValue(ir.OpNeg, v)
 	if err := ssa.VerifyStrict(f); err != nil {
 		t.Fatal(err)
 	}
-	cached.ResetSets()
 	agree("after adding a use")
 
 	// Shrink it again.
 	v.Block.RemoveValue(added)
-	cached.ResetSets()
 	agree("after removing the use")
 
-	// New values appearing after analysis must be queryable without any
-	// reset — they build fresh cache entries past the end of the slice the
-	// cache was sized for.
+	// A value created after Analyze is queryable too.
 	w := v.Block.NewValue(ir.OpCopy, v)
 	vals = append(vals, w)
 	agree("after adding a new value")
@@ -179,11 +173,12 @@ func TestInstrumentedOracleZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep := func() {
-		for _, v := range vals {
+		for i, v := range vals {
 			for _, b := range f.Blocks {
 				o.IsLiveIn(v, b)
 				o.IsLiveOut(v, b)
 			}
+			o.Interfere(v, vals[(i+1)%len(vals)])
 		}
 	}
 	sweep() // warm: analysis build, Querier scratch

@@ -131,8 +131,8 @@ func TestEnumerationMatchesQueries(t *testing.T) {
 
 // The enumeration sets are cached, but keyed by the function's edit
 // epochs: after an instruction edit the next LiveIn/LiveOut call must
-// rebuild them transparently — no ResetSets — while checker queries track
-// the edit with no rebuild at all.
+// rebuild them transparently, while checker queries track the edit with
+// no rebuild at all.
 func TestEnumerationTracksInstructionEdits(t *testing.T) {
 	f := ir.MustParse(backendLoopSrc)
 	live, err := Analyze(f, Config{})
@@ -170,11 +170,6 @@ func TestEnumerationTracksInstructionEdits(t *testing.T) {
 	exit.RemoveValue(added)
 	if inExit(live.LiveIn(exit)) {
 		t.Fatal("enumeration should track the reverting edit too")
-	}
-	// ResetSets survives as an explicit eager drop and must stay coherent.
-	live.ResetSets()
-	if inExit(live.LiveIn(exit)) {
-		t.Fatal("enumeration after ResetSets should match the current program")
 	}
 }
 

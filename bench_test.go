@@ -152,34 +152,6 @@ func BenchmarkTable2_QueryNew(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2_QueryNewCachedUses is BenchmarkTable2_QueryNew through
-// the opt-in use-set cache (Config.CacheUses): the per-use inner loop of
-// Algorithm 3 collapses to one word-loop intersection against the R arena.
-func BenchmarkTable2_QueryNewCachedUses(b *testing.B) {
-	for _, name := range []string{"164.gzip", "186.crafty"} {
-		b.Run(name, func(b *testing.B) {
-			qs, c := queryStream(b, name)
-			oracle := map[*ir.Func]*fastliveness.Liveness{}
-			for _, p := range c.Procs {
-				l, err := fastliveness.Analyze(p.F, fastliveness.Config{CacheUses: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				oracle[p.F] = l
-			}
-			for _, q := range qs {
-				oracle[q.V.Block.Func].IsLiveOut(q.V, q.B) // warm the use-sets
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				oracle[q.V.Block.Func].IsLiveOut(q.V, q.B)
-			}
-		})
-	}
-}
-
 // ---- Figure 3: the worked example ----
 
 func figure3Graph() *cfg.Graph {

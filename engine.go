@@ -233,8 +233,9 @@ type Engine struct {
 
 	// tracer is config.Tracer or NopTracer, so emit sites never nil-check;
 	// met is the atomic instrument block behind Metrics()/WriteMetrics.
-	// unobserve detaches the engine's breaker-transition observer from the
-	// (possibly shared) SnapshotStore at Shutdown.
+	// unobserve detaches the engine's breaker-transition observer (set only
+	// for a traced engine with a store) from the (possibly shared)
+	// SnapshotStore at Shutdown.
 	tracer    telemetry.Tracer
 	met       engineMetrics
 	unobserve func()
@@ -254,11 +255,13 @@ func NewEngine(config EngineConfig) *Engine {
 		s.cond = sync.NewCond(&s.mu)
 		e.shards[i] = s
 	}
-	if config.SnapshotStore != nil {
+	if config.SnapshotStore != nil && config.Tracer != nil {
 		// Forward the (shared) store's breaker transitions to this engine's
-		// tracer; Shutdown detaches.
+		// tracer; Shutdown detaches. The closure holds the tracer, never
+		// the engine, so an engine that is only Closed stays collectable.
+		tr := config.Tracer
 		e.unobserve = config.SnapshotStore.observeBreaker(func(from, to retry.State) {
-			e.tracer.BreakerTransition(from.String(), to.String())
+			tr.BreakerTransition(from.String(), to.String())
 		})
 	}
 	if config.RebuildWorkers > 0 {
@@ -875,8 +878,8 @@ func (e *Engine) runBatch(live *Liveness, queries []Query, ask func(*Querier, *i
 // any backend with no manual refresh hooks — rebuild policy lives in the
 // epochs, not at the call sites.
 //
-// An Oracle owns its Querier (scratch buffers and, with Config.CacheUses,
-// a use-set cache); like the function it queries, it is single-goroutine.
+// An Oracle owns its Querier (scratch buffers); like the function it
+// queries, it is single-goroutine.
 // Create one per goroutine. Each query executes under the function's
 // read lock, so oracle queries are safe against concurrent Engine.Edit
 // calls on the same function.
@@ -889,7 +892,11 @@ type Oracle struct {
 }
 
 // Oracle returns an auto-refreshing query handle for a registered
-// function, analyzing it first if needed.
+// function, analyzing it first if needed. It is the one self-refreshing
+// oracle for passes that edit while they query: EngineConfig.Config.Backend
+// picks the backend (a one-function engine suffices), and Rebuilds counts
+// the re-analyses the edits forced — zero under the checker for
+// instruction-only edits.
 func (e *Engine) Oracle(f *ir.Func) (*Oracle, error) {
 	return e.OracleContext(context.Background(), f)
 }
@@ -970,10 +977,4 @@ func (o *Oracle) IsLiveOut(v *ir.Value, b *ir.Block) bool {
 // Interfere is the Budimlić interference test against the current program.
 func (o *Oracle) Interfere(x, y *ir.Value) bool {
 	return o.query(func(qr *Querier) bool { return qr.Interfere(x, y) })
-}
-
-// Liveness returns the underlying analysis handle, refreshed if stale.
-func (o *Oracle) Liveness() *Liveness {
-	o.ensure()
-	return o.live
 }

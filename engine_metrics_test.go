@@ -8,9 +8,11 @@ package fastliveness
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"fastliveness/internal/backend"
 	"fastliveness/internal/faults"
@@ -370,6 +372,51 @@ func TestEngineMetricsBreakerTransitions(t *testing.T) {
 	}
 	if got := tr.count("Breaker:open>half-open"); got != 0 {
 		t.Fatalf("detached tracer still received %d transition(s)", got)
+	}
+}
+
+// TestEngineClosedEngineNotPinnedByStore: a shared SnapshotStore must not
+// keep Closed engines — and every analysis they hold — reachable. Untraced
+// engines register no breaker observer; a traced engine's observer holds
+// only the tracer, so the engine is collectable after Close.
+func TestEngineClosedEngineNotPinnedByStore(t *testing.T) {
+	ss, err := OpenSnapshotStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := engineCorpus(t, 1, 317)
+	const engines = 5
+	refs := make([]weak.Pointer[Engine], 0, engines)
+	for i := 0; i < engines; i++ {
+		config := EngineConfig{SnapshotStore: ss}
+		if i == 0 {
+			config.Tracer = newRecordingTracer()
+		}
+		e := NewEngine(config)
+		e.Add(funcs...)
+		if err := e.Precompute(); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		refs = append(refs, weak.Make(e))
+	}
+	runtime.GC()
+	runtime.GC()
+	reachable := 0
+	for _, r := range refs {
+		if r.Value() != nil {
+			reachable++
+		}
+	}
+	if reachable != 0 {
+		t.Errorf("%d of %d Closed engines still reachable from the shared store", reachable, engines)
+	}
+	if obs := ss.obs.Load(); obs == nil || len(*obs) != 1 {
+		n := 0
+		if obs != nil {
+			n = len(*obs)
+		}
+		t.Errorf("store has %d breaker observers, want 1 (the traced engine's)", n)
 	}
 }
 

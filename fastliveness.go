@@ -30,10 +30,8 @@ package fastliveness
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"fastliveness/internal/backend"
-	"fastliveness/internal/bitset"
 	"fastliveness/internal/core"
 	"fastliveness/internal/ir"
 )
@@ -62,21 +60,6 @@ type Config struct {
 	// SortedT stores T sets as sorted arrays instead of bitsets (§6.1
 	// memory variant).
 	SortedT bool
-	// CacheUses opts checker-backed queries into cached per-variable
-	// use-sets: the first query for a value numbers its uses into a bitset
-	// over dominance preorder numbers, and every later query answers with
-	// a single word-loop intersection R_t ∩ uses(a) instead of re-walking
-	// the def-use chain. Steady-state queries allocate nothing.
-	//
-	// Cache invalidation rides the IR's instruction epoch
-	// (ir.Func.InstrEpoch): a cached entry is keyed by the epoch it was
-	// built at, so any instruction edit makes every handle's entries lazily
-	// rebuild on next query — answers track edits automatically, matching
-	// the default fresh-read path. The residual trade-off against the
-	// default is rebuild cost under churn: an edit flushes all entries,
-	// so edit-heavy query streams re-pay the cache fill, where the
-	// fresh-read path pays nothing. Ignored by non-checker backends.
-	CacheUses bool
 	// Backend names the liveness engine serving the queries: one of
 	// Backends() — "checker" (the paper's R/T checker, the default),
 	// "dataflow", "lao", "pervar", "loops", or "auto" (per-function
@@ -112,25 +95,13 @@ type Liveness struct {
 	prep    *backend.Prep
 	res     backend.Result
 	checker *core.Checker // non-nil iff the checker serves the queries
-	scratch []int
-	// cacheUses routes checker queries through uc (Config.CacheUses).
-	cacheUses bool
-	// flushes counts manual ResetSets calls. The use-set caches are
-	// versioned by f.InstrEpoch() + flushes: any instruction edit — or an
-	// explicit ResetSets — lazily flushes every handle's cache (this
-	// Liveness's uc and each Querier's). Atomic because ResetSets on the
-	// owning handle must be visible to concurrently reading Queriers.
-	flushes atomic.Uint64
-	uc      useCache
-	// enum is the lazily built set-producing result behind LiveIn/LiveOut;
-	// enumStale (set by ResetSets) forces the rebuild through a fresh set
-	// analysis even when res itself materializes sets. enumMu guards both:
-	// an Engine reports MemoryBytes concurrently with the handle owner's
-	// first enumeration, so this corner of the otherwise single-goroutine
-	// Liveness must synchronize.
-	enumMu    sync.Mutex
-	enum      backend.Result
-	enumStale bool
+	q       Querier       // the handle's own query scratch space
+	// enum is the lazily built set-producing result behind LiveIn/LiveOut.
+	// enumMu guards it: an Engine reports MemoryBytes concurrently with the
+	// handle owner's first enumeration, so this corner of the otherwise
+	// single-goroutine Liveness must synchronize.
+	enumMu sync.Mutex
+	enum   backend.Result
 }
 
 // Analyze precomputes liveness for f with the backend named by the config
@@ -164,108 +135,47 @@ func Analyze(f *ir.Func, config Config) (*Liveness, error) {
 			return nil, err
 		}
 	}
+	return newLiveness(f, prep, res), nil
+}
+
+// newLiveness wraps an analysis of f as a query handle without re-running
+// it; the engine adopts snapshot-loaded checker results through it.
+func newLiveness(f *ir.Func, prep *backend.Prep, res backend.Result) *Liveness {
 	l := &Liveness{f: f, prep: prep, res: res}
+	l.q.l = l
 	if cr, ok := res.(*backend.CheckerResult); ok {
-		// Route queries through this handle's own scratch (and the
-		// Querier's), never the shared result's.
+		// Route checker queries through the handles' own scratch, never
+		// the shared result's.
 		l.checker = cr.Checker()
-		l.cacheUses = config.CacheUses
 	}
-	return l, nil
-}
-
-// useCache memoizes one bitset of use positions per value ID for the
-// checker's set query path (Config.CacheUses). A cache belongs to exactly
-// one query handle — the Liveness or one Querier — so reads and writes
-// need no locking; staleness is detected per entry through the function's
-// instruction epoch (plus the manual-flush counter), and a stale entry's
-// bitset is refilled in place rather than reallocated. Instruction edits
-// thereby invalidate cached use-sets automatically — no reset call in the
-// edit-then-query path.
-type useCache struct {
-	sets   []*bitset.Set // by value ID
-	stamps []uint64      // sets[i] is current iff stamps[i] == instrEpoch+flushes+1
-}
-
-// get returns the cached use-set for v, building it on first request per
-// epoch (the only allocating step; repeats are allocation-free). scratch
-// is the owning handle's node buffer.
-func (uc *useCache) get(l *Liveness, scratch *[]int, v *ir.Value) *bitset.Set {
-	// Stamps record epoch+1 so the zero value means "never built" even at
-	// epoch 0. Both summands only grow, so a stamp can never read as
-	// current after either an edit or a flush.
-	want := l.f.InstrEpoch() + l.flushes.Load() + 1
-	if v.ID >= len(uc.sets) {
-		n := v.ID + 1
-		if n < 2*len(uc.sets) {
-			n = 2 * len(uc.sets) // amortize in-ID-order warmup sweeps
-		}
-		sets := make([]*bitset.Set, n)
-		copy(sets, uc.sets)
-		uc.sets = sets
-		stamps := make([]uint64, n)
-		copy(stamps, uc.stamps)
-		uc.stamps = stamps
-	}
-	if uc.stamps[v.ID] == want {
-		return uc.sets[v.ID]
-	}
-	*scratch = l.prep.UseNodes(*scratch, v)
-	s := l.checker.UseSet(uc.sets[v.ID], *scratch)
-	uc.sets[v.ID] = s
-	uc.stamps[v.ID] = want
-	return s
+	return l
 }
 
 // node maps a block to its CFG node, tolerating blocks added after Analyze
 // only if the CFG has not changed — which the API contract forbids anyway.
 func (l *Liveness) node(b *ir.Block) int { return l.prep.Node(b) }
 
-// useNodes reads v's def-use chain (Definition 1 placement) into the
-// scratch buffer as CFG nodes.
-func (l *Liveness) useNodes(v *ir.Value) []int {
-	l.scratch = l.prep.UseNodes(l.scratch, v)
-	return l.scratch
-}
-
 // IsLiveIn reports whether v is live-in at block b (paper Definition 2 /
 // Algorithm 3).
-func (l *Liveness) IsLiveIn(v *ir.Value, b *ir.Block) bool {
-	if l.checker != nil {
-		if l.cacheUses {
-			return l.checker.IsLiveInSet(l.node(v.Block), l.uc.get(l, &l.scratch, v), l.node(b))
-		}
-		return l.checker.IsLiveIn(l.node(v.Block), l.useNodes(v), l.node(b))
-	}
-	return l.res.IsLiveIn(v, b)
-}
+func (l *Liveness) IsLiveIn(v *ir.Value, b *ir.Block) bool { return l.q.IsLiveIn(v, b) }
 
 // IsLiveOut reports whether v is live-out at block b (paper Definition 3 /
 // Algorithm 2).
-func (l *Liveness) IsLiveOut(v *ir.Value, b *ir.Block) bool {
-	if l.checker != nil {
-		if l.cacheUses {
-			return l.checker.IsLiveOutSet(l.node(v.Block), l.uc.get(l, &l.scratch, v), l.node(b))
-		}
-		return l.checker.IsLiveOut(l.node(v.Block), l.useNodes(v), l.node(b))
-	}
-	return l.res.IsLiveOut(v, b)
-}
+func (l *Liveness) IsLiveOut(v *ir.Value, b *ir.Block) bool { return l.q.IsLiveOut(v, b) }
 
 // sets returns the set-producing result behind LiveIn/LiveOut: the
 // analysis itself when it already materializes sets (and is still fresh),
 // else the cheapest set-producing backend for this CFG (loop-forest where
 // reducible, iterative data-flow otherwise), built once and cached until
 // the function's epochs say it is stale — enumeration after an
-// instruction edit transparently re-analyzes, no ResetSets required.
+// instruction edit transparently re-analyzes.
 func (l *Liveness) sets() backend.Result {
 	l.enumMu.Lock()
 	if l.enum != nil && backend.Stale(l.enum, l.f) {
 		// The cached enumeration describes an earlier epoch; rebuild.
 		l.enum = nil
-		l.enumStale = true
 	}
-	enum, stale := l.enum, l.enumStale
+	enum := l.enum
 	l.enumMu.Unlock()
 	if enum != nil {
 		return enum
@@ -280,7 +190,7 @@ func (l *Liveness) sets() backend.Result {
 	}
 	// Build outside the lock: enumMu only guards the pointer, so an Engine
 	// reporting MemoryBytes never stalls behind a set analysis in flight.
-	if !stale && l.res.Invalidation() == backend.InvalidatedByAnyEdit && !backend.Stale(l.res, l.f) {
+	if l.res.Invalidation() == backend.InvalidatedByAnyEdit && !backend.Stale(l.res, l.f) {
 		enum = l.res
 	} else {
 		e, err := backend.AnalyzeSets(l.f, l.prep)
@@ -314,25 +224,6 @@ func (l *Liveness) LiveIn(b *ir.Block) []*ir.Value { return l.sets().LiveInSet(b
 // LiveOut enumerates the variables live-out at b; see LiveIn.
 func (l *Liveness) LiveOut(b *ir.Block) []*ir.Value { return l.sets().LiveOutSet(b) }
 
-// ResetSets eagerly drops every derived cache: the enumeration sets behind
-// LiveIn/LiveOut and — when Config.CacheUses is on — the per-variable
-// use-sets of this handle and of every Querier, via a flush-counter bump.
-//
-// Since edit tracking moved into the IR (ir.Func.InstrEpoch), both caches
-// detect instruction edits on their own and rebuild lazily, so ResetSets
-// is never required for correctness; it survives as an explicit
-// cache-drop for callers that want to release or rebuild derived state at
-// a moment of their choosing. With a set-producing Config.Backend the
-// primary query path also describes the pre-edit program, and Stale/
-// re-Analyze (or the Engine's automatic rebuild) refreshes it.
-func (l *Liveness) ResetSets() {
-	l.enumMu.Lock()
-	l.enum = nil
-	l.enumStale = true
-	l.enumMu.Unlock()
-	l.flushes.Add(1)
-}
-
 // Stale reports whether this analysis no longer describes its function,
 // per the backend's invalidation class: any CFG edit since Analyze stales
 // every backend, an instruction edit only the set-producing ones — the
@@ -353,14 +244,48 @@ func (l *Liveness) Stale() bool { return backend.Stale(l.res, l.f) }
 // and internal/destruct) ask instead of materializing an interference
 // graph. Like the query methods it reuses this handle's scratch buffer;
 // concurrent callers use Querier.Interfere.
-func (l *Liveness) Interfere(x, y *ir.Value) bool {
-	return l.interfere(x, y, l.IsLiveOut)
+func (l *Liveness) Interfere(x, y *ir.Value) bool { return l.q.Interfere(x, y) }
+
+// Querier is a lightweight per-goroutine handle onto a Liveness: it shares
+// all precomputed sets but owns its scratch buffer, so any number of
+// Queriers may run queries concurrently (against an unchanging program).
+// A Liveness answers its own queries through an embedded Querier.
+type Querier struct {
+	l       *Liveness
+	scratch []int
 }
 
-// interfere is the backend-independent Budimlić test, parameterized over
-// the live-out oracle so Liveness and Querier each route it through their
-// own scratch space.
-func (l *Liveness) interfere(x, y *ir.Value, isLiveOut func(*ir.Value, *ir.Block) bool) bool {
+// NewQuerier returns a query handle sharing l's precomputation.
+func (l *Liveness) NewQuerier() *Querier { return &Querier{l: l} }
+
+// IsLiveIn is Liveness.IsLiveIn through this handle's scratch space. A
+// checker query reads v's def-use chain (Definition 1 placement) fresh.
+func (qr *Querier) IsLiveIn(v *ir.Value, b *ir.Block) bool {
+	l := qr.l
+	if l.checker != nil {
+		qr.scratch = l.prep.UseNodes(qr.scratch, v)
+		return l.checker.IsLiveIn(l.node(v.Block), qr.scratch, l.node(b))
+	}
+	return l.res.IsLiveIn(v, b)
+}
+
+// IsLiveOut is Liveness.IsLiveOut through this handle's scratch space.
+func (qr *Querier) IsLiveOut(v *ir.Value, b *ir.Block) bool {
+	l := qr.l
+	if l.checker != nil {
+		qr.scratch = l.prep.UseNodes(qr.scratch, v)
+		return l.checker.IsLiveOut(l.node(v.Block), qr.scratch, l.node(b))
+	}
+	return l.res.IsLiveOut(v, b)
+}
+
+// Interfere is Liveness.Interfere through this handle's scratch space:
+// interference queries issue IsLiveOut internally, so routing them through
+// the shared Liveness would race concurrent Queriers on its scratch
+// buffer. Through this method they are safe to run from any number of
+// goroutines.
+func (qr *Querier) Interfere(x, y *ir.Value) bool {
+	l := qr.l
 	if x == y {
 		return false
 	}
@@ -375,7 +300,7 @@ func (l *Liveness) interfere(x, y *ir.Value, isLiveOut func(*ir.Value, *ir.Block
 	if x.Block == y.Block && x.Block.ValueIndex(x) > y.Block.ValueIndex(y) {
 		x, y = y, x
 	}
-	if isLiveOut(x, y.Block) {
+	if qr.IsLiveOut(x, y.Block) {
 		return true
 	}
 	yPos := y.Block.ValueIndex(y)
@@ -394,57 +319,6 @@ func (l *Liveness) interfere(x, y *ir.Value, isLiveOut func(*ir.Value, *ir.Block
 		}
 	}
 	return false
-}
-
-// Querier is a lightweight per-goroutine handle onto a Liveness: it shares
-// all precomputed sets but owns its scratch buffer, so any number of
-// Queriers may run queries concurrently (against an unchanging program).
-type Querier struct {
-	l       *Liveness
-	scratch []int
-	uc      useCache // this handle's use-set cache (Config.CacheUses)
-}
-
-// NewQuerier returns a query handle sharing l's precomputation.
-func (l *Liveness) NewQuerier() *Querier { return &Querier{l: l} }
-
-func (qr *Querier) useNodes(v *ir.Value) []int {
-	qr.scratch = qr.l.prep.UseNodes(qr.scratch, v)
-	return qr.scratch
-}
-
-// IsLiveIn is Liveness.IsLiveIn through this handle's scratch space (and,
-// with Config.CacheUses, its own use-set cache).
-func (qr *Querier) IsLiveIn(v *ir.Value, b *ir.Block) bool {
-	l := qr.l
-	if l.checker != nil {
-		if l.cacheUses {
-			return l.checker.IsLiveInSet(l.node(v.Block), qr.uc.get(l, &qr.scratch, v), l.node(b))
-		}
-		return l.checker.IsLiveIn(l.node(v.Block), qr.useNodes(v), l.node(b))
-	}
-	return l.res.IsLiveIn(v, b)
-}
-
-// IsLiveOut is Liveness.IsLiveOut through this handle's scratch space.
-func (qr *Querier) IsLiveOut(v *ir.Value, b *ir.Block) bool {
-	l := qr.l
-	if l.checker != nil {
-		if l.cacheUses {
-			return l.checker.IsLiveOutSet(l.node(v.Block), qr.uc.get(l, &qr.scratch, v), l.node(b))
-		}
-		return l.checker.IsLiveOut(l.node(v.Block), qr.useNodes(v), l.node(b))
-	}
-	return l.res.IsLiveOut(v, b)
-}
-
-// Interfere is Liveness.Interfere through this handle's scratch space:
-// interference queries issue IsLiveOut internally, so routing them through
-// the shared Liveness would race concurrent Queriers on its scratch
-// buffer. Through this method they are safe to run from any number of
-// goroutines.
-func (qr *Querier) Interfere(x, y *ir.Value) bool {
-	return qr.l.interfere(x, y, qr.IsLiveOut)
 }
 
 // Reducible reports whether the function's CFG is reducible; on reducible
@@ -472,17 +346,6 @@ func (l *Liveness) MemoryBytes() int {
 // Backend names the backend serving this handle's queries. With
 // Config.Backend "auto" this is the engine the selector picked.
 func (l *Liveness) Backend() string { return l.res.Backend() }
-
-// SurvivesInstructionEdits reports whether this handle's precomputation
-// stays valid across instruction-only edits — the paper's headline
-// property, true for the checker (only CFG changes invalidate it), false
-// for set-producing backends (any edit invalidates their materialized
-// sets). Clients that edit while querying — the register allocator's
-// spill loop, SSA destruction — use it to decide whether a re-analysis is
-// needed between rounds.
-func (l *Liveness) SurvivesInstructionEdits() bool {
-	return l.res.Invalidation() == backend.InvalidatedByCFGChanges
-}
 
 // Func returns the analyzed function.
 func (l *Liveness) Func() *ir.Func { return l.f }

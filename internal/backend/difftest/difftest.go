@@ -280,16 +280,14 @@ func compare(name string, f *ir.Func, res backend.Result, truth *dataflow.Result
 
 // CheckerConfigs enumerates the checker configurations the arena storage
 // rewrite must keep answer-identical: both T-set strategies × bitset vs
-// sorted-array T storage × fresh vs cached use reads. Validate covers the
-// registered backends under default options; this axis covers the
-// checker's own representation space.
+// sorted-array T storage. Validate covers the registered backends under
+// default options; this axis covers the checker's own representation
+// space.
 func CheckerConfigs() []fastliveness.Config {
 	var out []fastliveness.Config
 	for _, strat := range []fastliveness.Strategy{fastliveness.StrategyExact, fastliveness.StrategyPropagate} {
 		for _, sorted := range []bool{false, true} {
-			for _, cache := range []bool{false, true} {
-				out = append(out, fastliveness.Config{Strategy: strat, SortedT: sorted, CacheUses: cache})
-			}
+			out = append(out, fastliveness.Config{Strategy: strat, SortedT: sorted})
 		}
 	}
 	return out
@@ -298,9 +296,7 @@ func CheckerConfigs() []fastliveness.Config {
 // ValidateCheckerStorage cross-checks the checker under every
 // CheckerConfigs combination against the data-flow ground truth on f:
 // every live-in/live-out query through the Liveness handle and through a
-// Querier (each owns its own use-set cache on the CacheUses paths), and
-// the whole sweep again after ResetSets — on an unedited program the
-// epoch flush and cache rebuild must change no answer.
+// Querier.
 func ValidateCheckerStorage(f *ir.Func) error {
 	truth := dataflow.Analyze(f)
 	for _, cfg := range CheckerConfigs() {
@@ -342,10 +338,6 @@ func ValidateCheckerStorage(f *ir.Func) error {
 			return firstErr
 		}
 		if err := sweep("fresh"); err != nil {
-			return err
-		}
-		live.ResetSets()
-		if err := sweep("after ResetSets"); err != nil {
 			return err
 		}
 	}

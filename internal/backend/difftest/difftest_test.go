@@ -25,9 +25,8 @@ func TestAllBackendsAgreeOnRandomCorpus(t *testing.T) {
 }
 
 // The checker's storage representations — arena vs sorted-array T sets,
-// fresh vs cached use reads, both precompute strategies — must answer
-// identically to the ground truth, through both query handle kinds,
-// before and after a cache-flushing ResetSets.
+// both precompute strategies — must answer identically to the ground
+// truth, through both query handle kinds.
 func TestCheckerStorageConfigsAgree(t *testing.T) {
 	n := 60
 	if testing.Short() {

@@ -88,100 +88,3 @@ func (c *checkedResult) MemoryBytes() int           { return c.r.MemoryBytes() }
 func (c *checkedResult) Invalidation() Invalidation { return c.r.Invalidation() }
 func (c *checkedResult) Backend() string            { return c.r.Backend() }
 func (c *checkedResult) Epochs() Epochs             { return c.r.Epochs() }
-
-// Refreshing is a self-rebuilding analysis handle: it owns a Result for f
-// and transparently re-runs its backend whenever the function's epochs say
-// the current result is stale for its invalidation class. This is the
-// paper's robustness asymmetry as a policy object — with the checker it
-// never rebuilds across instruction edits, with a set-producing backend it
-// re-analyzes exactly as often as the edits demand, and Rebuilds reports
-// the difference. It satisfies Result and thereby the regalloc/destruct
-// Oracle shapes, which is how those passes run against any backend with no
-// manual refresh hooks.
-//
-// Like the IR itself, a Refreshing handle is single-goroutine: rebuilds
-// mutate the handle.
-type Refreshing struct {
-	b        Backend
-	f        *ir.Func
-	res      Result
-	rebuilds int
-}
-
-// NewRefreshing analyzes f with b and returns the self-rebuilding handle.
-func NewRefreshing(b Backend, f *ir.Func) (*Refreshing, error) {
-	res, err := b.Analyze(f)
-	if err != nil {
-		return nil, err
-	}
-	return &Refreshing{b: b, f: f, res: res}, nil
-}
-
-// NewRefreshingFrom adopts an already-computed result for f instead of
-// analyzing inline — the async-aware construction path: a concurrent
-// engine (or its background rebuild pool) that has a fresh result on hand
-// wraps it into a single-goroutine self-refreshing handle without paying
-// a second analysis. res must have been produced by b (or an equivalent
-// backend) for f; if it is already stale, the first query simply rebuilds.
-func NewRefreshingFrom(b Backend, f *ir.Func, res Result) *Refreshing {
-	return &Refreshing{b: b, f: f, res: res}
-}
-
-// Refresh eagerly re-analyzes now if the held result is stale, returning
-// the error instead of panicking like the query-path ensure does. It
-// exists for callers that rebuild off the hot path — a background worker
-// or a between-passes hook can Refresh where an error is returnable, so
-// the next query finds the handle fresh and never hits the fail-closed
-// panic. A no-op (and nil) when the result is already fresh.
-func (r *Refreshing) Refresh() error {
-	if !Stale(r.res, r.f) {
-		return nil
-	}
-	res, err := r.b.Analyze(r.f)
-	if err != nil {
-		return err
-	}
-	r.res = res
-	r.rebuilds++
-	return nil
-}
-
-// ensure re-analyzes when stale. Re-analysis can fail — an edit broke the
-// function structurally, or a CFG edit made it irreducible under a
-// reducibility-limited backend — and the Result query methods have no
-// error channel, so the handle fails closed with a panic (like Prep.Node
-// and Checked) rather than answering from a dead analysis. Callers
-// editing CFGs under such a backend should re-run NewRefreshing, where
-// the error is returnable.
-func (r *Refreshing) ensure() Result {
-	if Stale(r.res, r.f) {
-		res, err := r.b.Analyze(r.f)
-		if err != nil {
-			panic(fmt.Sprintf("backend: re-analysis of %s with %s after edit: %v", r.f.Name, r.b.Name(), err))
-		}
-		r.res = res
-		r.rebuilds++
-	}
-	return r.res
-}
-
-// Rebuilds reports how many re-analyses staleness has forced so far.
-func (r *Refreshing) Rebuilds() int { return r.rebuilds }
-
-// Result returns the current (fresh) underlying result, rebuilding first
-// if needed.
-func (r *Refreshing) Result() Result { return r.ensure() }
-
-// Every Result method refreshes first, the metadata accessors included:
-// a Refreshing handle is never stale (Epochs reports post-refresh
-// counters, so Stale and the Checked wrapper compose with it), and with
-// the "auto" backend a rebuild may select a different engine, which
-// Backend/Invalidation/MemoryBytes must reflect.
-func (r *Refreshing) IsLiveIn(v *ir.Value, b *ir.Block) bool  { return r.ensure().IsLiveIn(v, b) }
-func (r *Refreshing) IsLiveOut(v *ir.Value, b *ir.Block) bool { return r.ensure().IsLiveOut(v, b) }
-func (r *Refreshing) LiveInSet(b *ir.Block) []*ir.Value       { return r.ensure().LiveInSet(b) }
-func (r *Refreshing) LiveOutSet(b *ir.Block) []*ir.Value      { return r.ensure().LiveOutSet(b) }
-func (r *Refreshing) MemoryBytes() int                        { return r.ensure().MemoryBytes() }
-func (r *Refreshing) Invalidation() Invalidation              { return r.ensure().Invalidation() }
-func (r *Refreshing) Backend() string                         { return r.ensure().Backend() }
-func (r *Refreshing) Epochs() Epochs                          { return r.ensure().Epochs() }

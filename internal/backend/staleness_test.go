@@ -132,110 +132,3 @@ func mustPanicStale(t *testing.T, stage string, query func()) {
 	}()
 	query()
 }
-
-// A Refreshing handle is never stale: its metadata accessors refresh
-// first, so Stale reports false across edits and the Checked wrapper
-// composes with it instead of panicking on a result the handle would
-// have refreshed anyway.
-func TestRefreshingComposesWithChecked(t *testing.T) {
-	f := ir.MustParse(stalenessSrc)
-	db, err := Get("dataflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewRefreshing(db, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := Checked(fresh, f)
-	one, exit := f.ValueByName("one"), f.BlockByName("exit")
-	exit.NewValue(ir.OpAdd, one, one)
-	if Stale(fresh, f) {
-		t.Fatal("a self-refreshing handle should never read as stale")
-	}
-	if !checked.IsLiveIn(one, exit) {
-		t.Fatal("Checked∘Refreshing should answer against the edited program")
-	}
-}
-
-// Refreshing must rebuild exactly when its backend's invalidation class
-// demands: never for the checker across instruction edits, once per
-// edit-then-query for a set-producing backend — and the refreshed answers
-// must track the edit.
-func TestRefreshingRebuildPolicy(t *testing.T) {
-	for _, name := range []string{"checker", "dataflow"} {
-		t.Run(name, func(t *testing.T) {
-			f := ir.MustParse(stalenessSrc)
-			b, err := Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := NewRefreshing(b, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			one, exit := f.ValueByName("one"), f.BlockByName("exit")
-			if fresh.IsLiveIn(one, exit) {
-				t.Fatal("unexpected live-in before the edit")
-			}
-			exit.NewValue(ir.OpAdd, one, one)
-			if !fresh.IsLiveIn(one, exit) {
-				t.Fatal("refreshing oracle should see the new use")
-			}
-			wantRebuilds := 0
-			if name == "dataflow" {
-				wantRebuilds = 1
-			}
-			if got := fresh.Rebuilds(); got != wantRebuilds {
-				t.Fatalf("Rebuilds = %d after one instruction edit, want %d", got, wantRebuilds)
-			}
-			// Repeat queries without further edits: no extra rebuilds.
-			fresh.IsLiveOut(one, exit)
-			fresh.LiveOutSet(exit)
-			if got := fresh.Rebuilds(); got != wantRebuilds {
-				t.Fatalf("Rebuilds = %d after quiescent queries, want %d", got, wantRebuilds)
-			}
-		})
-	}
-}
-
-// The async-aware Refreshing paths: NewRefreshingFrom adopts a result
-// built elsewhere (no second analysis), and Refresh rebuilds eagerly off
-// the hot path with a returnable error, so the next query is a pure hit.
-func TestRefreshingAsyncPaths(t *testing.T) {
-	f := ir.MustParse(stalenessSrc)
-	db, err := Get("dataflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewRefreshingFrom(db, f, res)
-	if fresh.Result() != res {
-		t.Fatal("NewRefreshingFrom should serve the adopted result while fresh")
-	}
-	if err := fresh.Refresh(); err != nil {
-		t.Fatalf("Refresh on a fresh handle: %v", err)
-	}
-	if got := fresh.Rebuilds(); got != 0 {
-		t.Fatalf("Rebuilds = %d after no-op Refresh, want 0", got)
-	}
-	one, exit := f.ValueByName("one"), f.BlockByName("exit")
-	exit.NewValue(ir.OpAdd, one, one)
-	if err := fresh.Refresh(); err != nil {
-		t.Fatalf("Refresh after edit: %v", err)
-	}
-	if got := fresh.Rebuilds(); got != 1 {
-		t.Fatalf("Rebuilds = %d after eager Refresh, want 1", got)
-	}
-	// The query after the eager refresh pays no rebuild of its own and
-	// answers against the edited program.
-	if !fresh.IsLiveIn(one, exit) {
-		t.Fatal("refreshed handle should see the new use")
-	}
-	if got := fresh.Rebuilds(); got != 1 {
-		t.Fatalf("Rebuilds = %d after post-Refresh query, want 1", got)
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"fastliveness"
 	"fastliveness/internal/backend"
 	"fastliveness/internal/dataflow"
 	"fastliveness/internal/ir"
@@ -53,23 +54,30 @@ type RegallocRow struct {
 	Invalidation string  `json:"invalidation"`
 }
 
+// engineOracle analyzes f with the named backend on a one-function engine
+// and returns the engine's self-refreshing oracle: it re-analyzes exactly
+// when f's epochs say an edit staled the analysis, and the engine's
+// Rebuilds counts those re-analyses. The engine runs no goroutines, so it
+// needs no Close.
+func engineOracle(name string, f *ir.Func) (*fastliveness.Engine, *fastliveness.Oracle, error) {
+	e := fastliveness.NewEngine(fastliveness.EngineConfig{Config: fastliveness.Config{Backend: name}})
+	e.Add(f)
+	o, err := e.Oracle(f)
+	return e, o, err
+}
+
 // recordingAllocOracle records the allocator's query stream for replay,
-// answering from a self-refreshing data-flow oracle (backend.Refreshing —
-// the one implementation of the epoch refresh policy; data-flow sets are
+// answering from a self-refreshing data-flow oracle (data-flow sets are
 // invalidated by any edit, and the allocator's spill rounds edit between
 // scans).
 type recordingAllocOracle struct {
-	inner   *backend.Refreshing
+	inner   *fastliveness.Oracle
 	maxID   int // values with IDs >= maxID are spill artifacts
 	queries []RegallocQuery
 }
 
 func newRecordingAllocOracle(clone *ir.Func, maxID int) (*recordingAllocOracle, error) {
-	db, err := backend.Get("dataflow")
-	if err != nil {
-		return nil, err
-	}
-	inner, err := backend.NewRefreshing(db, clone)
+	_, inner, err := engineOracle("dataflow", clone)
 	if err != nil {
 		return nil, err
 	}
@@ -186,21 +194,21 @@ func MeasureRegalloc(corpora []*Corpus, k int) ([]RegallocRow, RegallocWorkload,
 				// End-to-end allocator run against this backend. Run
 				// mutates its input, so it gets a fresh clone outside the
 				// timed region and is timed single-shot; the per-corpus
-				// average smooths the noise. The self-refreshing wrapper
-				// re-analyzes exactly when the clone's epochs say the spill
-				// edits staled the sets — never for the checker — and its
+				// average smooths the noise. The engine oracle re-analyzes
+				// exactly when the clone's epochs say the spill edits staled
+				// the sets — never for the checker — and the engine's
 				// rebuild count is the Refresh column.
 				clone := ir.Clone(f)
 				start := time.Now()
-				fresh, err := backend.NewRefreshing(a.b, clone)
+				e, oracle, err := engineOracle(a.row.Name, clone)
 				if err != nil {
 					return nil, wl, fmt.Errorf("backend %s on clone of %s: %w", a.row.Name, f.Name, err)
 				}
-				if _, err := regalloc.Run(clone, fresh, kEff); err != nil {
+				if _, err := regalloc.Run(clone, oracle, kEff); err != nil {
 					return nil, wl, fmt.Errorf("backend %s allocating %s (k=%d): %w", a.row.Name, f.Name, kEff, err)
 				}
 				a.allocNs += float64(time.Since(start).Nanoseconds())
-				a.refreshes += fresh.Rebuilds()
+				a.refreshes += e.Rebuilds()
 
 				if len(queries) == 0 {
 					continue

@@ -89,25 +89,6 @@ func (s *Set) Empty() bool {
 	return true
 }
 
-// AnyExcept reports whether the set contains any element other than i.
-// An out-of-range i excludes nothing. The set-based live-out check uses it
-// for Algorithm 2's "some use lies elsewhere" test at the defining node.
-func (s *Set) AnyExcept(i int) bool {
-	mi, mb := -1, uint64(0)
-	if uint(i) < uint(s.n) {
-		mi, mb = i/wordBits, 1<<uint(i%wordBits)
-	}
-	for wi, w := range s.words {
-		if wi == mi {
-			w &^= mb
-		}
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Union adds every element of o to s and reports whether s changed.
 // The sets must share the same universe size.
 func (s *Set) Union(o *Set) bool {

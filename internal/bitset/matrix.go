@@ -137,43 +137,6 @@ func (m *Matrix) RowUnion(dst, src int) bool {
 	return changed
 }
 
-// RowIntersects reports whether row i and s share an element — the query
-// hot path's "R_t ∩ uses(a) ≠ ∅" as a single word loop. The universes must
-// match.
-func (m *Matrix) RowIntersects(i int, s *Set) bool {
-	m.same(s)
-	row := m.words[i*m.wpr : (i+1)*m.wpr]
-	for wi, w := range s.words {
-		if row[wi]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// RowIntersectsExcept is RowIntersects with the element except masked out
-// of the intersection — the live-out check's "a use at q itself only
-// witnesses the trivial path" rule, without leaving word granularity. An
-// out-of-range except masks nothing.
-func (m *Matrix) RowIntersectsExcept(i int, s *Set, except int) bool {
-	m.same(s)
-	row := m.words[i*m.wpr : (i+1)*m.wpr]
-	ei, eb := -1, uint64(0)
-	if uint(except) < uint(m.n) {
-		ei, eb = except/wordBits, 1<<uint(except%wordBits)
-	}
-	for wi, w := range s.words {
-		x := row[wi] & w
-		if wi == ei {
-			x &^= eb
-		}
-		if x != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // RowNextSet returns the position of the first set bit of row i at or
 // after from, or None — bitset_next_set against the arena, for one-shot
 // probes. Walks that rescan the same row (the T_q candidate loop) hoist
@@ -207,10 +170,4 @@ func (m *Matrix) WordBytes() int {
 		return 0
 	}
 	return len(m.words) * 8
-}
-
-func (m *Matrix) same(s *Set) {
-	if s.n != m.n {
-		panic("bitset: universe size mismatch: " + strconv.Itoa(m.n) + " vs " + strconv.Itoa(s.n))
-	}
 }

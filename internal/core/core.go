@@ -287,32 +287,12 @@ func (c *Checker) reachableNum(v int) int {
 	return c.tree.Num[v]
 }
 
-// useView abstracts how the query algorithms read the variable's uses.
-// sliceUses reads the def-use chain fresh at query time — the paper's
-// default, immune to instruction edits. setUses reads a cached bitset of
-// the uses' dominance numbers, turning Algorithm 3's inner per-use loop
-// into one word-level intersection. The walks below are generic over the
-// view (monomorphized, so neither path pays an interface dispatch or an
-// allocation), which keeps the two representations answer-identical by
-// construction — there is exactly one copy of the candidate walk.
-type useView interface {
-	// in reports whether some use is reduced-reachable from the node
-	// numbered tn: the paper's "R_t ∩ uses(a) ≠ ∅".
-	in(c *Checker, tn int) bool
-	// inExcept is in, ignoring a use at the query node itself (dominance
-	// number skipN, node id skip) — Algorithm 2's trivial-path rule.
-	inExcept(c *Checker, tn, skipN, skip int) bool
-	// elsewhere reports whether some use sits at a reachable node other
-	// than q (Algorithm 2's lines 2–3 at the defining node).
-	elsewhere(c *Checker, qN, q int) bool
-}
-
-// sliceUses walks a def-use chain given as CFG node ids.
-type sliceUses struct{ uses []int }
-
-func (u sliceUses) in(c *Checker, tn int) bool {
+// usesIn reports whether some use is reduced-reachable from the node
+// numbered tn: the paper's "R_t ∩ uses(a) ≠ ∅", read off the def-use chain
+// given as CFG node ids.
+func usesIn(c *Checker, tn int, uses []int) bool {
 	rt := c.r.Row(tn) // hoist the row view: Has then inlines to two loads
-	for _, x := range u.uses {
+	for _, x := range uses {
 		if xn := c.reachableNum(x); xn >= 0 && rt.Has(xn) {
 			return true
 		}
@@ -320,9 +300,11 @@ func (u sliceUses) in(c *Checker, tn int) bool {
 	return false
 }
 
-func (u sliceUses) inExcept(c *Checker, tn, skipN, skip int) bool {
+// usesInExcept is usesIn ignoring a use at node skip — Algorithm 2's
+// trivial-path rule.
+func usesInExcept(c *Checker, tn, skip int, uses []int) bool {
 	rt := c.r.Row(tn)
-	for _, x := range u.uses {
+	for _, x := range uses {
 		if x == skip {
 			continue
 		}
@@ -333,46 +315,15 @@ func (u sliceUses) inExcept(c *Checker, tn, skipN, skip int) bool {
 	return false
 }
 
-func (u sliceUses) elsewhere(c *Checker, qN, q int) bool {
-	for _, x := range u.uses {
+// usesElsewhere reports whether some use sits at a reachable node other
+// than q (Algorithm 2's lines 2–3 at the defining node).
+func usesElsewhere(c *Checker, q int, uses []int) bool {
+	for _, x := range uses {
 		if x != q && c.reachableNum(x) >= 0 {
 			return true
 		}
 	}
 	return false
-}
-
-// setUses reads a use-set built by Checker.UseSet: bits are dominance
-// preorder numbers of the (reachable) use nodes.
-type setUses struct{ uses *bitset.Set }
-
-func (u setUses) in(c *Checker, tn int) bool { return c.r.RowIntersects(tn, u.uses) }
-
-func (u setUses) inExcept(c *Checker, tn, skipN, skip int) bool {
-	return c.r.RowIntersectsExcept(tn, u.uses, skipN)
-}
-
-func (u setUses) elsewhere(c *Checker, qN, q int) bool { return u.uses.AnyExcept(qN) }
-
-// UseSet numbers the given use nodes (Definition 1 placement, as for
-// IsLiveIn) into a bitset over dominance preorder numbers, dropping
-// unreachable nodes — the representation IsLiveInSet/IsLiveOutSet consume.
-// dst is refilled and returned when it has the right universe; otherwise
-// (nil included) a fresh set is allocated. Callers cache the result per
-// variable: it stays valid until the variable's uses change, whereas the
-// checker itself stays valid under any non-CFG edit.
-func (c *Checker) UseSet(dst *bitset.Set, uses []int) *bitset.Set {
-	if dst == nil || dst.Len() != c.dfs.NumReachable {
-		dst = bitset.New(c.dfs.NumReachable)
-	} else {
-		dst.Clear()
-	}
-	for _, u := range uses {
-		if un := c.reachableNum(u); un >= 0 {
-			dst.Add(un)
-		}
-	}
-	return dst
 }
 
 // IsLiveIn implements Algorithms 1 and 3: is the variable defined at node
@@ -383,17 +334,6 @@ func (c *Checker) UseSet(dst *bitset.Set, uses []int) *bitset.Set {
 // dominates every use. Nodes unreachable from the entry never carry
 // liveness.
 func (c *Checker) IsLiveIn(def int, uses []int, q int) bool {
-	return liveIn(c, def, q, sliceUses{uses})
-}
-
-// IsLiveInSet is IsLiveIn with the uses given as a Checker.UseSet bitset,
-// the zero-allocation cached-uses query path: the candidate test becomes a
-// single word-loop intersection R_t ∩ uses instead of a per-use walk.
-func (c *Checker) IsLiveInSet(def int, uses *bitset.Set, q int) bool {
-	return liveIn(c, def, q, setUses{uses})
-}
-
-func liveIn[U useView](c *Checker, def, q int, uses U) bool {
 	defN := c.reachableNum(def)
 	qN := c.reachableNum(q)
 	if defN < 0 || qN < 0 {
@@ -406,12 +346,12 @@ func liveIn[U useView](c *Checker, def, q int, uses U) bool {
 		return false
 	}
 	if c.opts.SortedT {
-		return liveInSortedT(c, defN, maxDom, qN, uses)
+		return c.liveInSortedT(defN, maxDom, qN, uses)
 	}
 	tq := c.t.Row(qN)
 	t := tq.NextSet(defN + 1)
 	for t != bitset.None && t <= maxDom {
-		if uses.in(c, t) {
+		if usesIn(c, t, uses) {
 			return true
 		}
 		if c.reducible && !c.opts.NoReducibleFastPath {
@@ -430,7 +370,7 @@ func liveIn[U useView](c *Checker, def, q int, uses U) bool {
 }
 
 // liveInSortedT is the §6.1 sorted-array variant of the T_q walk.
-func liveInSortedT[U useView](c *Checker, defN, maxDom, qN int, uses U) bool {
+func (c *Checker) liveInSortedT(defN, maxDom, qN int, uses []int) bool {
 	arr := c.tSorted[qN]
 	// Binary search for the first element > defN.
 	lo, hi := 0, len(arr)
@@ -444,7 +384,7 @@ func liveInSortedT[U useView](c *Checker, defN, maxDom, qN int, uses U) bool {
 	}
 	for i := lo; i < len(arr) && int(arr[i]) <= maxDom; i++ {
 		t := int(arr[i])
-		if uses.in(c, t) {
+		if usesIn(c, t, uses) {
 			return true
 		}
 		if c.reducible && !c.opts.NoReducibleFastPath {
@@ -462,15 +402,6 @@ func liveInSortedT[U useView](c *Checker, defN, maxDom, qN int, uses U) bool {
 
 // IsLiveOut implements Algorithm 2. def, uses and q are as in IsLiveIn.
 func (c *Checker) IsLiveOut(def int, uses []int, q int) bool {
-	return liveOut(c, def, q, sliceUses{uses})
-}
-
-// IsLiveOutSet is IsLiveOut over a Checker.UseSet bitset; see IsLiveInSet.
-func (c *Checker) IsLiveOutSet(def int, uses *bitset.Set, q int) bool {
-	return liveOut(c, def, q, setUses{uses})
-}
-
-func liveOut[U useView](c *Checker, def, q int, uses U) bool {
 	defN := c.reachableNum(def)
 	qN := c.reachableNum(q)
 	if defN < 0 || qN < 0 {
@@ -479,7 +410,7 @@ func liveOut[U useView](c *Checker, def, q int, uses U) bool {
 	if def == q {
 		// Line 2–3: live-out at the defining node iff some use lies
 		// elsewhere.
-		return uses.elsewhere(c, qN, q)
+		return usesElsewhere(c, q, uses)
 	}
 	maxDom := c.tree.MaxNum[def]
 	if qN <= defN || maxDom < qN {
@@ -509,10 +440,10 @@ func liveOut[U useView](c *Checker, def, q int, uses U) bool {
 		// itself only witnesses the trivial path and must be ignored.
 		dropQ := t == qN && !c.backTarget[qN]
 		if dropQ {
-			if uses.inExcept(c, t, qN, q) {
+			if usesInExcept(c, t, q, uses) {
 				return true
 			}
-		} else if uses.in(c, t) {
+		} else if usesIn(c, t, uses) {
 			return true
 		}
 		if c.reducible && !c.opts.NoReducibleFastPath {

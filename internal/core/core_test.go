@@ -100,10 +100,6 @@ func checkGraphAgainstBrute(t *testing.T, g *cfg.Graph, rng *rand.Rand, trial in
 			for i := 0; i < k; i++ {
 				uses = append(uses, dominated[rng.Intn(len(dominated))])
 			}
-			// The cached-uses bitset path must answer identically to the
-			// fresh def-use walk under every option combination; all
-			// checkers share the DFS/tree, so one use-set serves them all.
-			useSet := checkers[0].UseSet(nil, uses)
 			for q := 0; q < n; q++ {
 				if !tree.Reachable(q) {
 					continue
@@ -117,14 +113,6 @@ func checkGraphAgainstBrute(t *testing.T, g *cfg.Graph, rng *rand.Rand, trial in
 					}
 					if got := c.IsLiveOut(def, uses, q); got != wantOut {
 						t.Fatalf("trial %d cfg=%d nodes: IsLiveOut(def=%d uses=%v q=%d) = %v want %v (opts %+v)",
-							trial, n, def, uses, q, got, wantOut, allOptions()[ci])
-					}
-					if got := c.IsLiveInSet(def, useSet, q); got != wantIn {
-						t.Fatalf("trial %d cfg=%d nodes: IsLiveInSet(def=%d uses=%v q=%d) = %v want %v (opts %+v)",
-							trial, n, def, uses, q, got, wantIn, allOptions()[ci])
-					}
-					if got := c.IsLiveOutSet(def, useSet, q); got != wantOut {
-						t.Fatalf("trial %d cfg=%d nodes: IsLiveOutSet(def=%d uses=%v q=%d) = %v want %v (opts %+v)",
 							trial, n, def, uses, q, got, wantOut, allOptions()[ci])
 					}
 				}

@@ -29,9 +29,9 @@
 // rounds. Set-producing oracles (dataflow, lao, pervar, loops) are
 // invalidated by any edit; since every IR mutation now bumps the
 // function's edit epochs, staleness is the oracle's own problem, not this
-// package's — pass a self-refreshing oracle (backend.Refreshing, or the
-// fastliveness Engine's Oracle) and it re-analyzes exactly when the spill
-// edits demand, while the checker never does. cmd/benchtables -table
+// package's — pass a self-refreshing oracle (the fastliveness Engine's
+// Oracle) and it re-analyzes exactly when the spill edits demand, while
+// the checker never does. cmd/benchtables -table
 // regalloc and -table pipeline measure exactly that asymmetry on the
 // allocator's genuine query stream.
 package regalloc
@@ -48,9 +48,11 @@ import (
 // Oracle answers the liveness queries the allocator issues. It is the
 // destruct.Oracle shape extended with the live-in query the scan needs for
 // block-entry occupancy. The production choice is the paper's checker (a
-// *fastliveness.Liveness or Querier satisfies it directly); every
-// internal/backend Result satisfies it too, which is how the harness times
-// all engines on the identical stream.
+// *fastliveness.Liveness or Querier satisfies it directly); a
+// *fastliveness.Oracle satisfies it under any backend and refreshes itself
+// across the spill edits. Every internal/backend Result satisfies it too,
+// which is how the harness times all engines on the identical query
+// stream.
 type Oracle interface {
 	IsLiveIn(v *ir.Value, b *ir.Block) bool
 	IsLiveOut(v *ir.Value, b *ir.Block) bool
@@ -109,10 +111,9 @@ func (a *Allocation) RegOf(v *ir.Value) int {
 // parameters rematerialized) until the scan fits. The oracle must answer
 // liveness for f *as currently edited* at every query: the paper's checker
 // does so natively (spill code never touches the CFG), and oracles built
-// on materialized sets must self-refresh — wrap them in
-// backend.Refreshing or use a fastliveness Engine Oracle, both of which
-// detect the spill edits through the function's instruction epoch. There
-// is no manual refresh hook. On success f is unchanged except for inserted
+// on materialized sets must self-refresh — serve them through a
+// fastliveness Engine Oracle, which detects the spill edits through the
+// function's instruction epoch. There is no manual refresh hook. On success f is unchanged except for inserted
 // spill code, and the returned Allocation maps every result-defining value
 // — including spill artifacts — to a register. On ErrTooFewRegisters the
 // returned Allocation is partial — Stats and Spilled only, no register

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fastliveness"
-	"fastliveness/internal/backend"
 	"fastliveness/internal/backend/difftest"
 	"fastliveness/internal/dataflow"
 	"fastliveness/internal/gen"
@@ -139,8 +138,21 @@ func TestSpillFreeCrossCheck(t *testing.T) {
 	}
 }
 
+// engineOracle serves f through a one-function engine with the named
+// backend; the engine's Rebuilds counts the oracle's re-analyses.
+func engineOracle(t *testing.T, name string, f *ir.Func) (*fastliveness.Engine, *fastliveness.Oracle) {
+	t.Helper()
+	e := fastliveness.NewEngine(fastliveness.EngineConfig{Config: fastliveness.Config{Backend: name}})
+	e.Add(f)
+	oracle, err := e.Oracle(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, oracle
+}
+
 // A set-producing oracle is invalidated by the allocator's own spill
-// edits; wrapped in backend.Refreshing it re-analyzes automatically —
+// edits; served through an Engine Oracle it re-analyzes automatically —
 // exactly once per edited-then-queried round, observable via Rebuilds —
 // and the result must agree with the checker-driven allocation on
 // validity.
@@ -151,14 +163,7 @@ func TestSetOracleSelfRefreshes(t *testing.T) {
 	ssa.Construct(f)
 	ref := ir.Clone(f)
 
-	db, err := backend.Get("dataflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := backend.NewRefreshing(db, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, oracle := engineOracle(t, "dataflow", f)
 	p := regalloc.MeasurePressure(f, oracle)
 	k := p.Max/2 + 1
 	if k < 4 {
@@ -171,7 +176,7 @@ func TestSetOracleSelfRefreshes(t *testing.T) {
 	if alloc.Stats.Spills == 0 {
 		t.Fatalf("k=%d below max pressure %d but nothing spilled", k, p.Max)
 	}
-	if oracle.Rebuilds() == 0 {
+	if e.Rebuilds() == 0 {
 		t.Fatal("spill edits should have forced the set-producing oracle to rebuild")
 	}
 	if err := regalloc.VerifyAllocation(f, alloc); err != nil {
@@ -191,14 +196,7 @@ func TestCheckerOracleZeroRebuilds(t *testing.T) {
 	f := gen.Generate("norebuild", c)
 	ssa.Construct(f)
 
-	cb, err := backend.Get("checker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := backend.NewRefreshing(cb, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, oracle := engineOracle(t, "checker", f)
 	p := regalloc.MeasurePressure(f, oracle)
 	k := p.Max/2 + 1
 	if k < 4 {
@@ -211,7 +209,7 @@ func TestCheckerOracleZeroRebuilds(t *testing.T) {
 	if alloc.Stats.Spills == 0 {
 		t.Fatalf("k=%d below max pressure %d but nothing spilled", k, p.Max)
 	}
-	if got := oracle.Rebuilds(); got != 0 {
+	if got := e.Rebuilds(); got != 0 {
 		t.Fatalf("checker oracle rebuilt %d times across the spill loop, want 0", got)
 	}
 	if err := regalloc.VerifyAllocation(f, alloc); err != nil {

@@ -433,20 +433,7 @@ func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness) {
 	}
 	e.snap.snapHits.Add(1)
 	e.snap.snapLoadedBytes.Add(s.SizeBytes())
-	return livenessFromResult(f, cr, e.config.Config)
-}
-
-// livenessFromResult wraps an adopted checker result as a query handle,
-// mirroring the tail of Analyze for the checker backend — same scratch
-// routing, same CacheUses wiring — without re-running any analysis.
-func livenessFromResult(f *ir.Func, cr *backend.CheckerResult, config Config) *Liveness {
-	return &Liveness{
-		f:         f,
-		prep:      cr.Prep(),
-		res:       cr,
-		checker:   cr.Checker(),
-		cacheUses: config.CacheUses,
-	}
+	return newLiveness(f, cr.Prep(), cr)
 }
 
 // saveSnapshot schedules a write-back of a freshly computed checker
