@@ -2,6 +2,7 @@ package ir
 
 import (
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -293,6 +294,89 @@ func TestVerifyCatchesArgOfResultless(t *testing.T) {
 	b.NewValue(OpCopy, st) // uses a result-less value
 	if err := Verify(f); err == nil {
 		t.Fatal("Verify accepted use of result-less value")
+	}
+}
+
+// One negative case per Verify invariant not covered above: each corrupts
+// a valid function in one place and expects the violation's message.
+func TestVerifyCatchesViolations(t *testing.T) {
+	detached := func(b *Block) *Value {
+		d := b.NewValueI(OpConst, 7)
+		b.RemoveValue(d)
+		return d
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(f *Func, vs map[string]*Value)
+		want    string
+	}{
+		{"detached arg", func(f *Func, vs map[string]*Value) {
+			vs["x"].Args[1] = detached(f.Blocks[1])
+			vs["c1"].uses = nil
+		}, "references detached value"},
+		{"detached control", func(f *Func, vs map[string]*Value) {
+			f.Blocks[3].Control = detached(f.Blocks[3])
+			vs["phi"].uses = nil
+		}, "b3 control references detached value"},
+		{"stray record from detached user", func(f *Func, vs map[string]*Value) {
+			w := f.Blocks[1].NewValue(OpCopy, vs["p"])
+			f.Blocks[1].RemoveValue(w)
+			vs["p"].uses[0] = Use{User: w, Index: 0}
+		}, "has stray use record"},
+		{"duplicate value ID", func(f *Func, vs map[string]*Value) {
+			vs["y"].ID = vs["x"].ID
+		}, "duplicate value ID"},
+		{"duplicate block ID", func(f *Func, vs map[string]*Value) {
+			f.Blocks[2].ID = f.Blocks[1].ID
+		}, "duplicate block ID"},
+		{"value in wrong block", func(f *Func, vs map[string]*Value) {
+			vs["x"].Block = f.Blocks[2]
+		}, "in b1 has Block=b2"},
+		{"broken succ cross-index", func(f *Func, vs map[string]*Value) {
+			f.Blocks[0].Succs[1].I = 1
+		}, "edge b0->b2: succ cross-index broken"},
+		{"broken pred cross-index", func(f *Func, vs map[string]*Value) {
+			f.Blocks[3].Preds = append(f.Blocks[3].Preds, Edge{f.Blocks[2], 0})
+		}, "edge b3<-b2: pred cross-index broken"},
+		{"param outside entry", func(f *Func, vs map[string]*Value) {
+			f.Blocks[1].NewValueI(OpParam, 1)
+		}, "outside entry block"},
+		{"nil arg", func(f *Func, vs map[string]*Value) {
+			vs["x"].Args[1] = nil
+		}, "arg 1 is nil"},
+		{"missing use record", func(f *Func, vs map[string]*Value) {
+			vs["c1"].uses = nil
+		}, "has 0 use records, want 1"},
+		{"extra use record", func(f *Func, vs map[string]*Value) {
+			vs["p"].uses = append(vs["p"].uses, vs["p"].uses[0])
+		}, "has 4 use records, want 3"},
+		{"duplicate use record", func(f *Func, vs map[string]*Value) {
+			// x = add p, c1 becomes add p, p with both records naming
+			// (x, 0): the counts match and each record is valid on its
+			// own, but (x, 1) has none.
+			vs["x"].SetArg(1, vs["p"])
+			for i, u := range vs["p"].uses {
+				if u.User == vs["x"] && u.Index == 1 {
+					vs["p"].uses[i].Index = 0
+				}
+			}
+		}, "has duplicate use record"},
+		{"duplicate record in a two-record list", func(f *Func, vs map[string]*Value) {
+			// y = add p, c2 becomes add c2, c2, both records naming (y, 1).
+			vs["y"].SetArg(0, vs["c2"])
+			for i := range vs["c2"].uses {
+				vs["c2"].uses[i].Index = 1
+			}
+		}, "has duplicate use record"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, vs := buildDiamond(t)
+			tc.corrupt(f, vs)
+			err := Verify(f)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Verify = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -21,7 +21,9 @@ import "fmt"
 // ID-indexed slices — IDs are small dense ints assigned by the function's
 // own counters — and no error string is formatted until a violation is
 // found, so a verification pass costs O(blocks + values + references) with
-// no map traffic and no allocation beyond the three scratch slices.
+// no map traffic and no allocation beyond four scratch slices: the
+// ID-indexed block and value tables, each value's first reference slot,
+// and the bitset of claimed reference slots.
 func Verify(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: function has no blocks", f.Name)
@@ -75,9 +77,10 @@ func Verify(f *Func) error {
 		}
 	}
 
-	// Value identity: placed values, ID-indexed like blocks, plus a
-	// per-value count of incoming references (arguments and block controls)
-	// that the use lists must match.
+	// Value identity: placed values, ID-indexed like blocks. Every
+	// reference (argument or block control) is also numbered as a slot:
+	// argument i of v is slot argSlot[v.ID]+i, the control of block b is
+	// slot numArgs+b.ID.
 	maxValueID := -1
 	for _, b := range f.Blocks {
 		for _, v := range b.Values {
@@ -90,10 +93,11 @@ func Verify(f *Func) error {
 		}
 	}
 	seenValue := make([]*Value, maxValueID+1)
-	refCount := make([]int32, maxValueID+1)
+	argSlot := make([]int32, maxValueID+1)
 	placed := func(a *Value) bool {
 		return a.ID >= 0 && a.ID <= maxValueID && seenValue[a.ID] == a
 	}
+	numArgs, numRefs := 0, 0
 
 	for _, b := range f.Blocks {
 		inPhis := true
@@ -105,6 +109,8 @@ func Verify(f *Func) error {
 				return fmt.Errorf("%s: duplicate value ID %d (%s, %s)", f.Name, v.ID, prev, v)
 			}
 			seenValue[v.ID] = v
+			argSlot[v.ID] = int32(numArgs)
+			numArgs += len(v.Args)
 			if v.Op == OpPhi {
 				if !inPhis {
 					return fmt.Errorf("%s: φ %s in %s appears after non-φ values", f.Name, v, b)
@@ -135,58 +141,58 @@ func Verify(f *Func) error {
 				if !a.Op.HasResult() {
 					return fmt.Errorf("%s: %s uses result-less value %s", f.Name, v, a)
 				}
-				if a.ID >= 0 && a.ID <= maxValueID {
-					refCount[a.ID]++ // detached targets are rejected below
-				}
 			}
 		}
 		if b.Control != nil {
 			if !b.Control.Op.HasResult() {
 				return fmt.Errorf("%s: %s control %s has no result", f.Name, b, b.Control)
 			}
-			if c := b.Control; c.ID >= 0 && c.ID <= maxValueID {
-				refCount[c.ID]++
-			}
+			numRefs++
 		}
 	}
+	numRefs += numArgs
 
 	// Every reference must appear exactly once in the target's use list, and
-	// nothing else may: use counts match reference counts, and every use
-	// record resolves to an actual in-function reference. (Note refCount is
-	// filled during the same walk that populates seenValue, so a value's
-	// count is only trustworthy once the walk is complete — which it is
-	// here.)
+	// nothing else may. Each use record must resolve to an actual
+	// in-function reference to its value, no two records may name the same
+	// reference (repeatedUse), and there must be as many records as
+	// references. Any violation takes useListError's slow path, which
+	// reports a value with the wrong number of records ahead of a bad
+	// record.
+	claimed := make([]uint64, (numArgs+maxBlockID+1+63)/64)
+	records := 0
 	for _, b := range f.Blocks {
 		for _, v := range b.Values {
-			if len(v.uses) != int(refCount[v.ID]) {
-				return fmt.Errorf("%s: %s has %d use records, want %d",
-					f.Name, v, len(v.uses), refCount[v.ID])
-			}
 			for _, u := range v.uses {
 				switch {
 				case u.User != nil && u.UserBlock == nil:
 					if !placed(u.User) || u.Index < 0 || u.Index >= len(u.User.Args) ||
 						u.User.Args[u.Index] != v {
-						return fmt.Errorf("%s: %s has stray use record %+v", f.Name, v, u)
+						return useListError(f, seenValue, v,
+							fmt.Errorf("%s: %s has stray use record %+v", f.Name, v, u))
 					}
 				case u.User == nil && u.UserBlock != nil:
 					ub := u.UserBlock
 					if u.Index != 0 || ub.ID < 0 || ub.ID > maxBlockID ||
 						seenBlock[ub.ID] != ub || ub.Control != v {
-						return fmt.Errorf("%s: %s has stray use record %+v", f.Name, v, u)
+						return useListError(f, seenValue, v,
+							fmt.Errorf("%s: %s has stray use record %+v", f.Name, v, u))
 					}
 				default:
-					return fmt.Errorf("%s: %s has stray use record %+v", f.Name, v, u)
+					return useListError(f, seenValue, v,
+						fmt.Errorf("%s: %s has stray use record %+v", f.Name, v, u))
 				}
 			}
-		}
-	}
-
-	// Arguments and controls must be values that are placed in some block of
-	// this function. (Format the reference description only on failure —
-	// this loop runs per argument of every value.)
-	for _, b := range f.Blocks {
-		for _, v := range b.Values {
+			records += len(v.uses)
+			if len(v.uses) > 1 {
+				if dup, found := repeatedUse(v.uses, claimed, argSlot, numArgs); found {
+					return useListError(f, seenValue, v,
+						fmt.Errorf("%s: %s has duplicate use record %+v", f.Name, v, dup))
+				}
+			}
+			// Arguments and controls must be values that are placed in some
+			// block of this function. (Format the reference description only
+			// on failure — this loop runs per argument of every value.)
 			for _, a := range v.Args {
 				if !placed(a) {
 					return fmt.Errorf("%s: %s references detached value %s", f.Name, v, a)
@@ -197,7 +203,70 @@ func Verify(f *Func) error {
 			return fmt.Errorf("%s: %s control references detached value %s", f.Name, b, a)
 		}
 	}
+	if records != numRefs {
+		return useListError(f, seenValue, nil,
+			fmt.Errorf("%s: %d use records for %d references", f.Name, records, numRefs))
+	}
 	return nil
+}
+
+// repeatedUse finds a record in uses that repeats an earlier one. uses is
+// one value's use list, every record already known to name a reference to
+// that value; since a reference's records can only sit in its value's
+// list, lists are checked one at a time. Two records are compared; longer
+// lists claim each record's slot in claimed (argument i of value u is slot
+// argSlot[u.ID]+i, the control of block b is slot numArgs+b.ID), which
+// keeps the check linear however long the list.
+func repeatedUse(uses []Use, claimed []uint64, argSlot []int32, numArgs int) (dup Use, found bool) {
+	if len(uses) == 2 {
+		return uses[1], uses[0] == uses[1]
+	}
+	for _, u := range uses {
+		slot := uint(numArgs)
+		if u.User != nil {
+			slot = uint(argSlot[u.User.ID]) + uint(u.Index)
+		} else {
+			slot += uint(u.UserBlock.ID)
+		}
+		if claimed[slot/64]&(1<<(slot%64)) != 0 {
+			return u, true
+		}
+		claimed[slot/64] |= 1 << (slot % 64)
+	}
+	return Use{}, false
+}
+
+// useListError is Verify's slow path once the use lists fail: it counts
+// every placed value's references and reports the first value, up to and
+// including last (nil for all of them), whose use list has the wrong
+// length, or err if none has.
+func useListError(f *Func, seenValue []*Value, last *Value, err error) error {
+	refs := make([]int32, len(seenValue))
+	count := func(a *Value) {
+		if a != nil && a.ID >= 0 && a.ID < len(refs) && seenValue[a.ID] == a {
+			refs[a.ID]++
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Values {
+			for _, a := range v.Args {
+				count(a)
+			}
+		}
+		count(b.Control)
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Values {
+			if len(v.uses) != int(refs[v.ID]) {
+				return fmt.Errorf("%s: %s has %d use records, want %d",
+					f.Name, v, len(v.uses), refs[v.ID])
+			}
+			if v == last {
+				return err
+			}
+		}
+	}
+	return err
 }
 
 func verifyBlockShape(f *Func, b *Block) error {

@@ -1,9 +1,9 @@
 // Package snapshot persists the checker's CFG-only precomputation across
 // processes: a versioned, per-section-checksummed binary format holding
-// the CFG edge arenas, the DFS and dominator-tree arrays, and the R/T
-// bitset matrices (run-length encoded), keyed by a structural CFG
-// fingerprint, plus a size-bounded on-disk Store the engine uses as a disk
-// tier under its LRU.
+// the CFG edge arenas, the DFS and dominator-tree arrays, and the dense
+// R/T bitset matrices, keyed by a structural CFG fingerprint, plus a
+// size-bounded on-disk Store the engine uses as a disk tier under its
+// LRU.
 //
 // The design leans on the paper's invalidation asymmetry (§4): R and T
 // depend only on CFG structure, so the cache key hashes block structure and

@@ -1,10 +1,12 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/bits"
 	"sync/atomic"
 	"unsafe"
@@ -140,7 +142,7 @@ type Snapshot struct {
 	RWords []uint64
 	TWords []uint64
 
-	// size is the encoded byte length, recorded by Decode. Encode leaves
+	// size is the encoded byte length, recorded by Decode. WriteTo leaves
 	// it alone — concurrent Saves of one snapshot may race, and the dense
 	// format's size is pure arithmetic over the dimensions anyway
 	// (SizeBytes).
@@ -154,11 +156,10 @@ var ErrNoArena = errors.New("snapshot: checker dropped its T arena (SortedT); no
 
 // Capture packages a live checker's precomputation for serialization. The
 // word slices and the DFS/dominator arrays alias the live structures —
-// Encode reads them immediately, so the alias is safe as long as the
-// function is not edited in between, and all of them are write-once at
-// precompute time. Only the adjacency rows and children lists are
-// flattened (copied) here, into the offset-array layout the format
-// stores.
+// WriteTo streams them straight into the file, and all of them are
+// write-once at precompute time, so the alias is safe. Only the adjacency
+// rows and children lists are flattened (copied) here, into the
+// offset-array layout the format stores.
 func Capture(p *backend.Prep, c *core.Checker) (*Snapshot, error) {
 	r, t := c.Matrices()
 	if t == nil {
@@ -233,14 +234,15 @@ func sectionSizes(nBlocks, nEdges, nReach, nBack int) (cfgB, dfsB, domB int64, o
 	return cfgB, dfsB, domB, true
 }
 
-// Encode serializes s. The returned buffer is freshly allocated and fully
-// self-contained.
-func (s *Snapshot) Encode() ([]byte, error) {
+// encodedSize checks s's arrays against its dimensions — every section
+// length must match what the header will claim — and returns the encoded
+// byte length.
+func (s *Snapshot) encodedSize() (int64, error) {
 	n, e, r := s.NBlocks, s.NEdges, s.NReach
 	nb := len(s.BackEdges) / 2
 	cfgB, dfsB, domB, ok := sectionSizes(n, e, r, nb)
 	if !ok {
-		return nil, fmt.Errorf("snapshot: dimensions out of range (%d blocks, %d edges, %d reachable)", n, e, r)
+		return 0, fmt.Errorf("snapshot: dimensions out of range (%d blocks, %d edges, %d reachable)", n, e, r)
 	}
 	nc := 0
 	if r > 0 {
@@ -249,64 +251,146 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	arena := r * wordsPerRow(r)
 	switch {
 	case len(s.SuccOff) != n+1 || len(s.Succs) != e || len(s.PredOff) != n+1 || len(s.Preds) != e:
-		return nil, errors.New("snapshot: inconsistent CFG arrays")
+		return 0, errors.New("snapshot: inconsistent CFG arrays")
 	case len(s.Pre) != n || len(s.Post) != n || len(s.Parent) != n || len(s.SubtreeMax) != n ||
 		len(s.PreOrder) != r || len(s.PostOrder) != r || len(s.BackEdges) != 2*nb:
-		return nil, errors.New("snapshot: inconsistent DFS arrays")
+		return 0, errors.New("snapshot: inconsistent DFS arrays")
 	case len(s.Idom) != n || len(s.Num) != n || len(s.MaxNum) != n || len(s.Order) != r ||
 		len(s.ChildOff) != n+1 || len(s.Children) != nc:
-		return nil, errors.New("snapshot: inconsistent dominator arrays")
+		return 0, errors.New("snapshot: inconsistent dominator arrays")
 	case len(s.RWords) != arena || len(s.TWords) != arena:
-		return nil, fmt.Errorf("snapshot: R/T arenas are %d/%d words, want %d", len(s.RWords), len(s.TWords), arena)
+		return 0, fmt.Errorf("snapshot: R/T arenas are %d/%d words, want %d", len(s.RWords), len(s.TWords), arena)
 	}
 	rB := 8 * int64(arena)
 	tB := 8 * int64(arena)
 	total := int64(headerSize) + cfgB + dfsB + domB + rB + tB
 	if rB > 1<<32-1 || tB > 1<<32-1 || int64(int(total)) != total {
-		return nil, fmt.Errorf("snapshot: %d-byte encoding exceeds the format's bounds", total)
+		return 0, fmt.Errorf("snapshot: %d-byte encoding exceeds the format's bounds", total)
 	}
-	buf := make([]byte, total)
+	return total, nil
+}
 
-	off := headerSize
-	for _, a := range [][]int{
-		s.SuccOff, s.Succs, s.PredOff, s.Preds,
-		s.Pre, s.Post, s.Parent, s.SubtreeMax, s.PreOrder, s.PostOrder, s.BackEdges,
-		s.Idom, s.Num, s.MaxNum, s.Order, s.ChildOff, s.Children,
-	} {
-		for _, v := range a {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(int64(v)))
-			off += 8
+// stageBytes sizes the staging chunk the portable encode fills between
+// emits.
+const stageBytes = 4096
+
+// emitSection feeds payload section i's encoded bytes to fn, with the
+// sections numbered in file order (CFG, DFS, DOM, R, T), in chunks that
+// are only valid for the duration of the call. (Each slice literal stands
+// alone on purpose: nested in a multi-element array literal, go1.24's
+// compiler fills them in through a shared static temporary, which
+// concurrent saves would race on.)
+func (s *Snapshot) emitSection(i int, stage []byte, fn func([]byte) error) error {
+	var ints [][]int
+	switch i {
+	case 0:
+		ints = [][]int{s.SuccOff, s.Succs, s.PredOff, s.Preds}
+	case 1:
+		ints = [][]int{s.Pre, s.Post, s.Parent, s.SubtreeMax, s.PreOrder, s.PostOrder, s.BackEdges}
+	case 2:
+		ints = [][]int{s.Idom, s.Num, s.MaxNum, s.Order, s.ChildOff, s.Children}
+	case 3:
+		return emitArray(s.RWords, stage, fn)
+	default:
+		return emitArray(s.TWords, stage, fn)
+	}
+	for _, a := range ints {
+		if err := emitArray(a, stage, fn); err != nil {
+			return err
 		}
 	}
-	off += encodeWords(buf[off:], s.RWords)
-	off += encodeWords(buf[off:], s.TWords)
-	if int64(off) != total {
-		return nil, fmt.Errorf("snapshot: encoder wrote %d of %d bytes", off, total)
+	return nil
+}
+
+// emitArray feeds a's little-endian 8-byte encoding to fn. When the host
+// already holds a in that form — 8-byte elements, little-endian — it is
+// one call on a byte view of the array itself; otherwise the elements are
+// encoded through stage and fed to fn a chunk at a time.
+func emitArray[T int | uint64](a []T, stage []byte, fn func([]byte) error) error {
+	if len(a) == 0 {
+		return nil
 	}
+	if nativeLittleEndian && unsafe.Sizeof(a[0]) == 8 {
+		return fn(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 8*len(a)))
+	}
+	k := 0
+	for _, v := range a {
+		binary.LittleEndian.PutUint64(stage[k:], uint64(int64(v)))
+		if k += 8; k == len(stage) {
+			if err := fn(stage); err != nil {
+				return err
+			}
+			k = 0
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	return fn(stage[:k])
+}
 
-	cfgOff := int64(headerSize)
-	dfsOff := cfgOff + cfgB
-	domOff := dfsOff + dfsB
-	rOff := domOff + domB
-	tOff := rOff + rB
+// WriteTo serializes s to w — the format's one encoder. It validates the
+// arrays against the dimensions, checksums each section over the live
+// arrays, then writes the header and every section straight from the
+// arrays, so no whole-file buffer is built: on a 64-bit little-endian
+// host each array reaches w as one byte view of its own memory, and
+// elsewhere through a fixed staging chunk. Nothing is written if
+// validation fails.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	if _, err := s.encodedSize(); err != nil {
+		return 0, err
+	}
+	stage := make([]byte, stageBytes)
+	var hdr [headerSize]byte
+	for i := 0; i < numSections; i++ {
+		var crc uint32
+		_ = s.emitSection(i, stage, func(b []byte) error { // cannot fail: the callback never does
+			crc = crc32.Update(crc, crcTable, b)
+			return nil
+		})
+		binary.LittleEndian.PutUint32(hdr[48+4*i:], crc)
+	}
+	copy(hdr[0:8], magic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
+	binary.LittleEndian.PutUint32(hdr[12:], s.Flags)
+	binary.LittleEndian.PutUint64(hdr[16:], s.FP)
+	binary.LittleEndian.PutUint32(hdr[24:], uint32(s.NBlocks))
+	binary.LittleEndian.PutUint32(hdr[28:], uint32(s.NEdges))
+	binary.LittleEndian.PutUint32(hdr[32:], uint32(s.NReach))
+	binary.LittleEndian.PutUint32(hdr[36:], uint32(len(s.BackEdges)/2))
+	binary.LittleEndian.PutUint32(hdr[40:], uint32(8*len(s.RWords)))
+	binary.LittleEndian.PutUint32(hdr[44:], uint32(8*len(s.TWords)))
+	binary.LittleEndian.PutUint32(hdr[68:], crc32.Checksum(hdr[:68], crcTable))
 
-	copy(buf[0:8], magic[:])
-	binary.LittleEndian.PutUint32(buf[8:], formatVersion)
-	binary.LittleEndian.PutUint32(buf[12:], s.Flags)
-	binary.LittleEndian.PutUint64(buf[16:], s.FP)
-	binary.LittleEndian.PutUint32(buf[24:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[28:], uint32(e))
-	binary.LittleEndian.PutUint32(buf[32:], uint32(r))
-	binary.LittleEndian.PutUint32(buf[36:], uint32(nb))
-	binary.LittleEndian.PutUint32(buf[40:], uint32(rB))
-	binary.LittleEndian.PutUint32(buf[44:], uint32(tB))
-	binary.LittleEndian.PutUint32(buf[48:], crc32.Checksum(buf[cfgOff:dfsOff], crcTable))
-	binary.LittleEndian.PutUint32(buf[52:], crc32.Checksum(buf[dfsOff:domOff], crcTable))
-	binary.LittleEndian.PutUint32(buf[56:], crc32.Checksum(buf[domOff:rOff], crcTable))
-	binary.LittleEndian.PutUint32(buf[60:], crc32.Checksum(buf[rOff:tOff], crcTable))
-	binary.LittleEndian.PutUint32(buf[64:], crc32.Checksum(buf[tOff:total], crcTable))
-	binary.LittleEndian.PutUint32(buf[68:], crc32.Checksum(buf[:68], crcTable))
-	return buf, nil
+	var written int64
+	write := func(b []byte) error {
+		m, err := w.Write(b)
+		written += int64(m)
+		return err
+	}
+	if err := write(hdr[:]); err != nil {
+		return written, err
+	}
+	for i := 0; i < numSections; i++ {
+		if err := s.emitSection(i, stage, write); err != nil {
+			return written, err
+		}
+	}
+	return written, nil
+}
+
+// Encode serializes s into a freshly allocated, self-contained buffer of
+// exactly the encoded size.
+func (s *Snapshot) Encode() ([]byte, error) {
+	size, err := s.encodedSize()
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := s.WriteTo(buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Decode parses and validates a snapshot buffer: magic, version, the
@@ -521,23 +605,6 @@ func adoptWords(b []byte, n int) (words []uint64, aliased bool) {
 	return out, false
 }
 
-// encodeWords writes words into dst little-endian and returns the byte
-// count — a single memmove on a little-endian host (the in-memory arena
-// already is the wire format), a per-word encode otherwise.
-func encodeWords(dst []byte, words []uint64) int {
-	if len(words) == 0 {
-		return 0
-	}
-	if nativeLittleEndian {
-		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words)))
-	} else {
-		for i, w := range words {
-			binary.LittleEndian.PutUint64(dst[8*i:], w)
-		}
-	}
-	return 8 * len(words)
-}
-
 // Restore rebuilds a ready-to-query checker result for f from the
 // snapshot, skipping both the R/T precompute passes and the linear
 // derivations: graph, DFS and dominator tree are adopted straight from
@@ -640,14 +707,11 @@ func (s *Snapshot) RestoreFrom(f *ir.Func, index []int, opts core.Options) (*bac
 
 // SizeBytes returns the encoded size of s — recorded by Decode, or
 // computed from the dimensions (the dense format's size is a pure
-// function of them).
+// function of them); 0 for a snapshot that cannot be encoded.
 func (s *Snapshot) SizeBytes() int64 {
 	if s.size > 0 {
 		return s.size
 	}
-	cfgB, dfsB, domB, ok := sectionSizes(s.NBlocks, s.NEdges, s.NReach, len(s.BackEdges)/2)
-	if !ok {
-		return 0
-	}
-	return int64(headerSize) + cfgB + dfsB + domB + 8*int64(len(s.RWords)+len(s.TWords))
+	size, _ := s.encodedSize()
+	return size
 }

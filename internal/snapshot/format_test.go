@@ -5,12 +5,17 @@ package snapshot_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +23,7 @@ import (
 	"fastliveness/internal/backend"
 	"fastliveness/internal/backend/difftest"
 	"fastliveness/internal/core"
+	"fastliveness/internal/ir"
 	"fastliveness/internal/snapshot"
 )
 
@@ -357,15 +363,18 @@ func TestForcedFallbackLoadMatchesMmap(t *testing.T) {
 	}
 }
 
-// Store accounting: an aliasing file-backed load scans the three
-// structural sections and skips the two arena sections, a decoded-cache
+// Store accounting: a file-backed load scans the three structural
+// sections and, on an aliasing host, skips the two arena sections — a
+// copying host (32-bit or big-endian) scans all five — a decoded-cache
 // hit scans none, SetVerifyArenas makes a file-backed load scan all
 // five, and a load that dies at an early validation skips the sections
-// it never reached. (The expectations assume the aliasing decode path —
-// the only one CI runs natively; forced-fallback loads scan all five,
-// which TestStoreArenaCorruptionVerifyModes covers.)
+// it never reached.
 func TestStoreStatsSectionAccounting(t *testing.T) {
 	const numSections = 5
+	wantScans, wantSkips := int64(3), int64(2)
+	if !aliasingHost() {
+		wantScans, wantSkips = numSections, 0
+	}
 	dir := t.TempDir()
 	st, err := snapshot.Open(dir, 0)
 	if err != nil {
@@ -380,7 +389,7 @@ func TestStoreStatsSectionAccounting(t *testing.T) {
 	}
 	got := st.Stats()
 	if got.DecodedCacheHits != 0 || got.DecodedCacheMisses != 1 ||
-		got.SectionScans != 3 || got.SectionSkips != 2 {
+		got.SectionScans != wantScans || got.SectionSkips != wantSkips {
 		t.Fatalf("after file-backed load: %+v", got)
 	}
 	if _, err := st.Load(s.FP); err != nil {
@@ -388,7 +397,7 @@ func TestStoreStatsSectionAccounting(t *testing.T) {
 	}
 	got = st.Stats()
 	if got.DecodedCacheHits != 1 || got.DecodedCacheMisses != 1 ||
-		got.SectionScans != 3 || got.SectionSkips != 2+numSections {
+		got.SectionScans != wantScans || got.SectionSkips != wantSkips+numSections {
 		t.Fatalf("after cached load: %+v", got)
 	}
 
@@ -580,7 +589,8 @@ func TestStoreCorruptFileSelfHeals(t *testing.T) {
 // bit flip in the R/T payload is *not* scanned for by the default
 // aliasing load (that deferral is the sub-linear warm path — see the
 // format comment), and *is* caught, with the usual self-heal, by a
-// verify-arenas store and by the copying fallback path.
+// verify-arenas store and by the copying fallback path — which is every
+// load on a copying (32-bit or big-endian) host, the default included.
 func TestStoreArenaCorruptionVerifyModes(t *testing.T) {
 	s := captureOne(t, 1, 21)
 	corrupt := func(t *testing.T, dir string) {
@@ -610,6 +620,16 @@ func TestStoreArenaCorruptionVerifyModes(t *testing.T) {
 
 	t.Run("default-alias-defers", func(t *testing.T) {
 		st := save(t, t.TempDir())
+		if !aliasingHost() {
+			// Every load on a copying host verifies all five sections.
+			if _, err := st.Load(s.FP); err == nil || err == snapshot.ErrNotFound {
+				t.Fatalf("copying-host load: got %v, want a T-section checksum error", err)
+			}
+			if got := st.Stats(); got.SectionScans != 5 || got.SectionSkips != 0 {
+				t.Fatalf("copying-host load accounting: %+v", got)
+			}
+			return
+		}
 		if _, err := st.Load(s.FP); err != nil {
 			t.Fatalf("aliasing load scanned the arenas it defers: %v", err)
 		}
@@ -640,6 +660,13 @@ func TestStoreArenaCorruptionVerifyModes(t *testing.T) {
 	})
 }
 
+// aliasingHost reports whether decoded snapshots alias the mapped file
+// on this host (64-bit little-endian). Elsewhere every load copies the
+// payload and so verifies all five sections.
+func aliasingHost() bool {
+	return strconv.IntSize == 64 && binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+}
+
 func fpName(fp uint64) string {
 	const hexdigits = "0123456789abcdef"
 	name := make([]byte, 16)
@@ -648,4 +675,168 @@ func fpName(fp uint64) string {
 		fp >>= 4
 	}
 	return string(name) + ".flsnap"
+}
+
+// ladderFunc builds a fixed n-block function without generators: block i
+// falls through to i+1 and, when (37i+11) mod n names another block than
+// the entry or i+1, also branches there on the entry's parameter. The
+// forward and backward jumps give a reproducible CFG with back edges and
+// irreducible regions, and n > 64 gives the R/T rows several words.
+func ladderFunc(n int) *ir.Func {
+	f := ir.NewFunc(fmt.Sprintf("ladder%d", n))
+	blocks := make([]*ir.Block, n)
+	for i := range blocks {
+		kind := ir.BlockIf
+		switch t := (i*37 + 11) % n; {
+		case i == n-1:
+			kind = ir.BlockRet
+		case t == 0 || t == i+1:
+			kind = ir.BlockPlain
+		}
+		blocks[i] = f.NewBlock(kind)
+	}
+	p := blocks[0].NewValueI(ir.OpParam, 0)
+	for i, b := range blocks[:n-1] {
+		b.AddEdgeTo(blocks[i+1])
+		if b.Kind == ir.BlockIf {
+			b.AddEdgeTo(blocks[(i*37+11)%n])
+			b.SetControl(p)
+		}
+	}
+	return f
+}
+
+// captureLadder captures a checker for ladderFunc(n) under strategy st.
+func captureLadder(t testing.TB, n int, st core.Strategy) *snapshot.Snapshot {
+	t.Helper()
+	p, err := backend.Prepare(ladderFunc(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := snapshot.Capture(p, backend.NewCheckerResult(p, core.Options{Strategy: st}).Checker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// The file format is pinned byte for byte: SHA-256 digests of the v3
+// encoding of fixed functions, recorded when Encode still built the file
+// in one buffer. The streaming encoder must reproduce them exactly —
+// through Encode and through the file Store.Save writes — on every host:
+// the 600-block case fills the portable encoder's staging chunk several
+// times over on hosts that cannot write the arrays as byte views.
+func TestEncodeGoldenDigest(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		st     core.Strategy
+		size   int
+		digest string
+	}{
+		{9, core.StrategyExact, 1480, "158b5bc94bfda4279fbb2b79397dcd3bb9b558eb569962b1d2d350ae3c7ec924"},
+		{9, core.StrategyPropagate, 1480, "2ae89ca6811b52e48dec36706a397dfaef3d2b1da145b43764ca64cd41e4a3d6"},
+		{150, core.StrategyExact, 30040, "517c6d1d4633501caeaa6188b1645aa52881d2dacacf00eca762e33fa7cf3418"},
+		{150, core.StrategyPropagate, 30040, "d20490e1f571dbd9bd0e1450908da953f28822a1ee51705b4a7592e3524fef51"},
+		{600, core.StrategyExact, 187288, "d30a3412fbe63d8df4b6e592b884e6f9b87c0de22b2e4bc2df1660711444769e"},
+		{600, core.StrategyPropagate, 187288, "99fad88f4784b3ec1a01e1a013b9274d39fd8d63bda673bc379fe0915d066392"},
+	} {
+		s := captureLadder(t, tc.n, tc.st)
+		buf, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(buf); len(buf) != tc.size || hex.EncodeToString(sum[:]) != tc.digest {
+			t.Fatalf("ladder%d strategy %d: %d bytes, sha256 %x; want %d bytes, %s",
+				tc.n, tc.st, len(buf), sum, tc.size, tc.digest)
+		}
+		if int64(len(buf)) != s.SizeBytes() {
+			t.Fatalf("ladder%d: SizeBytes %d, encoding is %d bytes", tc.n, s.SizeBytes(), len(buf))
+		}
+		st, err := snapshot.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Save(s); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(filepath.Join(st.Dir(), fpName(s.FP)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, buf) {
+			t.Fatalf("ladder%d strategy %d: saved file differs from Encode's bytes", tc.n, tc.st)
+		}
+	}
+}
+
+// WriteTo writes nothing for a snapshot whose arrays contradict its
+// dimensions, and reports a failing writer's error.
+func TestWriteToErrors(t *testing.T) {
+	s := captureLadder(t, 150, core.StrategyExact)
+	bad := *s
+	bad.TWords = bad.TWords[1:]
+	var buf bytes.Buffer
+	if n, err := bad.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+		t.Fatalf("inconsistent arenas: wrote %d bytes, err %v", n, err)
+	}
+	for _, limit := range []int{0, 71, 72, 100, 29000} {
+		w := &failingWriter{limit: limit}
+		n, err := s.WriteTo(w)
+		if err != errWriteLimit || n != int64(limit) {
+			t.Fatalf("writer failing at %d bytes: WriteTo returned %d, %v", limit, n, err)
+		}
+	}
+}
+
+var errWriteLimit = errors.New("write limit reached")
+
+// failingWriter accepts limit bytes, then fails.
+type failingWriter struct{ limit, n int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.n+len(p) <= w.limit {
+		w.n += len(p)
+		return len(p), nil
+	}
+	k := w.limit - w.n
+	w.n = w.limit
+	return k, errWriteLimit
+}
+
+// Save streams the file from the snapshot's own arrays: one Save of a
+// snapshot with over 1 MiB of arenas allocates a small fraction of the
+// file's size, where building the file in memory first would allocate
+// all of it.
+func TestStoreSaveStreams(t *testing.T) {
+	s := captureLadder(t, 2100, core.StrategyPropagate)
+	if arenas := 8 * (len(s.RWords) + len(s.TWords)); arenas < 1<<20 {
+		t.Fatalf("arenas hold %d bytes, want at least 1 MiB", arenas)
+	}
+	st, err := snapshot.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err = st.Save(s)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := s.SizeBytes()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(size/8) {
+		t.Fatalf("Save of a %d-byte snapshot allocated %d bytes, want < %d", size, alloc, size/8)
+	}
+	want, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(st.Dir(), fpName(s.FP)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, want) {
+		t.Fatal("saved file differs from Encode's bytes")
+	}
 }

@@ -2,6 +2,6 @@
 
 package snapshot
 
-// populateFlag: no MAP_POPULATE equivalent; pages fault in on demand
-// during the checksum scan.
+// populateFlag: no MAP_POPULATE equivalent; pages fault in on demand as
+// the checksum scans and queries touch them.
 const populateFlag = 0

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -26,10 +27,11 @@ const fileExt = ".flsnap"
 // effectively LRU, because Load touches the file it hits. Saves go through
 // a temp file plus atomic rename, so concurrent processes sharing a
 // directory never observe half-written snapshots; the checksum in the
-// format catches everything else. The mutex serializes Save/GC within one
-// process; cross-process races at worst re-save an identical file or GC a
-// file the other process re-creates — benign, because snapshots are pure
-// functions of their fingerprint.
+// format catches everything else. Each Save streams its temp file outside
+// the mutex, which serializes only the renames and GC passes within one
+// process (GC ignores temp files); cross-process races at worst re-save
+// an identical file or GC a file the other process re-creates — benign,
+// because snapshots are pure functions of their fingerprint.
 //
 // Loads are mmap-backed where the platform allows (see mapFile): the
 // decoded Snapshot's word arenas alias the read-only mapping, so the
@@ -227,34 +229,36 @@ func (st *Store) Load(fp uint64) (*Snapshot, error) {
 	return s, nil
 }
 
-// Save encodes and writes s, keyed by its fingerprint, then enforces the
-// byte budget. Writing an already-present fingerprint replaces the file
-// with identical bytes — harmless, and what concurrent savers do to each
-// other.
+// Save writes s, keyed by its fingerprint, then enforces the byte
+// budget. The file is streamed from s's own arrays (Snapshot.WriteTo)
+// into a uniquely named temp file, outside the store lock, so parallel
+// saves write concurrently; only the rename into place and the GC pass
+// that follows it serialize. Writing an already-present fingerprint
+// replaces the file with identical bytes — harmless, and what concurrent
+// savers do to each other.
 func (st *Store) Save(s *Snapshot) error {
 	if err := st.fire(FaultSiteSave); err != nil {
 		return err
 	}
-	buf, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	final := st.path(s.FP)
 	tmp, err := os.CreateTemp(st.dir, "tmp-*"+fileExt+".partial")
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
+	w := bufio.NewWriter(tmp)
+	_, err = s.WriteTo(w)
+	if err == nil {
+		err = w.Flush()
 	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	final := st.path(s.FP)
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		os.Remove(tmp.Name())
 		return err

@@ -7,12 +7,11 @@ package snapshot_test
 // snapshot, and errors are limited to the benign not-found kind.
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -139,7 +138,7 @@ func TestStoreRacingLoadsKeepOneMapping(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("counts mappings through /proc/self/maps")
 	}
-	if strconv.IntSize != 64 || binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+	if !aliasingHost() {
 		t.Skip("decoded snapshots alias their mapping only on 64-bit little-endian hosts")
 	}
 	dir := t.TempDir()
@@ -189,5 +188,82 @@ func TestStoreRacingLoadsKeepOneMapping(t *testing.T) {
 	}
 	if n := strings.Count(string(maps), files[0]+"\n"); n != 1 {
 		t.Fatalf("%d live mappings of the snapshot file after %d racing loads, want 1", n, loaders)
+	}
+}
+
+// Saves write their temp files outside the store lock, so concurrent
+// Saves of distinct fingerprints — and of one fingerprint, which replace
+// each other's files — interleave their writes while the renames and GC
+// passes serialize. Afterwards every surviving file decodes to the
+// snapshot its name claims, the byte budget holds, and no temp file is
+// left behind.
+func TestStoreConcurrentSavesUnderBudget(t *testing.T) {
+	dir := t.TempDir()
+	const n = 8
+	snaps := make([]*snapshot.Snapshot, n)
+	byFP := make(map[uint64]*snapshot.Snapshot, n)
+	var total, largest int64
+	for i := range snaps {
+		snaps[i] = captureOne(t, i, 41)
+		byFP[snaps[i].FP] = snaps[i]
+		total += snaps[i].SizeBytes()
+		largest = max(largest, snaps[i].SizeBytes())
+	}
+	// Room for about half the corpus, and never less than one snapshot,
+	// so the just-written file always fits and the budget is exact.
+	budget := max(total/2, largest)
+	st, err := snapshot.Open(dir, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				s := snaps[(g+i)%n] // distinct fingerprints across goroutines
+				if i%3 == 0 {
+					s = snaps[0] // and one fingerprint saved by all of them
+				}
+				if err := st.Save(s); err != nil {
+					t.Errorf("save %016x: %v", s.FP, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if got := st.SizeBytes(); got > budget {
+		t.Fatalf("store holds %d bytes, budget %d", got, budget)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("no snapshot survived the saves")
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".partial") {
+			t.Fatalf("temp file %s left behind", e.Name())
+		}
+		buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snapshot.Decode(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		want := byFP[got.FP]
+		if want == nil || fpName(got.FP) != e.Name() {
+			t.Fatalf("%s holds fingerprint %016x", e.Name(), got.FP)
+		}
+		if enc, err := want.Encode(); err != nil || !bytes.Equal(enc, buf) {
+			t.Fatalf("%s differs from its snapshot's encoding (%v)", e.Name(), err)
+		}
 	}
 }
