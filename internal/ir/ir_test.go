@@ -368,6 +368,20 @@ func TestVerifyCatchesViolations(t *testing.T) {
 				vs["c2"].uses[i].Index = 1
 			}
 		}, "has duplicate use record"},
+		// With several violations, the order Verify's doc gives.
+		{"wrong-length list ahead of a later stray record", func(f *Func, vs map[string]*Value) {
+			vs["c1"].uses = nil
+			vs["x"].uses[0] = Use{User: vs["y"], Index: 0}
+		}, "has 0 use records, want 1"},
+		{"stray record ahead of a later wrong-length list", func(f *Func, vs map[string]*Value) {
+			vs["x"].uses[0] = Use{User: vs["y"], Index: 0}
+			vs["phi"].uses = nil
+		}, "has stray use record"},
+		{"detached arg ahead of a later wrong-length list", func(f *Func, vs map[string]*Value) {
+			vs["x"].Args[1] = detached(f.Blocks[1])
+			vs["c1"].uses = nil
+			vs["phi"].uses = nil
+		}, "references detached value"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, vs := buildDiamond(t)

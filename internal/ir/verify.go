@@ -5,6 +5,10 @@ import "fmt"
 // Verify checks the structural invariants of f and returns the first
 // violation found, or nil. It does not check SSA strictness (definition
 // dominates use); that needs a dominator tree and lives in package ssa.
+// Use lists and references are checked in one walk in block order, so a
+// detached argument or control is reported ahead of a bad use list on a
+// later value; when a use list fails, the first value up to that point
+// whose list has the wrong number of records is reported in its place.
 //
 // Invariants checked:
 //   - the entry block has no predecessors (the paper's r),
@@ -158,7 +162,9 @@ func Verify(f *Func) error {
 	// reference (repeatedUse), and there must be as many records as
 	// references. Any violation takes useListError's slow path, which
 	// reports a value with the wrong number of records ahead of a bad
-	// record.
+	// record. (Valid, unrepeated records that add up to the references are
+	// exactly the references, so the fast path keeps no per-value count;
+	// keeping one made BenchmarkVerify slower.)
 	claimed := make([]uint64, (numArgs+maxBlockID+1+63)/64)
 	records := 0
 	for _, b := range f.Blocks {
@@ -213,14 +219,11 @@ func Verify(f *Func) error {
 // repeatedUse finds a record in uses that repeats an earlier one. uses is
 // one value's use list, every record already known to name a reference to
 // that value; since a reference's records can only sit in its value's
-// list, lists are checked one at a time. Two records are compared; longer
-// lists claim each record's slot in claimed (argument i of value u is slot
-// argSlot[u.ID]+i, the control of block b is slot numArgs+b.ID), which
-// keeps the check linear however long the list.
+// list, lists are checked one at a time. Each record claims its reference's
+// slot in claimed (argument i of value u is slot argSlot[u.ID]+i, the
+// control of block b is slot numArgs+b.ID), which keeps the check linear
+// however long the list.
 func repeatedUse(uses []Use, claimed []uint64, argSlot []int32, numArgs int) (dup Use, found bool) {
-	if len(uses) == 2 {
-		return uses[1], uses[0] == uses[1]
-	}
 	for _, u := range uses {
 		slot := uint(numArgs)
 		if u.User != nil {
