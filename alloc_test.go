@@ -41,7 +41,6 @@ func TestCheckerQueriesZeroAlloc(t *testing.T) {
 		config Config
 	}{
 		{"default", Config{}},
-		{"sortedT", Config{SortedT: true}},
 		{"exact", Config{Strategy: StrategyExact}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

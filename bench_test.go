@@ -338,16 +338,6 @@ func BenchmarkAblationReducibleFastPath(b *testing.B) {
 	})
 }
 
-// Ablation A4 (§6.1): T sets as sorted arrays instead of bitsets.
-func BenchmarkAblationSortedT(b *testing.B) {
-	b.Run("bitset", func(b *testing.B) {
-		benchQueriesWithOptions(b, true, core.Options{})
-	})
-	b.Run("sorted", func(b *testing.B) {
-		benchQueriesWithOptions(b, true, core.Options{SortedT: true})
-	})
-}
-
 // Ablation A1: exact Definition 5 vs the §5.2 propagation scheme
 // (precomputation cost; answers are identical).
 func BenchmarkAblationStrategy(b *testing.B) {

@@ -395,7 +395,7 @@ func printEngineMetrics(eng *fastliveness.Engine, stat bool) {
 // printSnapshotStats ends a -snapshot-dir run with its disk-tier traffic.
 // The first line is the stable scriptable one — the double-run smoke in CI
 // greps the second run for "0 misses" — so new counters go on a second
-// line: the store's decoded-cache traffic and the v3 per-section checksum
+// line: the store's decoded-cache traffic and the per-section checksum
 // accounting (scans = sections CRC-verified off disk, skips = sections
 // served without a scan — from the decoded cache, as deferred arena
 // sections on the aliasing mmap path, or after an early version/header

@@ -343,7 +343,7 @@ func TestRunProgramSnapshotDoubleRun(t *testing.T) {
 		t.Errorf("snapshot-loaded output differs:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
 
-	// The second line carries the store-global decoded-cache and v3
+	// The second line carries the store-global decoded-cache and
 	// per-section accounting: the cold run's two loads found no files (no
 	// sections to scan), the warm run's two file-backed aliasing loads
 	// each scanned the three structural sections and deferred the two

@@ -7,6 +7,7 @@ package fastliveness
 // a wrong answer.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -271,64 +272,69 @@ func TestEngineSnapshotCorruptStoreDegrades(t *testing.T) {
 // A store full of old-format files degrades every load to a clean
 // version-skew miss — never a wrong answer, never a hard error — and the
 // recomputes rewrite the directory in the current format, so the next run
-// is fully warm again. This is the v2→v3 migration path; the byte-level
-// v2 decode and store behavior is pinned in internal/snapshot, and the CI
+// is fully warm again. This is the migration path from every retired
+// version: v2 (dense R/T, idom only) and v3 (dense T). The byte-level v2
+// decode and store behavior is pinned in internal/snapshot, and the CI
 // warm-start smoke patches a version byte exactly like this with dd.
 func TestEngineSnapshotVersionSkewRewritesStore(t *testing.T) {
 	const n = 6
-	ss := snapshotDir(t)
-	cold := engineCorpus(t, n, 999)
-	e1, err := AnalyzeProgram(cold, EngineConfig{Parallelism: 1, SnapshotStore: ss})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, e1, cold)
+	for _, version := range []byte{2, 3} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			ss := snapshotDir(t)
+			cold := engineCorpus(t, n, 999)
+			e1, err := AnalyzeProgram(cold, EngineConfig{Parallelism: 1, SnapshotStore: ss})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(t, e1, cold)
 
-	// Stamp every file's version field to 2: the shape of a directory an
-	// older process left behind.
-	entries, err := os.ReadDir(ss.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("cold run left no snapshots behind")
-	}
-	for _, ent := range entries {
-		path := filepath.Join(ss.Dir(), ent.Name())
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf[8] = 2
-		if err := os.WriteFile(path, buf, 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
+			// Stamp every file's version field: the shape of a directory an
+			// older process left behind.
+			entries, err := os.ReadDir(ss.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) == 0 {
+				t.Fatal("cold run left no snapshots behind")
+			}
+			for _, ent := range entries {
+				path := filepath.Join(ss.Dir(), ent.Name())
+				buf, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf[8] = version
+				if err := os.WriteFile(path, buf, 0o666); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	skewed := engineCorpus(t, n, 999)
-	e2, err := AnalyzeProgram(skewed, EngineConfig{Parallelism: 1, SnapshotStore: ss})
-	if err != nil {
-		t.Fatalf("version skew must degrade to recompute, not fail: %v", err)
-	}
-	if got := fingerprint(t, e2, skewed); got != want {
-		t.Fatal("version-skewed store changed answers")
-	}
-	s2 := e2.SnapshotStats()
-	if s2.Hits != 0 || s2.Misses != n || s2.Computes != n {
-		t.Fatalf("skewed run: %+v, want 0 hits / %d misses / %d computes", s2, n, n)
-	}
-	if s2.SectionScans != 0 {
-		t.Fatalf("version-skewed loads scanned %d sections, want 0 (skew is caught before any payload scan)",
-			s2.SectionScans)
-	}
+			skewed := engineCorpus(t, n, 999)
+			e2, err := AnalyzeProgram(skewed, EngineConfig{Parallelism: 1, SnapshotStore: ss})
+			if err != nil {
+				t.Fatalf("version skew must degrade to recompute, not fail: %v", err)
+			}
+			if got := fingerprint(t, e2, skewed); got != want {
+				t.Fatal("version-skewed store changed answers")
+			}
+			s2 := e2.SnapshotStats()
+			if s2.Hits != 0 || s2.Misses != n || s2.Computes != n {
+				t.Fatalf("skewed run: %+v, want 0 hits / %d misses / %d computes", s2, n, n)
+			}
+			if s2.SectionScans != 0 {
+				t.Fatalf("version-skewed loads scanned %d sections, want 0 (skew is caught before any payload scan)",
+					s2.SectionScans)
+			}
 
-	healed := engineCorpus(t, n, 999)
-	e3, err := AnalyzeProgram(healed, EngineConfig{Parallelism: 1, SnapshotStore: ss})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 := e3.SnapshotStats(); s3.Hits != n || s3.Misses != 0 || s3.Computes != 0 {
-		t.Fatalf("store was not rewritten as current-format: %+v", s3)
+			healed := engineCorpus(t, n, 999)
+			e3, err := AnalyzeProgram(healed, EngineConfig{Parallelism: 1, SnapshotStore: ss})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s3 := e3.SnapshotStats(); s3.Hits != n || s3.Misses != 0 || s3.Computes != 0 {
+				t.Fatalf("store was not rewritten as current-format: %+v", s3)
+			}
+		})
 	}
 }
 

@@ -57,9 +57,6 @@ type Config struct {
 	// NoReducibleFastPath disables the Theorem 2 single-test fast path
 	// (ablation).
 	NoReducibleFastPath bool
-	// SortedT stores T sets as sorted arrays instead of bitsets (§6.1
-	// memory variant).
-	SortedT bool
 	// Backend names the liveness engine serving the queries: one of
 	// Backends() — "checker" (the paper's R/T checker, the default),
 	// "dataflow", "lao", "pervar", "loops", or "auto" (per-function

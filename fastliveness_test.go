@@ -32,7 +32,6 @@ func buildEngines(t *testing.T, f *ir.Func) []engine {
 	}{
 		{"checker/propagate", Config{}},
 		{"checker/exact", Config{Strategy: StrategyExact}},
-		{"checker/sortedT", Config{SortedT: true}},
 		{"checker/no-opts", Config{NoSkipSubtrees: true, NoReducibleFastPath: true}},
 	} {
 		live, err := Analyze(f, cfgVariant.c)

@@ -278,19 +278,15 @@ func compare(name string, f *ir.Func, res backend.Result, truth *dataflow.Result
 	return nil
 }
 
-// CheckerConfigs enumerates the checker configurations the arena storage
-// rewrite must keep answer-identical: both T-set strategies × bitset vs
-// sorted-array T storage. Validate covers the registered backends under
-// default options; this axis covers the checker's own representation
-// space.
+// CheckerConfigs enumerates the checker configurations that must stay
+// answer-identical: both T-set strategies, which build different (though
+// answer-equivalent) T arenas. Validate covers the registered backends
+// under default options; this axis covers the checker's own T space.
 func CheckerConfigs() []fastliveness.Config {
-	var out []fastliveness.Config
-	for _, strat := range []fastliveness.Strategy{fastliveness.StrategyExact, fastliveness.StrategyPropagate} {
-		for _, sorted := range []bool{false, true} {
-			out = append(out, fastliveness.Config{Strategy: strat, SortedT: sorted})
-		}
+	return []fastliveness.Config{
+		{Strategy: fastliveness.StrategyExact},
+		{Strategy: fastliveness.StrategyPropagate},
 	}
-	return out
 }
 
 // ValidateCheckerStorage cross-checks the checker under every

@@ -12,9 +12,9 @@ import (
 // liveness engines store one set per CFG node with identical universes
 // (the R and T sets of the checker, the live-in/live-out vectors of the
 // set-producing baselines), so backing them all with one allocation
-// replaces O(n) little heap objects per function with O(1) and lays the
-// T_q candidate walk out cache-line-contiguously — the constant-factor
-// concern of the paper's §5–§6.1 precompute/query trade-off.
+// replaces O(n) little heap objects per function with O(1) and keeps each
+// row cache-line-contiguous — the constant-factor concern of the paper's
+// §5–§6.1 precompute/query trade-off.
 //
 // Rows are reachable two ways: the word-level Row* methods below index the
 // arena directly, and Row(i) returns a *Set view sharing the arena, so a
@@ -139,8 +139,8 @@ func (m *Matrix) RowUnion(dst, src int) bool {
 
 // RowNextSet returns the position of the first set bit of row i at or
 // after from, or None — bitset_next_set against the arena, for one-shot
-// probes. Walks that rescan the same row (the T_q candidate loop) hoist
-// Row(i) once and use Set.NextSet instead, amortizing the row lookup.
+// probes. Walks that rescan the same row hoist Row(i) once and use
+// Set.NextSet instead, amortizing the row lookup.
 func (m *Matrix) RowNextSet(i, from int) int {
 	if from < 0 {
 		from = 0
@@ -163,8 +163,7 @@ func (m *Matrix) RowNextSet(i, from int) int {
 
 // WordBytes returns the arena footprint in bytes — the one footprint
 // definition matrix-backed engines report from MemoryBytes, consistent
-// with summing Set.WordBytes over the row views. Nil matrices (a checker
-// that dropped its T arena for the sorted-array variant) weigh zero.
+// with summing Set.WordBytes over the row views. Nil matrices weigh zero.
 func (m *Matrix) WordBytes() int {
 	if m == nil {
 		return 0

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"fastliveness/internal/bitset"
 	"fastliveness/internal/cfg"
@@ -55,11 +57,6 @@ type Options struct {
 	// NoReducibleFastPath disables the Theorem 2 single-test fast path on
 	// reducible CFGs.
 	NoReducibleFastPath bool
-	// SortedT stores the T_v sets as sorted arrays instead of bitsets, the
-	// memory-saving variant the paper sketches in §6.1 ("future
-	// implementations could use sorted arrays instead of bitsets … and
-	// speed up the loop iteration by abandoning bitset_next_set").
-	SortedT bool
 }
 
 // Checker answers live-in/live-out queries after a CFG-only precomputation.
@@ -69,15 +66,18 @@ type Checker struct {
 	tree *dom.Tree
 	opts Options
 
-	// R and T as arena matrices: row = dominance-preorder number, set bits
-	// are dominance preorder numbers too. One contiguous allocation backs
-	// all n rows of each, so precompute performs O(1) allocations instead
-	// of O(n) and the T_q candidate walk reads cache-adjacent rows. t is
-	// nil when opts.SortedT dropped the arena for the sorted-array variant.
+	// r is R as an arena matrix: row = dominance-preorder number, set bits
+	// are dominance preorder numbers too, all n rows in one allocation.
 	r *bitset.Matrix
-	t *bitset.Matrix
-	// tSorted mirrors t as sorted arrays when opts.SortedT is set.
-	tSorted [][]int32
+	// t is T as one CSR ("compressed sparse row") arena, the sorted-array
+	// storage of §6.1 ("future implementations could use sorted arrays
+	// instead of bitsets … and speed up the loop iteration by abandoning
+	// bitset_next_set"): t[0:n+1] are row offsets, starting at 0, into the
+	// entries t[n+1:] (the tEnt view), which hold every row's dominance
+	// preorder numbers in increasing order — about two per row on the
+	// benchmark corpora.
+	t    []int32
+	tEnt []int32
 	// numMax[n] = MaxNum of the node numbered n (saves an Order lookup in
 	// the hot loop).
 	numMax []int
@@ -101,52 +101,136 @@ func NewFrom(g *cfg.Graph, d *cfg.DFS, tree *dom.Tree, opts Options) *Checker {
 	c := &Checker{g: g, dfs: d, tree: tree, opts: opts}
 	c.reducible = dom.IsReducible(d, tree)
 	c.precomputeR()
+	var tm *bitset.Matrix
 	switch opts.Strategy {
 	case StrategyExact:
-		c.precomputeTExact()
+		tm = c.precomputeTExact()
 	case StrategyPropagate:
-		c.precomputeTPropagate()
+		tm = c.precomputeTPropagate()
 	default:
 		panic("core: unknown strategy")
 	}
+	c.setT(pack(tm))
 	c.finish()
 	return c
 }
 
-// Adopt builds a ready-to-query checker around R/T matrices computed
-// earlier — by a previous process, typically, with the arenas loaded back
+// Adopt builds a ready-to-query checker around an R matrix and a CSR T
+// arena computed earlier — by a previous process, typically, loaded back
 // from a snapshot (internal/snapshot) instead of re-run through the
-// precompute passes. The matrices must have been produced by the same
-// Strategy over a structurally identical CFG with the same DFS and
-// dominator tree; callers guarantee that by keying snapshots on a
-// structural fingerprint. Everything cheap is re-derived here from g, d
-// and tree (numMax, backTarget, reducibility, the SortedT conversion), so
-// the only trusted inputs are the two arenas, and dimension mismatches are
-// rejected rather than adopted.
-func Adopt(g *cfg.Graph, d *cfg.DFS, tree *dom.Tree, opts Options, r, t *bitset.Matrix) (*Checker, error) {
+// precompute passes. They must have been produced by the same Strategy
+// over a structurally identical CFG with the same DFS and dominator tree;
+// callers guarantee that by keying snapshots on a structural fingerprint.
+// Everything cheap is re-derived here from g, d and tree (numMax,
+// backTarget, reducibility), so the only trusted inputs are the two
+// arenas. Their shape is checked, not trusted: a wrongly sized R, or a T
+// arena whose offsets or entries could index out of range, is rejected
+// (checkT), in O(n + entries).
+func Adopt(g *cfg.Graph, d *cfg.DFS, tree *dom.Tree, opts Options, r *bitset.Matrix, t []int32) (*Checker, error) {
 	n := d.NumReachable
-	for _, m := range []struct {
-		name string
-		m    *bitset.Matrix
-	}{{"R", r}, {"T", t}} {
-		if m.m == nil {
-			return nil, fmt.Errorf("core: adopt: nil %s matrix", m.name)
-		}
-		if m.m.Rows() != n || m.m.Len() != n {
-			return nil, fmt.Errorf("core: adopt: %s matrix is %d×%d, want %d×%d",
-				m.name, m.m.Rows(), m.m.Len(), n, n)
-		}
+	if r == nil || r.Rows() != n || r.Len() != n {
+		return nil, fmt.Errorf("core: adopt: R matrix is not %d×%d", n, n)
 	}
-	c := &Checker{g: g, dfs: d, tree: tree, opts: opts, r: r, t: t}
+	if err := checkT(t, n); err != nil {
+		return nil, err
+	}
+	c := &Checker{g: g, dfs: d, tree: tree, opts: opts, r: r}
 	c.reducible = dom.IsReducible(d, tree)
+	c.setT(t)
 	c.finish()
 	return c, nil
 }
 
+// checkT reports why t is not a well-formed CSR T arena over n nodes: the
+// n+1 offsets must start at 0, never decrease and end at the number of
+// entries, and every row must be strictly increasing, in [0, n), and hold
+// its own node (v ∈ T_v). The query walks rely on nothing else.
+func checkT(t []int32, n int) error {
+	if len(t) < n+1 {
+		return fmt.Errorf("core: adopt: T arena holds %d values, want at least %d offsets", len(t), n+1)
+	}
+	off, ent := t[:n+1], t[n+1:]
+	if off[0] != 0 {
+		return fmt.Errorf("core: adopt: T offsets start at %d, want 0", off[0])
+	}
+	if int(off[n]) != len(ent) {
+		return fmt.Errorf("core: adopt: T offsets end at %d, want %d entries", off[n], len(ent))
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := off[v], off[v+1]
+		if hi < lo || int(hi) > len(ent) {
+			return fmt.Errorf("core: adopt: T offsets decrease at row %d (%d, %d)", v, lo, hi)
+		}
+		own := false
+		prev := -1
+		for _, x := range ent[lo:hi] {
+			switch {
+			case int(x) <= prev:
+				return fmt.Errorf("core: adopt: T row %d is not strictly increasing", v)
+			case int(x) >= n:
+				return fmt.Errorf("core: adopt: T row %d holds node %d of %d", v, x, n)
+			}
+			own = own || int(x) == v
+			prev = int(x)
+		}
+		if !own {
+			return fmt.Errorf("core: adopt: T row %d lacks its own node", v)
+		}
+	}
+	return nil
+}
+
+// pack converts the scratch T matrix into the CSR arena with one
+// exact-size allocation: a popcount pass over the matrix words sizes the
+// arena, and a pass that peels each row word's set bits lowest first
+// fills it. Both read the words directly (row v is words[v*wpr:][:wpr],
+// the Matrix layout); a Set.NextSet call per entry made packing several
+// times slower in precompute profiles.
+func pack(tm *bitset.Matrix) []int32 {
+	n, words := tm.Rows(), tm.Words()
+	entries := 0
+	for _, w := range words {
+		entries += bits.OnesCount64(w)
+	}
+	if n+1+entries > math.MaxInt32 {
+		panic("core: T arena exceeds int32 offsets")
+	}
+	t := make([]int32, n+1+entries)
+	ent := t[n+1:]
+	k, wpr := 0, (tm.Len()+63)/64
+	for v := 0; v < n; v++ {
+		t[v] = int32(k)
+		for i, w := range words[v*wpr : (v+1)*wpr] {
+			for ; w != 0; w &= w - 1 {
+				ent[k] = int32(64*i + bits.TrailingZeros64(w))
+				k++
+			}
+		}
+	}
+	t[n] = int32(k)
+	return t
+}
+
+// setT installs a well-formed CSR T arena.
+func (c *Checker) setT(t []int32) {
+	c.t, c.tEnt = t, t[c.dfs.NumReachable+1:]
+}
+
+// candidates returns the entries of T_q above defN, in increasing
+// dominance preorder — a linear scan, as T rows hold about two entries.
+// The query walks take the prefix that stays inside def's dominance
+// subtree.
+func (c *Checker) candidates(qN, defN int) []int32 {
+	tq := c.tEnt[c.t[qN]:c.t[qN+1]]
+	for len(tq) > 0 && int(tq[0]) <= defN {
+		tq = tq[1:]
+	}
+	return tq
+}
+
 // finish derives the query-time helpers every construction path needs from
-// the R/T arenas and the shared analyses: the per-node dominance-subtree
-// bounds, the back-edge-target marks, and — under opts.SortedT — the
-// sorted-array T representation (dropping the T arena).
+// the shared analyses: the per-node dominance-subtree bounds and the
+// back-edge-target marks.
 func (c *Checker) finish() {
 	n := c.dfs.NumReachable
 	c.numMax = make([]int, n)
@@ -156,18 +240,6 @@ func (c *Checker) finish() {
 	c.backTarget = make([]bool, n)
 	for _, e := range c.dfs.BackEdges {
 		c.backTarget[c.tree.Num[e.T]] = true
-	}
-	if c.opts.SortedT {
-		c.tSorted = make([][]int32, n)
-		for i := 0; i < n; i++ {
-			elems := c.t.Row(i).Elements()
-			arr := make([]int32, len(elems))
-			for j, e := range elems {
-				arr[j] = int32(e)
-			}
-			c.tSorted[i] = arr
-		}
-		c.t = nil // one release frees the whole T arena
 	}
 }
 
@@ -188,33 +260,35 @@ func (c *Checker) precomputeR() {
 }
 
 // precomputeTExact evaluates Equation 1 for every node, iterating in
-// increasing DFS preorder; Theorem 3 guarantees each T↑ member was already
-// finished (the done mask turns an ordering violation into a panic instead
-// of a silent read of a half-built arena row).
-func (c *Checker) precomputeTExact() {
+// increasing DFS preorder, into a scratch matrix that pack then converts;
+// Theorem 3 guarantees each T↑ member was already finished (the done mask
+// turns an ordering violation into a panic instead of a silent read of a
+// half-built arena row).
+func (c *Checker) precomputeTExact() *bitset.Matrix {
 	n := c.dfs.NumReachable
-	c.t = bitset.NewMatrix(n, n)
+	t := bitset.NewMatrix(n, n)
 	done := make([]bool, n)
 	for _, v := range c.dfs.PreOrder {
 		vn := c.tree.Num[v]
-		c.t.RowAdd(vn, vn)
+		t.RowAdd(vn, vn)
 		for _, e := range c.dfs.BackEdges {
 			sn, tn := c.tree.Num[e.S], c.tree.Num[e.T]
 			if c.r.RowHas(vn, sn) && !c.r.RowHas(vn, tn) {
 				if !done[tn] {
 					panic("core: Theorem 3 ordering violated")
 				}
-				c.t.RowUnion(vn, tn)
+				t.RowUnion(vn, tn)
 			}
 		}
 		done[vn] = true
 	}
+	return t
 }
 
 // precomputeTPropagate implements the three-pass scheme of §5.2, on two
-// arenas: a compact targets-only matrix for pass 1 and the final T matrix
-// that passes 2–4 fill in place.
-func (c *Checker) precomputeTPropagate() {
+// arenas: a compact targets-only matrix for pass 1 and the scratch T
+// matrix that passes 2–4 fill in place and pack then converts.
+func (c *Checker) precomputeTPropagate() *bitset.Matrix {
 	n := c.dfs.NumReachable
 	tree := c.tree
 
@@ -253,11 +327,11 @@ func (c *Checker) precomputeTPropagate() {
 	}
 
 	// Pass 2: union the targets' sets into each back-edge source, seeding
-	// the final T rows directly.
-	c.t = bitset.NewMatrix(n, n)
+	// the T rows directly.
+	t := bitset.NewMatrix(n, n)
 	for _, e := range c.dfs.BackEdges {
 		sn, tn := tree.Num[e.S], tree.Num[e.T]
-		c.t.Row(sn).Union(tm.Row(int(targetRow[tn])))
+		t.Row(sn).Union(tm.Row(int(targetRow[tn])))
 	}
 
 	// Pass 3: propagate the source sets through the reduced graph in
@@ -267,15 +341,16 @@ func (c *Checker) precomputeTPropagate() {
 	for _, v := range c.dfs.PostOrder {
 		vn := tree.Num[v]
 		c.dfs.ReducedSuccs(v, func(w int) {
-			c.t.RowUnion(vn, tree.Num[w])
+			t.RowUnion(vn, tree.Num[w])
 		})
 	}
 	// Pass 4: apply Definition 5's t ∉ R_v filter (see the
 	// StrategyPropagate doc comment), then add v itself.
 	for vn := 0; vn < n; vn++ {
-		c.t.Row(vn).Subtract(c.r.Row(vn))
-		c.t.RowAdd(vn, vn)
+		t.Row(vn).Subtract(c.r.Row(vn))
+		t.RowAdd(vn, vn)
 	}
+	return t
 }
 
 // reachableNum returns the dominance preorder number of v, or -1 when v is
@@ -345,12 +420,9 @@ func (c *Checker) IsLiveIn(def int, uses []int, q int) bool {
 	if qN <= defN || maxDom < qN {
 		return false
 	}
-	if c.opts.SortedT {
-		return c.liveInSortedT(defN, maxDom, qN, uses)
-	}
-	tq := c.t.Row(qN)
-	t := tq.NextSet(defN + 1)
-	for t != bitset.None && t <= maxDom {
+	tq := c.candidates(qN, defN)
+	for i := 0; i < len(tq) && int(tq[i]) <= maxDom; i++ {
+		t := int(tq[i])
 		if usesIn(c, t, uses) {
 			return true
 		}
@@ -359,40 +431,9 @@ func (c *Checker) IsLiveIn(def int, uses []int, q int) bool {
 			// candidate decides the query.
 			return false
 		}
-		next := t + 1
 		if !c.opts.NoSkipSubtrees {
 			// §5.1: everything in t's dominance subtree has R ⊆ R_t.
-			next = c.numMax[t] + 1
-		}
-		t = tq.NextSet(next)
-	}
-	return false
-}
-
-// liveInSortedT is the §6.1 sorted-array variant of the T_q walk.
-func (c *Checker) liveInSortedT(defN, maxDom, qN int, uses []int) bool {
-	arr := c.tSorted[qN]
-	// Binary search for the first element > defN.
-	lo, hi := 0, len(arr)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(arr[mid]) <= defN {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for i := lo; i < len(arr) && int(arr[i]) <= maxDom; i++ {
-		t := int(arr[i])
-		if usesIn(c, t, uses) {
-			return true
-		}
-		if c.reducible && !c.opts.NoReducibleFastPath {
-			return false
-		}
-		if !c.opts.NoSkipSubtrees {
-			skipTo := c.numMax[t]
-			for i+1 < len(arr) && int(arr[i+1]) <= skipTo {
+			for skip := c.numMax[t]; i+1 < len(tq) && int(tq[i+1]) <= skip; {
 				i++
 			}
 		}
@@ -416,26 +457,9 @@ func (c *Checker) IsLiveOut(def int, uses []int, q int) bool {
 	if qN <= defN || maxDom < qN {
 		return false // def must strictly dominate q (line 4)
 	}
-	var t int
-	var arr []int32
-	var ai int
-	var tq *bitset.Set
-	if c.opts.SortedT {
-		arr = c.tSorted[qN]
-		ai = 0
-		for ai < len(arr) && int(arr[ai]) <= defN {
-			ai++
-		}
-		if ai < len(arr) {
-			t = int(arr[ai])
-		} else {
-			t = bitset.None
-		}
-	} else {
-		tq = c.t.Row(qN)
-		t = tq.NextSet(defN + 1)
-	}
-	for t != bitset.None && t <= maxDom {
+	tq := c.candidates(qN, defN)
+	for i := 0; i < len(tq) && int(tq[i]) <= maxDom; i++ {
+		t := int(tq[i])
 		// Line 7–9: when t = q and q is not a back-edge target, a use at q
 		// itself only witnesses the trivial path and must be ignored.
 		dropQ := t == qN && !c.backTarget[qN]
@@ -459,21 +483,10 @@ func (c *Checker) IsLiveOut(def int, uses []int, q int) bool {
 			// there are none beyond it; continue the loop for soundness on
 			// equal-R edge cases.
 		}
-		next := t + 1
 		if !c.opts.NoSkipSubtrees {
-			next = c.numMax[t] + 1
-		}
-		if c.opts.SortedT {
-			for ai < len(arr) && int(arr[ai]) < next {
-				ai++
+			for skip := c.numMax[t]; i+1 < len(tq) && int(tq[i+1]) <= skip; {
+				i++
 			}
-			if ai < len(arr) {
-				t = int(arr[ai])
-			} else {
-				t = bitset.None
-			}
-		} else {
-			t = tq.NextSet(next)
 		}
 	}
 	return false
@@ -498,16 +511,9 @@ func (c *Checker) TSetNodes(v int) []int {
 	if n < 0 {
 		return nil
 	}
-	var nums []int
-	if c.opts.SortedT {
-		for _, e := range c.tSorted[n] {
-			nums = append(nums, int(e))
-		}
-	} else {
-		nums = c.t.Row(n).Elements()
-	}
-	out := make([]int, len(nums))
-	for i, num := range nums {
+	row := c.candidates(n, -1)
+	out := make([]int, len(row))
+	for i, num := range row {
 		out[i] = c.tree.Order[num]
 	}
 	return out
@@ -522,22 +528,15 @@ func (c *Checker) DFS() *cfg.DFS { return c.dfs }
 // Options returns the options the checker was built with.
 func (c *Checker) Options() Options { return c.opts }
 
-// Matrices exposes the R and T arenas for serialization (see Adopt for the
-// reverse direction). T is nil for the SortedT variant, which dropped its
-// arena after conversion — such checkers cannot be snapshotted. Treat both
-// as read-only: they are live query storage.
-func (c *Checker) Matrices() (r, t *bitset.Matrix) { return c.r, c.t }
+// Arenas exposes the R matrix and the CSR T arena for serialization (see
+// Adopt for the reverse direction). Treat both as read-only: they are live
+// query storage.
+func (c *Checker) Arenas() (r *bitset.Matrix, t []int32) { return c.r, c.t }
 
 // MemoryBytes reports the payload footprint of the precomputed sets; the
 // harness uses it to reproduce the §6.1 break-even discussion and the §8
-// quadratic-growth series. Arena-backed storage is accounted by the
-// matrices' own footprint method (Matrix.WordBytes, zero for the T arena
-// the sorted variant dropped), the sorted arrays by element width — one
-// definition per representation, shared by every engine.
+// quadratic-growth series: the R arena's words plus 4 bytes per value of
+// the T arena, offsets included.
 func (c *Checker) MemoryBytes() int {
-	total := c.r.WordBytes() + c.t.WordBytes()
-	for _, a := range c.tSorted {
-		total += 4 * len(a)
-	}
-	return total
+	return c.r.WordBytes() + 4*len(c.t)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fastliveness/internal/cfg"
@@ -56,30 +57,50 @@ func allOptions() []Options {
 	for _, strat := range []Strategy{StrategyExact, StrategyPropagate} {
 		for _, noSkip := range []bool{false, true} {
 			for _, noFast := range []bool{false, true} {
-				for _, sortedT := range []bool{false, true} {
-					out = append(out, Options{
-						Strategy:            strat,
-						NoSkipSubtrees:      noSkip,
-						NoReducibleFastPath: noFast,
-						SortedT:             sortedT,
-					})
-				}
+				out = append(out, Options{
+					Strategy:            strat,
+					NoSkipSubtrees:      noSkip,
+					NoReducibleFastPath: noFast,
+				})
 			}
 		}
 	}
 	return out
 }
 
-// checkGraphAgainstBrute exhaustively compares the checker with the brute
-// force on every valid (def, uses, q) combination for a few random
-// variables.
+// checkGraphAgainstBrute checks every checker's CSR T arena shape, then
+// exhaustively compares the checker with the brute force on every valid
+// (def, uses, q) combination for a few random variables.
 func checkGraphAgainstBrute(t *testing.T, g *cfg.Graph, rng *rand.Rand, trial int) {
 	t.Helper()
 	d := cfg.NewDFS(g)
 	tree := dom.Iterative(g, d)
-	checkers := make([]*Checker, 0, 16)
+	checkers := make([]*Checker, 0, 8)
+	nr := d.NumReachable
 	for _, o := range allOptions() {
-		checkers = append(checkers, NewFrom(g, d, tree, o))
+		c := NewFrom(g, d, tree, o)
+		checkers = append(checkers, c)
+		// n+1 offsets from 0 to the entry count, never decreasing, then
+		// strictly increasing rows in [0, n) that hold their own node.
+		off, ent := c.t[:nr+1], c.t[nr+1:]
+		if off[0] != 0 || int(off[nr]) != len(ent) {
+			t.Fatalf("trial %d (opts %+v): T offsets run %d..%d over %d entries", trial, o, off[0], off[nr], len(ent))
+		}
+		for v := 0; v < nr; v++ {
+			if off[v] > off[v+1] {
+				t.Fatalf("trial %d (opts %+v): T offsets decrease at row %d", trial, o, v)
+			}
+			row, own := ent[off[v]:off[v+1]], false
+			for i, x := range row {
+				if x < 0 || int(x) >= nr || (i > 0 && x <= row[i-1]) {
+					t.Fatalf("trial %d (opts %+v): T row %d = %v is not strictly increasing in [0,%d)", trial, o, v, row, nr)
+				}
+				own = own || int(x) == v
+			}
+			if !own {
+				t.Fatalf("trial %d (opts %+v): T row %d = %v lacks %d", trial, o, v, row, v)
+			}
+		}
 	}
 	n := g.N()
 	// For each candidate definition node, build a few random use sets
@@ -409,20 +430,68 @@ func TestLiveOutAtDefNode(t *testing.T) {
 	}
 }
 
+// MemoryBytes is the R arena's words plus 4 bytes per value of the CSR T
+// arena: n+1 offsets and one entry per T_v member.
 func TestMemoryBytesAndStrategyString(t *testing.T) {
 	g := graphgen.Ladder(64)
-	cBit := New(g, Options{})
-	cSorted := New(g, Options{SortedT: true})
-	if cBit.MemoryBytes() <= 0 || cSorted.MemoryBytes() <= 0 {
-		t.Fatal("memory accounting broken")
-	}
-	// T as sorted arrays must be smaller than T as bitsets on this shape
-	// (few back edges).
-	if cSorted.MemoryBytes() >= cBit.MemoryBytes() {
-		t.Fatalf("sorted T should save memory: %d vs %d", cSorted.MemoryBytes(), cBit.MemoryBytes())
+	for _, st := range []Strategy{StrategyExact, StrategyPropagate} {
+		c := New(g, Options{Strategy: st})
+		n := c.DFS().NumReachable
+		entries := 0
+		for v := 0; v < g.N(); v++ {
+			entries += len(c.TSetNodes(v))
+		}
+		want := 8*n*((n+63)/64) + 4*(n+1+entries)
+		if got := c.MemoryBytes(); got != want {
+			t.Fatalf("%v: MemoryBytes %d, want %d (%d nodes, %d T entries)", st, got, want, n, entries)
+		}
 	}
 	if StrategyExact.String() != "exact" || StrategyPropagate.String() != "propagate" {
 		t.Fatal("strategy names wrong")
+	}
+}
+
+// Adopt rejects every T arena the query walks could index out of range
+// with, or misread, and adopts the arena a checker built.
+func TestAdoptRejectsMalformedT(t *testing.T) {
+	g := figure3()
+	d := cfg.NewDFS(g)
+	tree := dom.Iterative(g, d)
+	built := NewFrom(g, d, tree, Options{})
+	r, good := built.Arenas()
+	n := d.NumReachable
+	if good[1] != 1 || good[n+1] != 0 || good[3]-good[2] < 2 {
+		t.Fatalf("fixture: want row 0 = {0} and row 2 of two or more entries, arena %v", good)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(a []int32) []int32
+		want string // error substring; "" = accepted
+	}{
+		{"built", func(a []int32) []int32 { return a }, ""},
+		{"short", func(a []int32) []int32 { return a[:n] }, "at least"},
+		{"offsets-start-off-zero", func(a []int32) []int32 { a[0] = 1; return a }, "start at 1"},
+		{"offsets-decrease", func(a []int32) []int32 { a[1], a[2] = a[2], a[1]; return a }, "decrease"},
+		{"offsets-overrun", func(a []int32) []int32 { a[1] = int32(len(a)); return a }, "decrease"},
+		{"offsets-end-short", func(a []int32) []int32 { return a[:len(a)-1] }, "end at"},
+		{"entry-out-of-range", func(a []int32) []int32 { a[len(a)-1] = int32(n); return a }, "holds node"},
+		{"entry-negative", func(a []int32) []int32 { a[n+1] = -1; return a }, "not strictly increasing"},
+		{"row-not-increasing", func(a []int32) []int32 { e := a[n+1:]; e[a[2]+1] = e[a[2]]; return a }, "not strictly increasing"},
+		{"row-lacks-own-node", func(a []int32) []int32 { a[n+1] = 1; return a }, "lacks its own node"},
+	} {
+		arena := tc.edit(append([]int32(nil), good...))
+		c, err := Adopt(g, d, tree, Options{}, r, arena)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Fatalf("%s: valid arena rejected: %v", tc.name, err)
+		case tc.want == "" && c.TSetNodes(9) == nil:
+			t.Fatalf("%s: adopted checker has no T_10", tc.name)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Fatalf("%s: Adopt returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := Adopt(g, d, tree, Options{}, nil, good); err == nil {
+		t.Fatal("Adopt accepted a nil R matrix")
 	}
 }
 

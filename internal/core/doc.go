@@ -28,11 +28,15 @@
 // property, and what lets the fastliveness.Engine cache one Checker per
 // function while the program around it is rewritten.
 //
-// Both sets are bitsets indexed by the dominance-tree preorder numbering of
-// package dom (§5.1), so "strictly dominated by def" is a contiguous bit
-// interval and the most-dominating candidate is the lowest set bit, which
-// by Theorem 2 is the only candidate that matters on reducible CFGs
-// (Checker.Reducible reports whether that fast path is active;
-// Options.NoReducibleFastPath ablates it). Options.SortedT swaps the T
-// bitsets for sorted arrays, the §6.1 memory/time trade-off.
+// Both sets are indexed by the dominance-tree preorder numbering of package
+// dom (§5.1), so "strictly dominated by def" is a contiguous interval and
+// the most-dominating candidate is the lowest one, which by Theorem 2 is
+// the only candidate that matters on reducible CFGs (Checker.Reducible
+// reports whether that fast path is active; Options.NoReducibleFastPath
+// ablates it). R is a bitset matrix, because the query tests membership
+// in it. T is built as a bitset matrix too, word-parallel, then packed
+// into one CSR arena of sorted rows — the sorted-array storage §6.1
+// proposes. T averages about two entries per row, so the candidate walk
+// is a short linear scan and the arena costs a few bytes per node instead
+// of a dense n×n matrix.
 package core

@@ -1,9 +1,9 @@
 // Package snapshot persists the checker's CFG-only precomputation across
 // processes: a versioned, per-section-checksummed binary format holding
-// the CFG edge arenas, the DFS and dominator-tree arrays, and the dense
-// R/T bitset matrices, keyed by a structural CFG fingerprint, plus a
-// size-bounded on-disk Store the engine uses as a disk tier under its
-// LRU.
+// the CFG edge arenas, the DFS and dominator-tree arrays, the dense R
+// bitset matrix and the CSR T arena, keyed by a structural CFG
+// fingerprint, plus a size-bounded on-disk Store the engine uses as a
+// disk tier under its LRU.
 //
 // The design leans on the paper's invalidation asymmetry (§4): R and T
 // depend only on CFG structure, so the cache key hashes block structure and
@@ -21,9 +21,9 @@ import (
 
 // Format flag bits. Only knobs that change the *content* of the R/T arenas
 // belong here: the T-set strategy does (exact and propagate produce
-// different — though answer-equivalent — sets), while the query-time
-// ablations (NoSkipSubtrees, NoReducibleFastPath) and the SortedT storage
-// variant do not, so configs differing only in those share snapshots.
+// different — though answer-equivalent — CSR T arenas), while the
+// query-time ablations (NoSkipSubtrees, NoReducibleFastPath) do not, so
+// configs differing only in those share snapshots.
 const (
 	flagStrategyExact uint32 = 1 << 0
 )
@@ -68,7 +68,7 @@ func Fingerprint(g *cfg.Graph, flags uint32) uint64 {
 // successor counts and node indices, both of which read straight off
 // f.Blocks. It also returns the block-ID→node index (FromFunc's second
 // result), which the hash needs anyway and RestoreFrom wants next. This
-// is the warm path's key derivation: under snapshot format v3 the graph
+// is the warm path's key derivation: since snapshot format v3 the graph
 // itself is adopted from the file, so a hit never runs FromFunc at all.
 func FingerprintFunc(f *ir.Func, flags uint32) (uint64, []int) {
 	index := make([]int, f.NumBlocks())

@@ -19,16 +19,16 @@ import (
 	"fastliveness/internal/ir"
 )
 
-// Binary layout, version 3 (all fixed-width fields little-endian):
+// Binary layout, version 4 (all fixed-width fields little-endian):
 //
 //	offset  size  field
 //	0       8     magic "FLSNAP01"
-//	8       4     version (currently 3)
+//	8       4     version (currently 4)
 //	12      4     flags (FlagsFor bits)
 //	16      8     fingerprint
 //	24      4     nBlocks   (CFG nodes)
 //	28      4     nEdges    (CFG edges)
-//	32      4     nReach    (entry-reachable nodes, = matrix dimension)
+//	32      4     nReach    (entry-reachable nodes, = R/T dimension)
 //	36      4     nBack     (DFS back edges)
 //	40      4     rBytes    (encoded length of the R section)
 //	44      4     tBytes    (encoded length of the T section)
@@ -40,10 +40,9 @@ import (
 //	68      4     CRC-32C of the header bytes [0,68)
 //	72      ...   payload sections, back to back: CFG, DFS, DOM, R, T
 //
-// Where version 2 stored only the idom array plus the dense R/T arenas and
-// re-derived everything else linearly at load (cfg.FromFunc + cfg.NewDFS +
-// dom.FromIdom), v3 persists every derivation product the checker adopts,
-// as flat 8-byte little-endian integer arrays:
+// The structural sections persist every derivation product the checker
+// adopts (as v3 did; v2 stored only the idom array and re-derived the
+// rest at load), as flat 8-byte little-endian integer arrays:
 //
 //	CFG  succOff[n+1] succs[e] predOff[n+1] preds[e]
 //	DFS  pre[n] post[n] parent[n] subtreeMax[n]
@@ -52,18 +51,23 @@ import (
 //
 // The header is 72 bytes and every structural element is 8 bytes, so all
 // sections stay 8-aligned within the buffer and a 64-bit little-endian
-// host aliases the integer arrays straight out of the mapping (adoptInts)
+// host aliases the integer arrays straight out of the mapping (adoptArray)
 // — a warm load is offset arithmetic plus O(n+e) validation, no
 // re-derivation.
 //
-// The R and T matrices — the O(n²) bulk of the file — are stored dense,
-// exactly as the checker holds them in memory (arena word order,
-// little-endian), with rBytes = tBytes = 8 · nReach · wordsPerRow(nReach)
-// pinned to the header dimensions. Dense storage is what makes a warm
-// load sub-linear in the matrix size: on a 64-bit little-endian host the
-// arenas are adopted straight out of the mmap'd file (adoptWords), so no
-// matrix byte is allocated, zeroed, copied or even read at load time —
-// the kernel pages the words in as queries touch them.
+// R is stored dense, exactly as the checker holds it in memory (arena word
+// order, 8-byte little-endian words), with rBytes = 8 · nReach ·
+// wordsPerRow(nReach) pinned to the header dimensions. T is the checker's
+// CSR arena (core.Checker.Arenas) as 4-byte little-endian int32s: nReach+1
+// row offsets, then every row's sorted entries. Its length depends on the
+// entry count, so tBytes is only bounded by the dimensions (at least
+// 4 · (nReach+1), a multiple of 4) and pinned by the exact file length; T
+// is the last section, so the variable length moves no other offset. On a
+// 64-bit little-endian host both arenas are adopted straight out of the
+// mmap'd file, so no R byte is allocated, zeroed, copied or even read at
+// load time — the kernel pages the words in as queries touch them. T,
+// about two entries per row, is read once by core.Adopt, whose O(n +
+// entries) shape check keeps a corrupt arena from indexing out of range.
 //
 // One CRC per section, instead of v2's single file-wide checksum, buys
 // two things. First, a load that fails an early check (version skew, a
@@ -71,15 +75,15 @@ import (
 // pays the checksum scan for the sections it didn't reach — the store
 // counts those as section skips. Second, and the reason the R and T
 // arenas are sealed separately: a load may verify the small structural
-// sections eagerly while deciding per policy whether to scan the O(n²)
-// arenas at all. Decode — the public entry point, and every path that
-// copies the payload out of the buffer (big-endian or 32-bit hosts,
-// forced-copy mode, the plain-read mmap fallback) — verifies all five
-// sections, overlapping the arena scans with the structural adoption on
-// a second goroutine. The store's aliasing mmap path instead verifies
-// header + CFG + DFS + DOM and defers the arena scans entirely (see
+// sections eagerly while deciding per policy whether to scan the arenas
+// at all. Decode — the public entry point, and every path that copies the
+// payload out of the buffer (big-endian or 32-bit hosts, forced-copy
+// mode, the plain-read mmap fallback) — verifies all five sections,
+// overlapping the arena scans with the structural adoption on a second
+// goroutine. The store's aliasing mmap path instead verifies header + CFG
+// + DFS + DOM and defers the arena scans entirely (see
 // Store.SetVerifyArenas), because scanning them would re-introduce the
-// linear pass over the matrices that dense aliasing exists to remove.
+// linear pass over the R matrix that dense aliasing exists to remove.
 //
 // The corruption contract therefore splits by section. Structural
 // corruption anywhere — header, CFG, DFS, DOM — fails a checksum on
@@ -90,11 +94,13 @@ import (
 // SetVerifyArenas; on the default aliasing path it is not scanned for at
 // load, matching the usual mmap'd-format trade (LMDB and friends): the
 // page cache, not the checksum, is what stands between a query and the
-// disk. (Version-2 files fail the version check and are recomputed and
-// rewritten in this format; so did v1 files under v2.)
+// disk — except that a T arena out of shape (an entry out of range, an
+// unsorted row, broken offsets) fails core.Adopt and degrades to
+// recompute. (Version-3 files fail the version check and are recomputed
+// and rewritten in this format; so did v2 files under v3.)
 const (
 	headerSize    = 72
-	formatVersion = 3
+	formatVersion = 4
 )
 
 // numSections counts the checksum-sealed payload sections (CFG, DFS, DOM,
@@ -112,10 +118,10 @@ const maxDim = 1 << 30
 
 // Snapshot is one function's decoded (or about-to-be-encoded) checker
 // precomputation: the CFG adjacency arenas, the DFS and dominator-tree
-// arrays, and the R/T matrices. The integer slices and the RWords/TWords
-// arenas may alias a Decode input buffer — the zero-copy path — so a
-// Snapshot adopted into a live checker must outlive its buffer, which it
-// does by construction (the slices keep it reachable).
+// arrays, the R matrix and the CSR T arena. The integer slices and the
+// RWords/T arenas may alias a Decode input buffer — the zero-copy path —
+// so a Snapshot adopted into a live checker must outlive its buffer, which
+// it does by construction (the slices keep it reachable).
 type Snapshot struct {
 	Flags   uint32
 	FP      uint64
@@ -139,32 +145,26 @@ type Snapshot struct {
 	Idom, Num, MaxNum, Order []int
 	ChildOff, Children       []int
 
+	// RWords is the R matrix's word arena; T is the checker's CSR T arena
+	// (core.Checker.Arenas).
 	RWords []uint64
-	TWords []uint64
+	T      []int32
 
 	// size is the encoded byte length, recorded by Decode. WriteTo leaves
-	// it alone — concurrent Saves of one snapshot may race, and the dense
-	// format's size is pure arithmetic over the dimensions anyway
-	// (SizeBytes).
+	// it alone — concurrent Saves of one snapshot may race — and SizeBytes
+	// recomputes it from the arrays otherwise.
 	size int64
 }
 
-// ErrNoArena marks checkers that cannot be captured: the SortedT variant
-// drops its T arena after conversion, leaving nothing to serialize. (Such
-// configs still *load* snapshots — core.Adopt re-runs the conversion.)
-var ErrNoArena = errors.New("snapshot: checker dropped its T arena (SortedT); nothing to capture")
-
 // Capture packages a live checker's precomputation for serialization. The
-// word slices and the DFS/dominator arrays alias the live structures —
-// WriteTo streams them straight into the file, and all of them are
-// write-once at precompute time, so the alias is safe. Only the adjacency
-// rows and children lists are flattened (copied) here, into the
-// offset-array layout the format stores.
+// R words, the T arena and the DFS/dominator arrays alias the live
+// structures — WriteTo streams them straight into the file, and all of
+// them are write-once at precompute time, so the alias is safe. Only the
+// adjacency rows and children lists are flattened (copied) here, into the
+// offset-array layout the format stores. Every checker can be captured:
+// the error is always nil.
 func Capture(p *backend.Prep, c *core.Checker) (*Snapshot, error) {
-	r, t := c.Matrices()
-	if t == nil {
-		return nil, ErrNoArena
-	}
+	r, t := c.Arenas()
 	g, d, tree := p.Graph, p.DFS, p.Tree
 	flags := FlagsFor(c.Options())
 	n := g.N()
@@ -182,7 +182,7 @@ func Capture(p *backend.Prep, c *core.Checker) (*Snapshot, error) {
 		Idom: tree.Idom, Num: tree.Num, MaxNum: tree.MaxNum, Order: tree.Order,
 
 		RWords: r.Words(),
-		TWords: t.Words(),
+		T:      t,
 	}
 	s.SuccOff, s.Succs = flattenRows(g.Succs, s.NEdges)
 	s.PredOff, s.Preds = flattenRows(g.Preds, s.NEdges)
@@ -258,11 +258,13 @@ func (s *Snapshot) encodedSize() (int64, error) {
 	case len(s.Idom) != n || len(s.Num) != n || len(s.MaxNum) != n || len(s.Order) != r ||
 		len(s.ChildOff) != n+1 || len(s.Children) != nc:
 		return 0, errors.New("snapshot: inconsistent dominator arrays")
-	case len(s.RWords) != arena || len(s.TWords) != arena:
-		return 0, fmt.Errorf("snapshot: R/T arenas are %d/%d words, want %d", len(s.RWords), len(s.TWords), arena)
+	case len(s.RWords) != arena:
+		return 0, fmt.Errorf("snapshot: R arena is %d words, want %d", len(s.RWords), arena)
+	case len(s.T) < r+1 || int(s.T[r]) != len(s.T)-(r+1):
+		return 0, fmt.Errorf("snapshot: T arena of %d values does not hold %d offsets and the entries they count", len(s.T), r+1)
 	}
 	rB := 8 * int64(arena)
-	tB := 8 * int64(arena)
+	tB := 4 * int64(len(s.T))
 	total := int64(headerSize) + cfgB + dfsB + domB + rB + tB
 	if rB > 1<<32-1 || tB > 1<<32-1 || int64(int(total)) != total {
 		return 0, fmt.Errorf("snapshot: %d-byte encoding exceeds the format's bounds", total)
@@ -292,7 +294,7 @@ func (s *Snapshot) emitSection(i int, stage []byte, fn func([]byte) error) error
 	case 3:
 		return emitArray(s.RWords, stage, fn)
 	default:
-		return emitArray(s.TWords, stage, fn)
+		return emitArray(s.T, stage, fn)
 	}
 	for _, a := range ints {
 		if err := emitArray(a, stage, fn); err != nil {
@@ -302,21 +304,37 @@ func (s *Snapshot) emitSection(i int, stage []byte, fn func([]byte) error) error
 	return nil
 }
 
-// emitArray feeds a's little-endian 8-byte encoding to fn. When the host
-// already holds a in that form — 8-byte elements, little-endian — it is
-// one call on a byte view of the array itself; otherwise the elements are
-// encoded through stage and fed to fn a chunk at a time.
-func emitArray[T int | uint64](a []T, stage []byte, fn func([]byte) error) error {
+// elemWidth is an array element's width in the file: 4 bytes for the
+// int32 T arena, 8 for every other array.
+func elemWidth[E int | uint64 | int32]() int {
+	var zero E
+	if _, ok := any(zero).(int32); ok {
+		return 4
+	}
+	return 8
+}
+
+// emitArray feeds a's little-endian file encoding to fn. When the host
+// already holds a in that form — elements of the file width,
+// little-endian — it is one call on a byte view of the array itself;
+// otherwise the elements are encoded through stage and fed to fn a chunk
+// at a time.
+func emitArray[E int | uint64 | int32](a []E, stage []byte, fn func([]byte) error) error {
 	if len(a) == 0 {
 		return nil
 	}
-	if nativeLittleEndian && unsafe.Sizeof(a[0]) == 8 {
-		return fn(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 8*len(a)))
+	w := elemWidth[E]()
+	if nativeLittleEndian && int(unsafe.Sizeof(a[0])) == w {
+		return fn(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), w*len(a)))
 	}
 	k := 0
 	for _, v := range a {
-		binary.LittleEndian.PutUint64(stage[k:], uint64(int64(v)))
-		if k += 8; k == len(stage) {
+		if w == 4 {
+			binary.LittleEndian.PutUint32(stage[k:], uint32(v))
+		} else {
+			binary.LittleEndian.PutUint64(stage[k:], uint64(int64(v)))
+		}
+		if k += w; k == len(stage) {
 			if err := fn(stage); err != nil {
 				return err
 			}
@@ -359,7 +377,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[32:], uint32(s.NReach))
 	binary.LittleEndian.PutUint32(hdr[36:], uint32(len(s.BackEdges)/2))
 	binary.LittleEndian.PutUint32(hdr[40:], uint32(8*len(s.RWords)))
-	binary.LittleEndian.PutUint32(hdr[44:], uint32(8*len(s.TWords)))
+	binary.LittleEndian.PutUint32(hdr[44:], uint32(4*len(s.T)))
 	binary.LittleEndian.PutUint32(hdr[68:], crc32.Checksum(hdr[:68], crcTable))
 
 	var written int64
@@ -400,7 +418,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 // entry point, not this one. Any deviation — truncation, bit flips
 // anywhere, an unknown version — is an error, never a panic and never a
 // silently corrupt Snapshot. On the happy path the structural integer
-// arrays and the R/T arenas alias buf (adoptInts/adoptWords), with the
+// arrays and the R/T arenas alias buf (adoptArray), with the
 // arena scans running concurrently with the structural verification.
 func Decode(buf []byte) (*Snapshot, error) {
 	s, _, err := decode(buf, true)
@@ -444,7 +462,7 @@ func decode(buf []byte, verifyArenas bool) (*Snapshot, int, error) {
 
 	cfgB, dfsB, domB, ok := sectionSizes(s.NBlocks, s.NEdges, s.NReach, nBack)
 	arena64 := int64(s.NReach) * int64(wordsPerRow(s.NReach))
-	if !ok || rB != 8*arena64 || tB != 8*arena64 {
+	if !ok || rB != 8*arena64 || tB < 4*(int64(s.NReach)+1) || tB%4 != 0 {
 		return nil, 0, fmt.Errorf("snapshot: implausible dimensions (%d blocks, %d edges, %d reachable, %d back edges, R %d, T %d)",
 			s.NBlocks, s.NEdges, s.NReach, nBack, rB, tB)
 	}
@@ -457,18 +475,17 @@ func decode(buf []byte, verifyArenas bool) (*Snapshot, int, error) {
 	rOff := domOff + int(domB)
 	tOff := rOff + int(rB)
 
-	// The R/T arenas — the O(n²) bulk — are adopted zero-copy when the
-	// host allows, which for an mmap'd buffer means no matrix byte is
-	// read at all, or decoded by copy otherwise. A copying path verifies
-	// the arena checksums while the bytes are in hand (it pays a linear
-	// pass regardless); the aliasing path scans them only when the caller
-	// asks. Scans run on their own goroutine while this one verifies and
-	// adopts the structural sections, so a multicore scanning load pays
-	// max(scan, adopt), not the sum.
-	arena := int(arena64)
+	// The R/T arenas — R is the O(n²) bulk — are adopted zero-copy when
+	// the host allows, which for an mmap'd buffer means no R byte is read
+	// at all, or decoded by copy otherwise. A copying path verifies the
+	// arena checksums while the bytes are in hand (it pays a linear pass
+	// regardless); the aliasing path scans them only when the caller asks.
+	// Scans run on their own goroutine while this one verifies and adopts
+	// the structural sections, so a multicore scanning load pays max(scan,
+	// adopt), not the sum.
 	var rAliased, tAliased bool
-	s.RWords, rAliased = adoptWords(buf[rOff:tOff], arena)
-	s.TWords, tAliased = adoptWords(buf[tOff:], arena)
+	s.RWords, rAliased = adoptArray[uint64](buf[rOff:tOff], int(arena64))
+	s.T, tAliased = adoptArray[int32](buf[tOff:], int(tB/4))
 	rtScanned := 0
 	var rtErr error
 	done := make(chan struct{})
@@ -510,7 +527,7 @@ func decode(buf []byte, verifyArenas bool) (*Snapshot, int, error) {
 		}
 		cur := headerSize
 		next := func(count int) []int {
-			a := adoptInts(buf[cur:], count)
+			a, _ := adoptArray[int](buf[cur:], count)
 			cur += 8 * count
 			return a
 		}
@@ -544,10 +561,9 @@ var nativeLittleEndian = func() bool {
 // intIs64 gates aliasing file int64s as Go ints.
 const intIs64 = bits.UintSize == 64
 
-// forceCopyDecode, when set, disables the aliasing fast paths in
-// adoptInts/adoptWords so the portable per-word decode — the code big-
-// endian and 32-bit hosts always run — executes on any host. Test hook;
-// see SetForceCopyDecode.
+// forceCopyDecode, when set, disables adoptArray's aliasing fast path so
+// the portable per-element decode — the code big-endian and 32-bit hosts
+// always run — executes on any host. Test hook; see SetForceCopyDecode.
 var forceCopyDecode atomic.Bool
 
 // SetForceCopyDecode forces (or, with false, re-enables auto-detection
@@ -557,50 +573,40 @@ var forceCopyDecode atomic.Bool
 // any loads, not concurrently with them.
 func SetForceCopyDecode(v bool) { forceCopyDecode.Store(v) }
 
-// decodeAliases reports whether Decode's structural arrays alias the
-// input buffer on this host (the store must then keep file mappings alive
-// as long as the decoded snapshot).
+// decodeAliases reports whether Decode's arrays alias the input buffer on
+// this host (the store must then keep file mappings alive as long as the
+// decoded snapshot).
 func decodeAliases() bool {
 	return intIs64 && nativeLittleEndian && !forceCopyDecode.Load()
 }
 
-// adoptInts views the first 8n bytes of b as n little-endian int64s —
-// zero-copy when int is 64 bits, the host is little-endian, and the base
-// is 8-aligned (the header and every array boundary are multiples of 8,
-// so within any fresh []byte or page-aligned mapping all arrays qualify).
-// Otherwise it falls back to a decoding copy, so the function is correct
-// on any host; only the constant factor changes. Values are validated by
-// the adopting constructors, not here.
-func adoptInts(b []byte, n int) []int {
-	if n == 0 {
-		return nil
-	}
-	if decodeAliases() && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*int)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(int64(binary.LittleEndian.Uint64(b[i*8:])))
-	}
-	return out
-}
-
-// adoptWords views the first 8n bytes of b as n little-endian uint64s —
-// zero-copy (aliased=true) under exactly the conditions adoptInts
-// aliases, so a Snapshot never mixes arrays that alias the buffer with
-// arrays that would outlive it under the store's unmap policy. Otherwise
-// it returns a decoded copy; callers must then verify the source bytes'
-// checksum themselves, which the aliasing path may defer.
-func adoptWords(b []byte, n int) (words []uint64, aliased bool) {
+// adoptArray views the first n file-width elements of b as an []E —
+// zero-copy (aliased=true) when decodeAliases holds and the base is
+// 8-aligned (the header and every section boundary are multiples of 8,
+// so within any fresh []byte or page-aligned mapping every array
+// qualifies). The condition is the same for every array, so a Snapshot
+// never mixes arrays that alias the buffer with arrays that would outlive
+// it under the store's unmap policy. Otherwise it returns a decoded copy,
+// so the function is correct on any host; callers must then verify the
+// source bytes' checksum themselves, which the aliasing path may defer
+// for the arenas. Values are validated by the adopting constructors, not
+// here.
+func adoptArray[E int | uint64 | int32](b []byte, n int) (out []E, aliased bool) {
 	if n == 0 {
 		return nil, true
 	}
 	if decodeAliases() && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n), true
+		return unsafe.Slice((*E)(unsafe.Pointer(&b[0])), n), true
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
+	out = make([]E, n)
+	if elemWidth[E]() == 4 {
+		for i := range out {
+			out[i] = E(int32(binary.LittleEndian.Uint32(b[i*4:])))
+		}
+	} else {
+		for i := range out {
+			out[i] = E(int64(binary.LittleEndian.Uint64(b[i*8:])))
+		}
 	}
 	return out, false
 }
@@ -637,11 +643,12 @@ func (s *Snapshot) Restore(f *ir.Func, opts core.Options) (*backend.CheckerResul
 // Validation still runs in full: flags, structural counts, an
 // edge-for-edge comparison of the stored successor rows against f's
 // current blocks, and the shape/consistency checks inside
-// cfg.AdoptGraph, cfg.AdoptDFS, dom.Adopt and bitset.AdoptMatrix. What
-// is *trusted* is the content the file captured from a live checker:
-// which DFS visit order was taken, which edges are back edges, and the
-// R/T words themselves — checksummed at save, scanned at load per the
-// store's arena-verification policy (see the format comment's corruption
+// cfg.AdoptGraph, cfg.AdoptDFS, dom.Adopt, bitset.AdoptMatrix and
+// core.Adopt (which checks the T arena's shape). What is *trusted* is the
+// content the file captured from a live checker: which DFS visit order
+// was taken, which edges are back edges, the R words and which nodes each
+// T row lists — checksummed at save, scanned at load per the store's
+// arena-verification policy (see the format comment's corruption
 // contract).
 func (s *Snapshot) RestoreFrom(f *ir.Func, index []int, opts core.Options) (*backend.CheckerResult, error) {
 	if got := FlagsFor(opts); got != s.Flags {
@@ -693,11 +700,7 @@ func (s *Snapshot) RestoreFrom(f *ir.Func, index []int, opts core.Options) (*bac
 	if err != nil {
 		return nil, err
 	}
-	t, err := bitset.AdoptMatrix(s.TWords, nr, nr)
-	if err != nil {
-		return nil, err
-	}
-	c, err := core.Adopt(g, d, tree, opts, r, t)
+	c, err := core.Adopt(g, d, tree, opts, r, s.T)
 	if err != nil {
 		return nil, err
 	}
@@ -706,8 +709,9 @@ func (s *Snapshot) RestoreFrom(f *ir.Func, index []int, opts core.Options) (*bac
 }
 
 // SizeBytes returns the encoded size of s — recorded by Decode, or
-// computed from the dimensions (the dense format's size is a pure
-// function of them); 0 for a snapshot that cannot be encoded.
+// computed from the dimensions and the T arena's length (T's entry count
+// is not a function of the dimensions); 0 for a snapshot that cannot be
+// encoded.
 func (s *Snapshot) SizeBytes() int64 {
 	if s.size > 0 {
 		return s.size

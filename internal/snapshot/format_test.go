@@ -23,6 +23,7 @@ import (
 	"fastliveness/internal/backend"
 	"fastliveness/internal/backend/difftest"
 	"fastliveness/internal/core"
+	"fastliveness/internal/dataflow"
 	"fastliveness/internal/ir"
 	"fastliveness/internal/snapshot"
 )
@@ -63,7 +64,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				t.Fatalf("snapshot %d: idom[%d] = %d, want %d", i, j, got.Idom[j], s.Idom[j])
 			}
 		}
-		if len(got.RWords) != len(s.RWords) || len(got.TWords) != len(s.TWords) {
+		if len(got.RWords) != len(s.RWords) || len(got.T) != len(s.T) {
 			t.Fatalf("snapshot %d: arena lengths changed", i)
 		}
 		for j := range s.RWords {
@@ -71,9 +72,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				t.Fatalf("snapshot %d: R word %d changed", i, j)
 			}
 		}
-		for j := range s.TWords {
-			if got.TWords[j] != s.TWords[j] {
-				t.Fatalf("snapshot %d: T word %d changed", i, j)
+		for j := range s.T {
+			if got.T[j] != s.T[j] {
+				t.Fatalf("snapshot %d: T value %d changed", i, j)
 			}
 		}
 		// Determinism: re-encoding the decoded snapshot is byte-identical.
@@ -167,7 +168,7 @@ func TestVersionCheckPrecedesChecksum(t *testing.T) {
 }
 
 // Dimension fields that change the payload size are tied to the actual
-// byte count even with a valid header checksum: under v3 every header
+// byte count even with a valid header checksum: under v4 every header
 // dimension — block, edge and reachable counts, and the R/T section byte
 // lengths — feeds the exact-total-length check, so a header claiming more
 // (or less) data than the buffer holds must fail that check, never
@@ -203,7 +204,7 @@ func TestDecodeRejectsResealedDimensionLies(t *testing.T) {
 	}
 }
 
-// reseal recomputes the v3 header checksum after a deliberate header
+// reseal recomputes the v4 header checksum after a deliberate header
 // edit, mirroring the format's definition (CRC-32C of bytes [0,68) stored
 // at [68,72); the payload sections carry their own checksums and are
 // untouched by header edits).
@@ -215,13 +216,22 @@ func reseal(buf []byte) {
 // legacyV2Encode serializes s in the retired v2 layout: a 48-byte header
 // (single file-wide CRC-32C at [40,48) over everything but itself) and a
 // payload of idom as int32s, padding, then the dense — not run-length
-// encoded — R and T arenas. Byte-faithful to what v2 Save wrote, so the
-// migration tests exercise exactly the files a pre-v3 process left behind.
+// encoded — R and T arenas (T unpacked from s's CSR arena into words).
+// Byte-faithful to what v2 Save wrote, so the migration tests exercise
+// exactly the files a pre-v3 process left behind.
 func legacyV2Encode(t testing.TB, s *snapshot.Snapshot) []byte {
 	t.Helper()
+	r := s.NReach
+	wpr := (r + 63) / 64
+	tWords := make([]uint64, r*wpr)
+	for v := 0; v < r; v++ {
+		for _, x := range s.T[r+1+int(s.T[v]) : r+1+int(s.T[v+1])] {
+			tWords[v*wpr+int(x)/64] |= 1 << (x % 64)
+		}
+	}
 	idomBytes := 4 * s.NBlocks
 	pad := (8 - idomBytes%8) % 8
-	buf := make([]byte, 48+idomBytes+pad+8*(len(s.RWords)+len(s.TWords)))
+	buf := make([]byte, 48+idomBytes+pad+8*(len(s.RWords)+len(tWords)))
 	copy(buf, "FLSNAP01")
 	binary.LittleEndian.PutUint32(buf[8:], 2)
 	binary.LittleEndian.PutUint32(buf[12:], s.Flags)
@@ -238,7 +248,7 @@ func legacyV2Encode(t testing.TB, s *snapshot.Snapshot) []byte {
 		binary.LittleEndian.PutUint64(p[8*i:], w)
 	}
 	p = p[8*len(s.RWords):]
-	for i, w := range s.TWords {
+	for i, w := range tWords {
 		binary.LittleEndian.PutUint64(p[8*i:], w)
 	}
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
@@ -266,7 +276,7 @@ func TestDecodeRejectsLegacyV2(t *testing.T) {
 // The cross-process migration path: a store directory holding a real v2
 // file (what a pre-v3 process left behind) must degrade its load to a
 // clean miss, delete the outdated file so Contains cannot dedupe away the
-// repairing save, and accept the v3 rewrite.
+// repairing save, and accept the rewrite in the current format.
 func TestStoreMigratesLegacyV2(t *testing.T) {
 	dir := t.TempDir()
 	st, err := snapshot.Open(dir, 0)
@@ -299,7 +309,7 @@ func TestStoreMigratesLegacyV2(t *testing.T) {
 
 // FuzzDecode hammers the parser with corrupted and arbitrary buffers: the
 // contract under test is "error or valid snapshot, never a panic". Seeds
-// include a genuine encoded snapshot (so mutation explores the v3
+// include a genuine encoded snapshot (so mutation explores the v4
 // neighborhood), a genuine legacy v2 file (so mutation explores the
 // version-skew path old stores feed the decoder), and assorted prefixes.
 func FuzzDecode(f *testing.F) {
@@ -600,7 +610,7 @@ func TestStoreArenaCorruptionVerifyModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf[len(buf)-8] ^= 0x40 // last T-section word: always in the arena payload
+		buf[len(buf)-8] ^= 0x40 // second-to-last T entry: always in the arena payload
 		if err := os.WriteFile(path, buf, 0o666); err != nil {
 			t.Fatal(err)
 		}
@@ -655,6 +665,74 @@ func TestStoreArenaCorruptionVerifyModes(t *testing.T) {
 		snapshot.SetForceReadFallback(false)
 		snapshot.SetForceCopyDecode(false)
 		if err == nil || err == snapshot.ErrNotFound {
+			t.Fatalf("copying load: got %v, want a T-section checksum error", err)
+		}
+	})
+}
+
+// A T entry pushed out of range (≥ n) in a saved file, its CRC left
+// stale: the default aliasing load defers the T checksum, so core.Adopt's
+// shape check is what must turn the file down — RestoreFrom errors, never
+// panics or indexes past the arena, and the recompute the caller falls
+// back to answers like the data-flow ground truth. The copying decode
+// scans the T section, and its checksum catches the same flip.
+func TestStoreCorruptTEntryRejected(t *testing.T) {
+	const i, seed = 4, 26
+	s := captureOne(t, i, seed)
+	f := difftest.Corpus(i+1, seed)[i]
+	save := func(t *testing.T) *snapshot.Store {
+		t.Helper()
+		st, err := snapshot.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Save(s); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(st.Dir(), fpName(s.FP))
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(buf[len(buf)-4:], uint32(s.NReach)) // the last T entry
+		if err := os.WriteFile(path, buf, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	t.Run("default-alias", func(t *testing.T) {
+		if loaded, err := save(t).Load(s.FP); err == nil {
+			if _, err := loaded.Restore(f, core.Options{}); err == nil {
+				t.Fatal("restore adopted a T arena with an entry out of range")
+			} else if !strings.Contains(err.Error(), "holds node") {
+				t.Fatalf("restore rejected the arena with %q, want the T range check", err)
+			}
+		} else if aliasingHost() {
+			t.Fatalf("aliasing load scanned the T section it defers: %v", err)
+		}
+		// Either way the snapshot missed; the engine's degradation is a
+		// recompute.
+		p, err := backend.Prepare(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := backend.NewCheckerResult(p, core.Options{})
+		truth := dataflow.Analyze(f)
+		f.Values(func(v *ir.Value) {
+			for _, b := range f.Blocks {
+				if res.IsLiveIn(v, b) != truth.IsLiveIn(v, b) || res.IsLiveOut(v, b) != truth.IsLiveOut(v, b) {
+					t.Fatalf("recompute disagrees with data flow on %v at %v", v, b)
+				}
+			}
+		})
+	})
+	t.Run("copy-decode-crc", func(t *testing.T) {
+		st := save(t)
+		snapshot.SetForceCopyDecode(true)
+		_, err := st.Load(s.FP)
+		snapshot.SetForceCopyDecode(false)
+		if err == nil || !strings.Contains(err.Error(), "T section checksum") {
 			t.Fatalf("copying load: got %v, want a T-section checksum error", err)
 		}
 	})
@@ -720,9 +798,8 @@ func captureLadder(t testing.TB, n int, st core.Strategy) *snapshot.Snapshot {
 	return s
 }
 
-// The file format is pinned byte for byte: SHA-256 digests of the v3
-// encoding of fixed functions, recorded when Encode still built the file
-// in one buffer. The streaming encoder must reproduce them exactly —
+// The file format is pinned byte for byte: SHA-256 digests of the v4
+// encoding of fixed functions. The encoder must reproduce them exactly —
 // through Encode and through the file Store.Save writes — on every host:
 // the 600-block case fills the portable encoder's staging chunk several
 // times over on hosts that cannot write the arrays as byte views.
@@ -733,12 +810,12 @@ func TestEncodeGoldenDigest(t *testing.T) {
 		size   int
 		digest string
 	}{
-		{9, core.StrategyExact, 1480, "158b5bc94bfda4279fbb2b79397dcd3bb9b558eb569962b1d2d350ae3c7ec924"},
-		{9, core.StrategyPropagate, 1480, "2ae89ca6811b52e48dec36706a397dfaef3d2b1da145b43764ca64cd41e4a3d6"},
-		{150, core.StrategyExact, 30040, "517c6d1d4633501caeaa6188b1645aa52881d2dacacf00eca762e33fa7cf3418"},
-		{150, core.StrategyPropagate, 30040, "d20490e1f571dbd9bd0e1450908da953f28822a1ee51705b4a7592e3524fef51"},
-		{600, core.StrategyExact, 187288, "d30a3412fbe63d8df4b6e592b884e6f9b87c0de22b2e4bc2df1660711444769e"},
-		{600, core.StrategyPropagate, 187288, "99fad88f4784b3ec1a01e1a013b9274d39fd8d63bda673bc379fe0915d066392"},
+		{9, core.StrategyExact, 1484, "5a04c14d852e7c851dcf2820720fcb845d400670f05ba9f8d697c659748d39df"},
+		{9, core.StrategyPropagate, 1484, "d7be7873076ac5333377807885f2c04dbb8bac1ba7234970e5c7f1d2c4e9b479"},
+		{150, core.StrategyExact, 55748, "49b09402981de461af11e2ac923c7c70415d3cd79c2e15258137bc524ae53736"},
+		{150, core.StrategyPropagate, 55748, "993adc4c3a5d572ac9335c605ce9fc4860d0d43a19d11a84c7c56a393beb5541"},
+		{600, core.StrategyExact, 616012, "026a9a9e2848a9814c160730ea8cc9840481f1b02a389a1c42a11d207c5b3953"},
+		{600, core.StrategyPropagate, 616012, "fa7d967bc86803f17303b00399f598af2fa917eb78e65a50107c335e9a31f220"},
 	} {
 		s := captureLadder(t, tc.n, tc.st)
 		buf, err := s.Encode()
@@ -770,16 +847,23 @@ func TestEncodeGoldenDigest(t *testing.T) {
 }
 
 // WriteTo writes nothing for a snapshot whose arrays contradict its
-// dimensions, and reports a failing writer's error.
+// dimensions — an R arena of the wrong size, a T arena shorter than its
+// offsets or longer than its last offset counts — and reports a failing
+// writer's error.
 func TestWriteToErrors(t *testing.T) {
 	s := captureLadder(t, 150, core.StrategyExact)
-	bad := *s
-	bad.TWords = bad.TWords[1:]
-	var buf bytes.Buffer
-	if n, err := bad.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
-		t.Fatalf("inconsistent arenas: wrote %d bytes, err %v", n, err)
+	shortR, shortT, offEnd := *s, *s, *s
+	shortR.RWords = shortR.RWords[1:]
+	shortT.T = shortT.T[:s.NReach] // fewer values than offsets
+	offEnd.T = offEnd.T[:len(offEnd.T)-1]
+	for _, bad := range []snapshot.Snapshot{shortR, shortT, offEnd} {
+		var buf bytes.Buffer
+		if n, err := bad.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+			t.Fatalf("inconsistent arenas: wrote %d bytes, err %v", n, err)
+		}
 	}
-	for _, limit := range []int{0, 71, 72, 100, 29000} {
+	// The last limit stops the writer inside the T section, mid-value.
+	for _, limit := range []int{0, 71, 72, 100, int(s.SizeBytes()) - 3} {
 		w := &failingWriter{limit: limit}
 		n, err := s.WriteTo(w)
 		if err != errWriteLimit || n != int64(limit) {
@@ -809,7 +893,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // all of it.
 func TestStoreSaveStreams(t *testing.T) {
 	s := captureLadder(t, 2100, core.StrategyPropagate)
-	if arenas := 8 * (len(s.RWords) + len(s.TWords)); arenas < 1<<20 {
+	if arenas := 8*len(s.RWords) + 4*len(s.T); arenas < 1<<20 {
 		t.Fatalf("arenas hold %d bytes, want at least 1 MiB", arenas)
 	}
 	st, err := snapshot.Open(t.TempDir(), 0)

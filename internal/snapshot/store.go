@@ -34,7 +34,7 @@ const fileExt = ".flsnap"
 // because snapshots are pure functions of their fingerprint.
 //
 // Loads are mmap-backed where the platform allows (see mapFile): the
-// decoded Snapshot's word arenas alias the read-only mapping, so the
+// decoded Snapshot's R and T arenas alias the read-only mapping, so the
 // kernel's page cache — shared across every process mapping the same file
 // — is the only copy of the O(n²) payload, and a load moves no matrix
 // bytes at all: the R/T arena checksums are not scanned on this path
@@ -64,7 +64,7 @@ type Store struct {
 
 	// Decoded-cache and section-scan accounting (Stats): how many Loads
 	// the in-process cache absorbed, and how many per-section checksum
-	// scans the v3 format's early-exit validation avoided.
+	// scans the format's early-exit validation avoided.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	secScans    atomic.Int64
@@ -90,7 +90,7 @@ type StoreStats struct {
 	// accounts for exactly numSections of them, while a load of a missing
 	// fingerprint accounts for none — there were no sections to consider.
 	// A cached hit skips all five; an aliasing mmap load scans the three
-	// structural sections and skips the two O(n²) arena sections (unless
+	// structural sections and skips the R and T arena sections (unless
 	// SetVerifyArenas opts in); a copying load scans all five; a load that
 	// fails an early validation skips the sections it never reached.
 	SectionScans int64
@@ -110,11 +110,12 @@ func (st *Store) Stats() StoreStats {
 
 // SetVerifyArenas opts this store's mmap loads into eager R/T arena
 // checksum scans. By default the aliasing path verifies the header and
-// the three structural sections and defers the O(n²) arena scans —
-// that deferral is what makes a warm load sub-linear in the matrix
-// size, and it is the standard mmap'd-format trade: a bit flip on disk
-// under an already-validated structure would go unscanned until a
-// copying load or a recompute touches it. Deployments that would rather
+// the three structural sections and defers the arena scans — that
+// deferral is what makes a warm load sub-linear in the O(n²) R matrix,
+// and it is the standard mmap'd-format trade: a bit flip on disk under an
+// already-validated structure would go unscanned until a copying load or
+// a recompute touches it (a T arena bent out of shape still fails
+// core.Adopt's check). Deployments that would rather
 // pay a linear pass per file-backed load for eager end-to-end integrity
 // set this once, before loading. (Copying loads — forced fallback,
 // non-aliasing hosts — always verify all sections regardless.)
@@ -199,7 +200,7 @@ func (st *Store) Load(fp uint64) (*Snapshot, error) {
 		// Delete it so a future save can repair the store; while it sat
 		// there, Contains would dedupe the very save that could fix it.
 		// The caller still sees the miss — the degradation path that turns
-		// v2 files into recompute-then-rewrite-as-v3.
+		// old-version files into recompute-then-rewrite.
 		os.Remove(path)
 		unmap()
 		return nil, err

@@ -99,10 +99,11 @@ type SnapshotStoreOptions struct {
 	// failing save gets. 0 means 2; negative disables retries.
 	SaveRetries int
 	// VerifyArenas opts mmap-backed loads into eager checksum scans of
-	// the O(n²) R/T arena sections. By default the aliasing load path
-	// verifies the header and the structural sections and defers the
-	// arena scans — the sub-linear warm-start trade, in which an on-disk
-	// bit flip inside the matrices would go undetected until a copying
+	// the R/T arena sections (the O(n²) R matrix and the CSR T arena). By
+	// default the aliasing load path verifies the header and the
+	// structural sections and defers the arena scans — the sub-linear
+	// warm-start trade, in which an on-disk bit flip inside R, or one
+	// that leaves T well formed, would go undetected until a copying
 	// load touches it. Set this to pay a linear pass per file-backed load
 	// for eager end-to-end integrity instead.
 	VerifyArenas bool
@@ -276,9 +277,9 @@ type SnapshotStats struct {
 	BreakerSkips int64
 	// DecodedCacheHits and DecodedCacheMisses split store loads by whether
 	// the store's in-process decoded cache absorbed them without touching
-	// the file; SectionScans and SectionSkips count the v3 format's
+	// the file; SectionScans and SectionSkips count the format's
 	// per-section checksum scans run and avoided (a cached hit skips all
-	// of them, the aliasing mmap path defers the two O(n²) arena sections,
+	// of them, the aliasing mmap path defers the two arena sections,
 	// an early validation failure skips the sections never reached).
 	// Store-global, like the breaker: engines sharing one SnapshotStore see
 	// shared counts. All zero without a store.
@@ -329,7 +330,6 @@ func (c Config) coreOptions() core.Options {
 		Strategy:            c.Strategy,
 		NoSkipSubtrees:      c.NoSkipSubtrees,
 		NoReducibleFastPath: c.NoReducibleFastPath,
-		SortedT:             c.SortedT,
 	}
 }
 
@@ -407,7 +407,7 @@ func (e *Engine) verify(h *handle) error {
 // wrong answer, only a slower one.
 //
 // The warm path never builds a CFG: FingerprintFunc derives the key (and
-// the block index) straight off the IR, and under format v3 a validating
+// the block index) straight off the IR, and a validating
 // RestoreFrom adopts the graph, DFS and dominator tree from the file.
 func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness) {
 	start := time.Now()
@@ -456,10 +456,7 @@ func (e *Engine) saveSnapshot(ss *SnapshotStore, live *Liveness) {
 		return
 	}
 	snap, err := snapshot.Capture(cr.Prep(), cr.Checker())
-	if err != nil {
-		return // SortedT dropped its arena: loadable config, not savable
-	}
-	if ss.store.Contains(snap.FP) {
+	if err != nil || ss.store.Contains(snap.FP) {
 		return
 	}
 	job := func() {
