@@ -41,11 +41,11 @@ type Strategy = core.Strategy
 
 // Re-exported strategies.
 const (
+	// StrategyPropagate is the paper's practical §5.2 scheme (the
+	// default: the zero value).
+	StrategyPropagate = core.StrategyPropagate
 	// StrategyExact evaluates the paper's Definition 5 directly.
 	StrategyExact = core.StrategyExact
-	// StrategyPropagate is the paper's practical §5.2 scheme (the
-	// default).
-	StrategyPropagate = core.StrategyPropagate
 )
 
 // Config tunes the analysis. The zero value is the paper's configuration.

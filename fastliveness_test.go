@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"fastliveness/internal/core"
 	"fastliveness/internal/dataflow"
 	"fastliveness/internal/gen"
 	"fastliveness/internal/ir"
 	"fastliveness/internal/lao"
 	"fastliveness/internal/loops"
 	"fastliveness/internal/pervar"
+	"fastliveness/internal/snapshot"
 	"fastliveness/internal/ssa"
 )
 
@@ -289,5 +291,19 @@ exit:
 	// n, one, i are live into body.
 	if len(in) != 3 {
 		t.Fatalf("live-in(body) = %v, want 3 values", in)
+	}
+}
+
+// The zero Config and the zero core.Options are the paper's configuration:
+// the §5.2 propagate strategy, whose snapshots carry flag word 0.
+func TestZeroConfigIsPaperConfiguration(t *testing.T) {
+	if s := (core.Options{}).Strategy; s != core.StrategyPropagate {
+		t.Fatalf("core.Options{} strategy = %v, want propagate", s)
+	}
+	if s := (Config{}).Strategy; s != StrategyPropagate {
+		t.Fatalf("Config{} strategy = %v, want propagate", s)
+	}
+	if f := snapshot.FlagsFor(core.Options{}); f != 0 {
+		t.Fatalf("FlagsFor(core.Options{}) = %#x, want 0", f)
 	}
 }

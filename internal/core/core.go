@@ -14,25 +14,26 @@ import (
 type Strategy uint8
 
 const (
-	// StrategyExact evaluates Definition 5 / Equation 1 for every node in
-	// increasing DFS preorder (well-founded by Theorem 3). It yields
-	// exactly the paper's T_v sets.
-	StrategyExact Strategy = iota
-	// StrategyPropagate is the practical scheme of §5.2: Equation 1 for
-	// back-edge targets only, union into back-edge sources, one postorder
-	// propagation pass over the reduced graph, then add v to each T_v.
+	// StrategyPropagate is the practical scheme of §5.2 and the zero value:
+	// Equation 1 for back-edge targets only, union into back-edge sources,
+	// one postorder propagation pass over the reduced graph, then add v to
+	// each T_v.
 	//
 	// Read literally, the propagation drops Definition 5's "t ∉ R_v" filter
 	// for nodes that are not back-edge targets, which can produce strict
 	// supersets of the exact T_v — and extra candidates break Theorem 2's
-	// first-candidate-decides rule on reducible CFGs. We therefore finish
-	// with the filter the definition implies, subtracting R_v \ {v} from
-	// each T_v. The result is a subset of the exact sets that answers every
-	// query identically: any candidate t ∈ R_q is redundant, because a use
-	// in R_t ⊆ R_q is already witnessed by the mandatory candidate q
+	// first-candidate-decides rule on reducible CFGs. We therefore apply
+	// the filter the definition implies while packing, dropping R_v \ {v}
+	// from each T_v. The result is a subset of the exact sets that answers
+	// every query identically: any candidate t ∈ R_q is redundant, because
+	// a use in R_t ⊆ R_q is already witnessed by the mandatory candidate q
 	// itself. The test suite checks both the subset relation and answer
 	// equality against brute force.
-	StrategyPropagate
+	StrategyPropagate Strategy = iota
+	// StrategyExact evaluates Definition 5 / Equation 1 for every node in
+	// increasing DFS preorder (well-founded by Theorem 3). It yields
+	// exactly the paper's T_v sets.
+	StrategyExact
 )
 
 // String names the strategy for logs and benchmarks.
@@ -50,6 +51,8 @@ func (s Strategy) String() string {
 // (propagate strategy, subtree skipping on, reducible fast path on); the
 // ablation benchmarks flip individual switches off.
 type Options struct {
+	// Strategy selects the T precomputation; the zero value is
+	// StrategyPropagate.
 	Strategy Strategy
 	// NoSkipSubtrees disables the §5.1 optimization of skipping a tested
 	// node's whole dominance subtree during the T_q walk.
@@ -100,18 +103,16 @@ func New(g *cfg.Graph, opts Options) *Checker {
 func NewFrom(g *cfg.Graph, d *cfg.DFS, tree *dom.Tree, opts Options) *Checker {
 	c := &Checker{g: g, dfs: d, tree: tree, opts: opts}
 	c.reducible = dom.IsReducible(d, tree)
+	c.finish()
 	c.precomputeR()
-	var tm *bitset.Matrix
 	switch opts.Strategy {
-	case StrategyExact:
-		tm = c.precomputeTExact()
 	case StrategyPropagate:
-		tm = c.precomputeTPropagate()
+		c.setT(c.precomputeTPropagate())
+	case StrategyExact:
+		c.setT(c.precomputeTExact())
 	default:
 		panic("core: unknown strategy")
 	}
-	c.setT(pack(tm))
-	c.finish()
 	return c
 }
 
@@ -180,31 +181,85 @@ func checkT(t []int32, n int) error {
 	return nil
 }
 
-// pack converts the scratch T matrix into the CSR arena with one
-// exact-size allocation: a popcount pass over the matrix words sizes the
-// arena, and a pass that peels each row word's set bits lowest first
-// fills it. Both read the words directly (row v is words[v*wpr:][:wpr],
-// the Matrix layout); a Set.NextSet call per entry made packing several
-// times slower in precompute profiles.
-func pack(tm *bitset.Matrix) []int32 {
+// targetColumns numbers the distinct back-edge targets in increasing
+// dominance preorder: col[vn] is the column of the node numbered vn (-1 for
+// a non-target) and num[j] the node of column j. By Equation 1 every member
+// of T_v other than v is a back-edge target, so the T passes work on
+// matrices of one column per target — about n/32 of them on the benchmark
+// corpora — and, columns following dominance preorder, a row's columns in
+// increasing order are its entries in order.
+func (c *Checker) targetColumns() (col, num []int32) {
+	k := 0
+	for _, isT := range c.backTarget {
+		if isT {
+			k++
+		}
+	}
+	col, num = make([]int32, len(c.backTarget)), make([]int32, 0, k)
+	for vn, isT := range c.backTarget {
+		col[vn] = -1
+		if isT {
+			col[vn] = int32(len(num))
+			num = append(num, int32(vn))
+		}
+	}
+	return col, num
+}
+
+// pack converts the n × k scratch T matrix over target columns into the
+// CSR arena with one exact-size allocation. A first pass clears from each
+// row v its own column and, when filter is set, every column whose node is
+// in R_v (Definition 5's t ∉ R_v, see StrategyPropagate), and popcounts
+// what is left to size the arena; a second pass peels each row word's set
+// bits lowest first into entries, inserting v at its sorted position. Both
+// read the words directly (row v is words[v*wpr:][:wpr], the Matrix
+// layout); a Set.NextSet call per entry made packing several times slower
+// in precompute profiles.
+func (c *Checker) pack(tm *bitset.Matrix, col, num []int32, filter bool) []int32 {
 	n, words := tm.Rows(), tm.Words()
-	entries := 0
-	for _, w := range words {
-		entries += bits.OnesCount64(w)
+	wpr, rwords, rwpr := (tm.Len()+63)/64, c.r.Words(), (n+63)/64
+	entries := n // every row holds its own node
+	for v := 0; v < n; v++ {
+		row, rv := words[v*wpr:(v+1)*wpr], rwords[v*rwpr:(v+1)*rwpr]
+		if j := col[v]; j >= 0 {
+			row[j/64] &^= 1 << (j % 64)
+		}
+		for i, w := range row {
+			if filter {
+				cols := num[64*i:]
+				for m := w; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros64(m)
+					x := uint32(cols[b])
+					w &^= (rv[x/64] >> (x % 64) & 1) << b
+				}
+				row[i] = w
+			}
+			entries += bits.OnesCount64(w)
+		}
 	}
 	if n+1+entries > math.MaxInt32 {
 		panic("core: T arena exceeds int32 offsets")
 	}
 	t := make([]int32, n+1+entries)
 	ent := t[n+1:]
-	k, wpr := 0, (tm.Len()+63)/64
+	k := 0
 	for v := 0; v < n; v++ {
 		t[v] = int32(k)
+		own := false
 		for i, w := range words[v*wpr : (v+1)*wpr] {
 			for ; w != 0; w &= w - 1 {
-				ent[k] = int32(64*i + bits.TrailingZeros64(w))
+				x := num[64*i+bits.TrailingZeros64(w)]
+				if !own && int(x) > v {
+					ent[k], own = int32(v), true
+					k++
+				}
+				ent[k] = x
 				k++
 			}
+		}
+		if !own {
+			ent[k] = int32(v)
+			k++
 		}
 	}
 	t[n] = int32(k)
@@ -260,17 +315,22 @@ func (c *Checker) precomputeR() {
 }
 
 // precomputeTExact evaluates Equation 1 for every node, iterating in
-// increasing DFS preorder, into a scratch matrix that pack then converts;
-// Theorem 3 guarantees each T↑ member was already finished (the done mask
-// turns an ordering violation into a panic instead of a silent read of a
-// half-built arena row).
-func (c *Checker) precomputeTExact() *bitset.Matrix {
+// increasing DFS preorder, into an n × k scratch matrix over target
+// columns that pack then converts. A target's row holds its own column,
+// so the rows unioned into later nodes carry it; pack drops it again and
+// inserts every node at its sorted position. Theorem 3 guarantees each T↑
+// member was already finished (the done mask turns an ordering violation
+// into a panic instead of a silent read of a half-built row).
+func (c *Checker) precomputeTExact() []int32 {
 	n := c.dfs.NumReachable
-	t := bitset.NewMatrix(n, n)
+	col, num := c.targetColumns()
+	t := bitset.NewMatrix(n, len(num))
 	done := make([]bool, n)
 	for _, v := range c.dfs.PreOrder {
 		vn := c.tree.Num[v]
-		t.RowAdd(vn, vn)
+		if j := col[vn]; j >= 0 {
+			t.RowAdd(vn, int(j))
+		}
 		for _, e := range c.dfs.BackEdges {
 			sn, tn := c.tree.Num[e.S], c.tree.Num[e.T]
 			if c.r.RowHas(vn, sn) && !c.r.RowHas(vn, tn) {
@@ -282,56 +342,47 @@ func (c *Checker) precomputeTExact() *bitset.Matrix {
 		}
 		done[vn] = true
 	}
-	return t
+	return c.pack(t, col, num, false)
 }
 
-// precomputeTPropagate implements the three-pass scheme of §5.2, on two
-// arenas: a compact targets-only matrix for pass 1 and the scratch T
-// matrix that passes 2–4 fill in place and pack then converts.
-func (c *Checker) precomputeTPropagate() *bitset.Matrix {
+// precomputeTPropagate implements the scheme of §5.2 on two scratch
+// matrices over target columns: a k × k one for pass 1 and an n × k one
+// that passes 2–3 fill and pack filters (pass 4) and converts.
+func (c *Checker) precomputeTPropagate() []int32 {
 	n := c.dfs.NumReachable
 	tree := c.tree
+	col, num := c.targetColumns()
+	k := len(num)
 
-	// Pass 1: Equation 1 for back-edge targets only, in DFS preorder. The
-	// scratch arena has one row per distinct target, indexed by targetRow.
-	targetRow := make([]int32, n) // by dom num, -1 for non-targets
-	for i := range targetRow {
-		targetRow[i] = -1
-	}
-	targets := 0
-	for _, e := range c.dfs.BackEdges {
-		if tn := tree.Num[e.T]; targetRow[tn] < 0 {
-			targetRow[tn] = int32(targets)
-			targets++
-		}
-	}
-	tm := bitset.NewMatrix(targets, n)
-	done := make([]bool, n)
+	// Pass 1: Equation 1 for back-edge targets only, in DFS preorder, one
+	// row per target.
+	tm := bitset.NewMatrix(k, k)
+	done := make([]bool, k)
 	for _, v := range c.dfs.PreOrder {
 		vn := tree.Num[v]
-		ri := targetRow[vn]
-		if ri < 0 {
+		j := int(col[vn])
+		if j < 0 {
 			continue
 		}
-		tm.RowAdd(int(ri), vn)
+		tm.RowAdd(j, j)
 		for _, e := range c.dfs.BackEdges {
 			sn, tn := tree.Num[e.S], tree.Num[e.T]
 			if c.r.RowHas(vn, sn) && !c.r.RowHas(vn, tn) {
-				if !done[tn] {
+				if !done[col[tn]] {
 					panic("core: Theorem 3 ordering violated (targets)")
 				}
-				tm.RowUnion(int(ri), int(targetRow[tn]))
+				tm.RowUnion(j, int(col[tn]))
 			}
 		}
-		done[vn] = true
+		done[j] = true
 	}
 
 	// Pass 2: union the targets' sets into each back-edge source, seeding
 	// the T rows directly.
-	t := bitset.NewMatrix(n, n)
+	t := bitset.NewMatrix(n, k)
 	for _, e := range c.dfs.BackEdges {
 		sn, tn := tree.Num[e.S], tree.Num[e.T]
-		t.Row(sn).Union(tm.Row(int(targetRow[tn])))
+		t.Row(sn).Union(tm.Row(int(col[tn])))
 	}
 
 	// Pass 3: propagate the source sets through the reduced graph in
@@ -344,13 +395,9 @@ func (c *Checker) precomputeTPropagate() *bitset.Matrix {
 			t.RowUnion(vn, tree.Num[w])
 		})
 	}
-	// Pass 4: apply Definition 5's t ∉ R_v filter (see the
+	// Pass 4, in pack: apply Definition 5's t ∉ R_v filter (see the
 	// StrategyPropagate doc comment), then add v itself.
-	for vn := 0; vn < n; vn++ {
-		t.Row(vn).Subtract(c.r.Row(vn))
-		t.RowAdd(vn, vn)
-	}
-	return t
+	return c.pack(t, col, num, true)
 }
 
 // reachableNum returns the dominance preorder number of v, or -1 when v is

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"fastliveness/internal/cfg"
 	"fastliveness/internal/dom"
+	"fastliveness/internal/gen"
 	"fastliveness/internal/graphgen"
 )
 
@@ -77,6 +79,10 @@ func checkGraphAgainstBrute(t *testing.T, g *cfg.Graph, rng *rand.Rand, trial in
 	tree := dom.Iterative(g, d)
 	checkers := make([]*Checker, 0, 8)
 	nr := d.NumReachable
+	target := make([]bool, nr)
+	for _, e := range d.BackEdges {
+		target[tree.Num[e.T]] = true
+	}
 	for _, o := range allOptions() {
 		c := NewFrom(g, d, tree, o)
 		checkers = append(checkers, c)
@@ -96,6 +102,11 @@ func checkGraphAgainstBrute(t *testing.T, g *cfg.Graph, rng *rand.Rand, trial in
 					t.Fatalf("trial %d (opts %+v): T row %d = %v is not strictly increasing in [0,%d)", trial, o, v, row, nr)
 				}
 				own = own || int(x) == v
+				// Equation 1 unions only T sets of back-edge targets, so
+				// the T build runs over target columns alone.
+				if int(x) != v && !target[x] {
+					t.Fatalf("trial %d (opts %+v): T row %d = %v holds %d, not a back-edge target", trial, o, v, row, x)
+				}
 			}
 			if !own {
 				t.Fatalf("trial %d (opts %+v): T row %d = %v lacks %d", trial, o, v, row, v)
@@ -161,6 +172,120 @@ func TestCheckerAgainstBruteForceReducible(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g := graphgen.RandomReducible(rng, cfgShape)
 		checkGraphAgainstBrute(t, g, rng, trial)
+	}
+}
+
+// equation1 is the test-only reference for the exact T sets, by node id:
+// R_v by a search over the raw graph minus the DFS back edges, then
+// Equation 1, T_v = {v} ∪ ⋃ {T_t : (s,t) a back edge, s ∈ R_v, t ∉ R_v},
+// by memoized recursion over map sets. Unreachable nodes get nil.
+func equation1(t *testing.T, g *cfg.Graph, d *cfg.DFS, tree *dom.Tree) []map[int]bool {
+	t.Helper()
+	back := map[cfg.Edge]bool{}
+	for _, e := range d.BackEdges {
+		back[e] = true
+	}
+	reach := make([]map[int]bool, g.N())
+	for v := range reach {
+		if !tree.Reachable(v) {
+			continue
+		}
+		rv := map[int]bool{v: true}
+		for stack := []int{v}; len(stack) > 0; {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range g.Succs[x] {
+				if !back[cfg.Edge{S: x, T: w}] && !rv[w] {
+					rv[w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
+		reach[v] = rv
+	}
+	sets := make([]map[int]bool, g.N())
+	busy := make([]bool, g.N())
+	var tset func(v int) map[int]bool
+	tset = func(v int) map[int]bool {
+		if sets[v] != nil {
+			return sets[v]
+		}
+		if busy[v] {
+			t.Fatalf("Equation 1 recursion revisits T_%d", v)
+		}
+		busy[v] = true
+		tv := map[int]bool{v: true}
+		for _, e := range d.BackEdges {
+			if reach[v][e.S] && !reach[v][e.T] {
+				for x := range tset(e.T) {
+					tv[x] = true
+				}
+			}
+		}
+		sets[v] = tv
+		return tv
+	}
+	for v := range sets {
+		if tree.Reachable(v) {
+			tset(v)
+		}
+	}
+	return sets
+}
+
+// The exact strategy's arena equals the Equation 1 reference row for row.
+func TestExactTMatchesEquation1(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	shape := graphgen.Config{
+		MinNodes: 2, MaxNodes: 300, ExtraEdgeFactor: 1.6, BackEdgeProb: 0.4, AllowSelfLoops: true,
+	}
+	for trial := 0; trial < 60; trial++ {
+		var g *cfg.Graph
+		if trial%2 == 0 {
+			g = graphgen.Random(rng, shape)
+		} else {
+			g = graphgen.RandomReducible(rng, shape)
+		}
+		d := cfg.NewDFS(g)
+		tree := dom.Iterative(g, d)
+		c := NewFrom(g, d, tree, Options{Strategy: StrategyExact})
+		for v, want := range equation1(t, g, d, tree) {
+			got := c.TSetNodes(v)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d (%d nodes): T_%d = %v, want %v", trial, g.N(), v, got, want)
+			}
+			for _, x := range got {
+				if !want[x] {
+					t.Fatalf("trial %d (%d nodes): T_%d = %v, want %v", trial, g.N(), v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The T build needs no n×n scratch: one NewFrom allocates little more than
+// the R and T arenas it keeps (a dense scratch T matrix alone is as large
+// as R).
+func TestPrecomputeAllocatesNoSquareScratch(t *testing.T) {
+	for _, blocks := range []int{4096, 8192} {
+		c := gen.Default(int64(blocks) * 1911)
+		c.TargetBlocks, c.MaxDepth = blocks, 9
+		g, _ := cfg.FromFunc(gen.Generate("scratch", c))
+		d := cfg.NewDFS(g)
+		tree := dom.Iterative(g, d)
+		for _, s := range []Strategy{StrategyPropagate, StrategyExact} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ck := NewFrom(g, d, tree, Options{Strategy: s})
+			runtime.ReadMemStats(&after)
+			r, tArena := ck.Arenas()
+			kept := r.WordBytes() + 4*len(tArena)
+			got := after.TotalAlloc - before.TotalAlloc
+			if float64(got) > 1.3*float64(kept) {
+				t.Errorf("%d blocks, %v: NewFrom allocated %d bytes, %.2f× the %d kept in R and T (limit 1.3×)",
+					blocks, s, got, float64(got)/float64(kept), kept)
+			}
+		}
 	}
 }
 

@@ -16,8 +16,10 @@
 //     evaluates the definition directly (the specification, quadratic);
 //     Checker.precomputeTPropagate is the paper's practical §5.2 scheme
 //     that propagates T sets along reduced edges in reverse postorder.
-//     Options.Strategy selects between them; both must agree, and the
-//     cross-check is part of the test suite (core_test.go).
+//     Options.Strategy selects between them (the zero value is
+//     propagate); both must agree, and the cross-check is part of the
+//     test suite (core_test.go), as is the exact sets' equality with a
+//     test-only Equation 1 reference.
 //
 // A live-in query (Algorithm 1, refined into Algorithm 3) intersects T_q
 // with the dominance subtree of the variable's definition and asks whether
@@ -34,9 +36,12 @@
 // the only candidate that matters on reducible CFGs (Checker.Reducible
 // reports whether that fast path is active; Options.NoReducibleFastPath
 // ablates it). R is a bitset matrix, because the query tests membership
-// in it. T is built as a bitset matrix too, word-parallel, then packed
-// into one CSR arena of sorted rows — the sorted-array storage §6.1
-// proposes. T averages about two entries per row, so the candidate walk
-// is a short linear scan and the arena costs a few bytes per node instead
-// of a dense n×n matrix.
+// in it. T is built as a bitset matrix too, word-parallel, but over one
+// column per back-edge target only — by Equation 1 every member of T_v
+// other than v is a target, and there are about n/32 of them — then
+// packed into one CSR arena of sorted rows, the sorted-array storage §6.1
+// proposes; the propagate strategy's R_v filter runs in that pack. T
+// averages about two entries per row, so the candidate walk is a short
+// linear scan and the arena costs a few bytes per node instead of a dense
+// n×n matrix.
 package core

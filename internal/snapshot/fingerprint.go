@@ -23,7 +23,8 @@ import (
 // belong here: the T-set strategy does (exact and propagate produce
 // different — though answer-equivalent — CSR T arenas), while the
 // query-time ablations (NoSkipSubtrees, NoReducibleFastPath) do not, so
-// configs differing only in those share snapshots.
+// configs differing only in those share snapshots. The zero Options, the
+// paper's propagate configuration, map to flag word 0.
 const (
 	flagStrategyExact uint32 = 1 << 0
 )
