@@ -1,8 +1,6 @@
 package bitset
 
 import (
-	"errors"
-	"fmt"
 	"math/bits"
 	"strconv"
 )
@@ -10,7 +8,7 @@ import (
 // Matrix is an arena of fixed-width bit sets: rows × n bits in one
 // contiguous []uint64, row i occupying words[i*wpr : (i+1)*wpr]. The
 // liveness engines store one set per CFG node with identical universes
-// (the R and T sets of the checker, the live-in/live-out vectors of the
+// (the checker's scratch T matrices, the live-in/live-out vectors of the
 // set-producing baselines), so backing them all with one allocation
 // replaces O(n) little heap objects per function with O(1) and keeps each
 // row cache-line-contiguous — the constant-factor concern of the paper's
@@ -43,34 +41,9 @@ func NewMatrix(rows, n int) *Matrix {
 	return m
 }
 
-// AdoptMatrix wraps an existing word arena as a rows × n matrix without
-// copying: the matrix aliases words, so the caller's buffer (a decoded
-// snapshot, an mmap'd file) becomes live set storage with zero per-row
-// allocation. The arena must hold exactly rows*wordsPerRow(n) words; a
-// mismatch is an error, not a panic — adopted data arrives from disk, and
-// corrupt inputs must degrade gracefully.
-func AdoptMatrix(words []uint64, rows, n int) (*Matrix, error) {
-	if rows < 0 || n < 0 {
-		return nil, errors.New("bitset: negative matrix dimension")
-	}
-	wpr := (n + wordBits - 1) / wordBits
-	if len(words) != rows*wpr {
-		return nil, fmt.Errorf("bitset: adopt %d words for %d×%d matrix (want %d)",
-			len(words), rows, n, rows*wpr)
-	}
-	m := &Matrix{words: words, wpr: wpr, n: n}
-	m.rows = make([]Set, rows)
-	for i := range m.rows {
-		m.rows[i] = Set{words: m.words[i*wpr : (i+1)*wpr : (i+1)*wpr], n: n}
-	}
-	return m, nil
-}
-
 // Words exposes the backing arena: rows*wordsPerRow contiguous uint64s, row
-// i at [i*wpr, (i+1)*wpr). It is the zero-copy export AdoptMatrix is the
-// import for — serializers write these words verbatim and re-adopt them on
-// load. The slice aliases live storage; treat it as read-only unless the
-// matrix is otherwise unreferenced. Nil matrices export nil.
+// i at [i*wpr, (i+1)*wpr), for word-level passes over many rows at once.
+// The slice aliases live storage. Nil matrices export nil.
 func (m *Matrix) Words() []uint64 {
 	if m == nil {
 		return nil

@@ -69,9 +69,15 @@ type Checker struct {
 	tree *dom.Tree
 	opts Options
 
-	// r is R as an arena matrix: row = dominance-preorder number, set bits
-	// are dominance preorder numbers too, all n rows in one allocation.
-	r *bitset.Matrix
+	// R is banded: row v (a dominance preorder number, as are its bits)
+	// keeps only words [lo_v, lo_v+span_v) of its dense n-bit row — the
+	// first through the last nonzero word — and the rows sit back to back
+	// in rWords. rIdx holds one (offset, lo) pair per row: rIdx[2v] is
+	// row v's first word in rWords, rIdx[2v+1] is lo_v, and the closing
+	// pair (len(rWords), 0) at rIdx[2n:] ends the last row, so span_v =
+	// rIdx[2v+2] − rIdx[2v].
+	rIdx   []int32
+	rWords []uint64
 	// t is T as one CSR ("compressed sparse row") arena, the sorted-array
 	// storage of §6.1 ("future implementations could use sorted arrays
 	// instead of bitsets … and speed up the loop iteration by abandoning
@@ -116,30 +122,60 @@ func NewFrom(g *cfg.Graph, d *cfg.DFS, tree *dom.Tree, opts Options) *Checker {
 	return c
 }
 
-// Adopt builds a ready-to-query checker around an R matrix and a CSR T
-// arena computed earlier — by a previous process, typically, loaded back
-// from a snapshot (internal/snapshot) instead of re-run through the
-// precompute passes. They must have been produced by the same Strategy
-// over a structurally identical CFG with the same DFS and dominator tree;
-// callers guarantee that by keying snapshots on a structural fingerprint.
-// Everything cheap is re-derived here from g, d and tree (numMax,
-// backTarget, reducibility), so the only trusted inputs are the two
-// arenas. Their shape is checked, not trusted: a wrongly sized R, or a T
-// arena whose offsets or entries could index out of range, is rejected
-// (checkT), in O(n + entries).
-func Adopt(g *cfg.Graph, d *cfg.DFS, tree *dom.Tree, opts Options, r *bitset.Matrix, t []int32) (*Checker, error) {
+// Adopt builds a ready-to-query checker around a banded R (index and
+// words) and a CSR T arena computed earlier — by a previous process,
+// typically, loaded back from a snapshot (internal/snapshot) instead of
+// re-run through the precompute passes. They must have been produced by
+// the same Strategy over a structurally identical CFG with the same DFS
+// and dominator tree; callers guarantee that by keying snapshots on a
+// structural fingerprint. Everything cheap is re-derived here from g, d
+// and tree (numMax, backTarget, reducibility), so the only trusted inputs
+// are the arenas. Their shape is checked, not trusted: an R index whose
+// bands could index out of range (checkR, O(n), reading no R word) or a T
+// arena whose offsets or entries could (checkT, O(n + entries)) is
+// rejected.
+func Adopt(g *cfg.Graph, d *cfg.DFS, tree *dom.Tree, opts Options, rIdx []int32, rWords []uint64, t []int32) (*Checker, error) {
 	n := d.NumReachable
-	if r == nil || r.Rows() != n || r.Len() != n {
-		return nil, fmt.Errorf("core: adopt: R matrix is not %d×%d", n, n)
+	if err := checkR(rIdx, len(rWords), n); err != nil {
+		return nil, err
 	}
 	if err := checkT(t, n); err != nil {
 		return nil, err
 	}
-	c := &Checker{g: g, dfs: d, tree: tree, opts: opts, r: r}
+	c := &Checker{g: g, dfs: d, tree: tree, opts: opts, rIdx: rIdx, rWords: rWords}
 	c.reducible = dom.IsReducible(d, tree)
 	c.setT(t)
 	c.finish()
 	return c, nil
+}
+
+// checkR reports why idx is not a well-formed banded-R index over n nodes
+// and nWords words: n+1 (offset, lo) pairs whose offsets start at 0, never
+// decrease and end at nWords, whose closing lo is 0, and whose every band
+// lies inside the dense row: 0 ≤ lo_v and lo_v + span_v ≤ ⌈n/64⌉. The
+// membership test relies on nothing else, and no R word is read, so an
+// aliased arena stays unpaged.
+func checkR(idx []int32, nWords, n int) error {
+	if len(idx) != 2*(n+1) {
+		return fmt.Errorf("core: adopt: R index holds %d values, want %d", len(idx), 2*(n+1))
+	}
+	if idx[0] != 0 {
+		return fmt.Errorf("core: adopt: R offsets start at %d, want 0", idx[0])
+	}
+	if int(idx[2*n]) != nWords || idx[2*n+1] != 0 {
+		return fmt.Errorf("core: adopt: R index ends with (%d, %d), want (%d, 0)", idx[2*n], idx[2*n+1], nWords)
+	}
+	wpr := int64(n+63) / 64
+	for v := 0; v < n; v++ {
+		off, lo, next := idx[2*v], idx[2*v+1], idx[2*v+2]
+		if next < off {
+			return fmt.Errorf("core: adopt: R offsets decrease at row %d (%d, %d)", v, off, next)
+		}
+		if lo < 0 || int64(lo)+int64(next-off) > wpr {
+			return fmt.Errorf("core: adopt: R row %d band [%d, +%d) leaves the %d-word row", v, lo, next-off, wpr)
+		}
+	}
+	return nil
 }
 
 // checkT reports why t is not a well-formed CSR T arena over n nodes: the
@@ -213,24 +249,28 @@ func (c *Checker) targetColumns() (col, num []int32) {
 // what is left to size the arena; a second pass peels each row word's set
 // bits lowest first into entries, inserting v at its sorted position. Both
 // read the words directly (row v is words[v*wpr:][:wpr], the Matrix
-// layout); a Set.NextSet call per entry made packing several times slower
-// in precompute profiles.
+// layout), and the filter reads R_v's band words directly; a Set.NextSet
+// or Set.Has call per entry made packing several times slower in
+// precompute profiles.
 func (c *Checker) pack(tm *bitset.Matrix, col, num []int32, filter bool) []int32 {
 	n, words := tm.Rows(), tm.Words()
-	wpr, rwords, rwpr := (tm.Len()+63)/64, c.r.Words(), (n+63)/64
+	wpr := (tm.Len() + 63) / 64
 	entries := n // every row holds its own node
 	for v := 0; v < n; v++ {
-		row, rv := words[v*wpr:(v+1)*wpr], rwords[v*rwpr:(v+1)*rwpr]
+		row := words[v*wpr : (v+1)*wpr]
 		if j := col[v]; j >= 0 {
 			row[j/64] &^= 1 << (j % 64)
 		}
+		rv, rlo := c.rRow(v)
 		for i, w := range row {
 			if filter {
 				cols := num[64*i:]
 				for m := w; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
-					x := uint32(cols[b])
-					w &^= (rv[x/64] >> (x % 64) & 1) << b
+					x := int(cols[b])
+					if j := x>>6 - rlo; uint(j) < uint(len(rv)) {
+						w &^= (rv[j] >> (uint(x) & 63) & 1) << b
+					}
 				}
 				row[i] = w
 			}
@@ -298,20 +338,68 @@ func (c *Checker) finish() {
 	}
 }
 
-// precomputeR builds the reduced-reachability closure in one pass over the
-// nodes in increasing DFS postorder: every reduced edge (v,w) satisfies
-// post(w) < post(v), so all successors are final when v is processed. The
-// rows live in one arena; the pass allocates nothing per node.
+// precomputeR builds the banded reduced-reachability closure in two passes
+// over the nodes in increasing DFS postorder: every reduced edge (v,w)
+// satisfies post(w) < post(v), so all successors are final when v is
+// processed. Pass A sizes v's band as the smallest and largest of v's own
+// word and its reduced successors' band words. That is exact, not a
+// bound: a band's end words are nonzero by construction (v's own word
+// holds v, and an OR keeps a successor's nonzero end words nonzero). One
+// exact-size allocation follows, then pass B sets v's own bit and ORs each
+// successor's band into v's row at word lo_w − lo_v. No dense row is ever
+// built, and neither pass allocates per node.
 func (c *Checker) precomputeR() {
 	n := c.dfs.NumReachable
-	c.r = bitset.NewMatrix(n, n)
+	tree := c.tree
+	idx := make([]int32, 2*(n+1))
+	// Pass A: idx[2v] holds v's last band word for now, idx[2v+1] its lo.
 	for _, v := range c.dfs.PostOrder {
-		vn := c.tree.Num[v]
-		c.r.RowAdd(vn, vn)
+		vn := tree.Num[v]
+		lo, hi := int32(vn/64), int32(vn/64)
 		c.dfs.ReducedSuccs(v, func(w int) {
-			c.r.RowUnion(vn, c.tree.Num[w])
+			wn := tree.Num[w]
+			hi, lo = max(hi, idx[2*wn]), min(lo, idx[2*wn+1])
+		})
+		idx[2*vn], idx[2*vn+1] = hi, lo
+	}
+	total := 0
+	for vn := 0; vn < n; vn++ {
+		span := int(idx[2*vn]-idx[2*vn+1]) + 1
+		idx[2*vn] = int32(total)
+		total += span
+	}
+	if total > math.MaxInt32 {
+		panic("core: R band arena exceeds int32 offsets")
+	}
+	idx[2*n] = int32(total)
+	c.rIdx, c.rWords = idx, make([]uint64, total)
+	// Pass B.
+	for _, v := range c.dfs.PostOrder {
+		vn := tree.Num[v]
+		row, lo := c.rRow(vn)
+		row[vn/64-lo] |= 1 << (vn % 64)
+		c.dfs.ReducedSuccs(v, func(w int) {
+			src, wlo := c.rRow(tree.Num[w])
+			dst := row[wlo-lo:]
+			for i, x := range src {
+				dst[i] |= x
+			}
 		})
 	}
+}
+
+// rRow returns the band of R row vn: its stored words and lo, the dense
+// word index of the first.
+func (c *Checker) rRow(vn int) (row []uint64, lo int) {
+	i := c.rIdx[2*vn : 2*vn+3]
+	return c.rWords[i[0]:i[2]], int(i[1])
+}
+
+// bandHas reports whether x is in the R row whose band is row from word lo
+// on: a word outside the band is zero.
+func bandHas(row []uint64, lo, x int) bool {
+	j := x>>6 - lo
+	return uint(j) < uint(len(row)) && row[j]>>(uint(x)&63)&1 != 0
 }
 
 // precomputeTExact evaluates Equation 1 for every node, iterating in
@@ -331,9 +419,10 @@ func (c *Checker) precomputeTExact() []int32 {
 		if j := col[vn]; j >= 0 {
 			t.RowAdd(vn, int(j))
 		}
+		rv, rlo := c.rRow(vn)
 		for _, e := range c.dfs.BackEdges {
 			sn, tn := c.tree.Num[e.S], c.tree.Num[e.T]
-			if c.r.RowHas(vn, sn) && !c.r.RowHas(vn, tn) {
+			if bandHas(rv, rlo, sn) && !bandHas(rv, rlo, tn) {
 				if !done[tn] {
 					panic("core: Theorem 3 ordering violated")
 				}
@@ -365,9 +454,10 @@ func (c *Checker) precomputeTPropagate() []int32 {
 			continue
 		}
 		tm.RowAdd(j, j)
+		rv, rlo := c.rRow(vn)
 		for _, e := range c.dfs.BackEdges {
 			sn, tn := tree.Num[e.S], tree.Num[e.T]
-			if c.r.RowHas(vn, sn) && !c.r.RowHas(vn, tn) {
+			if bandHas(rv, rlo, sn) && !bandHas(rv, rlo, tn) {
 				if !done[col[tn]] {
 					panic("core: Theorem 3 ordering violated (targets)")
 				}
@@ -413,9 +503,9 @@ func (c *Checker) reachableNum(v int) int {
 // numbered tn: the paper's "R_t ∩ uses(a) ≠ ∅", read off the def-use chain
 // given as CFG node ids.
 func usesIn(c *Checker, tn int, uses []int) bool {
-	rt := c.r.Row(tn) // hoist the row view: Has then inlines to two loads
+	rt, lo := c.rRow(tn) // hoist the band: bandHas then inlines to two loads
 	for _, x := range uses {
-		if xn := c.reachableNum(x); xn >= 0 && rt.Has(xn) {
+		if xn := c.reachableNum(x); xn >= 0 && bandHas(rt, lo, xn) {
 			return true
 		}
 	}
@@ -425,12 +515,12 @@ func usesIn(c *Checker, tn int, uses []int) bool {
 // usesInExcept is usesIn ignoring a use at node skip — Algorithm 2's
 // trivial-path rule.
 func usesInExcept(c *Checker, tn, skip int, uses []int) bool {
-	rt := c.r.Row(tn)
+	rt, lo := c.rRow(tn)
 	for _, x := range uses {
 		if x == skip {
 			continue
 		}
-		if xn := c.reachableNum(x); xn >= 0 && rt.Has(xn) {
+		if xn := c.reachableNum(x); xn >= 0 && bandHas(rt, lo, xn) {
 			return true
 		}
 	}
@@ -542,14 +632,25 @@ func (c *Checker) IsLiveOut(def int, uses []int, q int) bool {
 // Reducible reports whether the analyzed CFG is reducible.
 func (c *Checker) Reducible() bool { return c.reducible }
 
-// RSet returns R of node v (nil for unreachable v) as a view into the R
-// arena. Exposed for tests and the worked Figure 3 example; treat as
-// read-only.
+// RSet returns R of node v (nil for unreachable v) as a fresh set of
+// dominance preorder numbers, unpacked from v's band. Exposed for tests
+// and the worked Figure 3 example; queries read the band itself.
 func (c *Checker) RSet(v int) *bitset.Set {
-	if n := c.reachableNum(v); n >= 0 {
-		return c.r.Row(n)
+	vn := c.reachableNum(v)
+	if vn < 0 {
+		return nil
 	}
-	return nil
+	n := c.dfs.NumReachable
+	s := bitset.New(n)
+	row, lo := c.rRow(vn)
+	for i, w := range row {
+		for ; w != 0; w &= w - 1 {
+			if x := 64*(lo+i) + bits.TrailingZeros64(w); x < n { // adopted words are trusted, not checked
+				s.Add(x)
+			}
+		}
+	}
+	return s
 }
 
 // TSetNodes returns the node IDs in T_v, in dominance-preorder order.
@@ -575,15 +676,17 @@ func (c *Checker) DFS() *cfg.DFS { return c.dfs }
 // Options returns the options the checker was built with.
 func (c *Checker) Options() Options { return c.opts }
 
-// Arenas exposes the R matrix and the CSR T arena for serialization (see
-// Adopt for the reverse direction). Treat both as read-only: they are live
-// query storage.
-func (c *Checker) Arenas() (r *bitset.Matrix, t []int32) { return c.r, c.t }
+// Arenas exposes banded R — its (offset, lo) index and its words — and the
+// CSR T arena for serialization (see Adopt for the reverse direction).
+// Treat all three as read-only: they are live query storage.
+func (c *Checker) Arenas() (rIdx []int32, rWords []uint64, t []int32) {
+	return c.rIdx, c.rWords, c.t
+}
 
 // MemoryBytes reports the payload footprint of the precomputed sets; the
 // harness uses it to reproduce the §6.1 break-even discussion and the §8
-// quadratic-growth series: the R arena's words plus 4 bytes per value of
-// the T arena, offsets included.
+// quadratic-growth series: 8 bytes per R band word plus 4 bytes per value
+// of the R index and of the T arena, offsets included.
 func (c *Checker) MemoryBytes() int {
-	return c.r.WordBytes() + 4*len(c.t)
+	return 8*len(c.rWords) + 4*(len(c.rIdx)+len(c.t))
 }

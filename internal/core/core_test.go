@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -263,29 +264,145 @@ func TestExactTMatchesEquation1(t *testing.T) {
 	}
 }
 
-// The T build needs no n×n scratch: one NewFrom allocates little more than
-// the R and T arenas it keeps (a dense scratch T matrix alone is as large
-// as R).
+// genFunc returns the CFG of a loopy gen function of about the given block
+// count: nested loops nine deep, like the restart benchmark's functions.
+func genFunc(t *testing.T, blocks int, seed int64, irreducible bool) *cfg.Graph {
+	t.Helper()
+	c := gen.Default(seed)
+	c.TargetBlocks, c.MaxDepth, c.Irreducible = blocks, 9, irreducible
+	g, _ := cfg.FromFunc(gen.Generate("scratch", c))
+	return g
+}
+
+// The precompute needs no n×n scratch: what one NewFrom allocates beyond
+// the R band and T arena it keeps stays within 0.3× the dense size of R
+// plus T (a dense scratch T matrix alone is as large as dense R).
 func TestPrecomputeAllocatesNoSquareScratch(t *testing.T) {
 	for _, blocks := range []int{4096, 8192} {
-		c := gen.Default(int64(blocks) * 1911)
-		c.TargetBlocks, c.MaxDepth = blocks, 9
-		g, _ := cfg.FromFunc(gen.Generate("scratch", c))
+		g := genFunc(t, blocks, int64(blocks)*1911, false)
 		d := cfg.NewDFS(g)
 		tree := dom.Iterative(g, d)
+		n := d.NumReachable
 		for _, s := range []Strategy{StrategyPropagate, StrategyExact} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			ck := NewFrom(g, d, tree, Options{Strategy: s})
 			runtime.ReadMemStats(&after)
-			r, tArena := ck.Arenas()
-			kept := r.WordBytes() + 4*len(tArena)
-			got := after.TotalAlloc - before.TotalAlloc
-			if float64(got) > 1.3*float64(kept) {
-				t.Errorf("%d blocks, %v: NewFrom allocated %d bytes, %.2f× the %d kept in R and T (limit 1.3×)",
-					blocks, s, got, float64(got)/float64(kept), kept)
+			_, _, tArena := ck.Arenas()
+			kept := ck.MemoryBytes()
+			dense := 8*n*((n+63)/64) + 4*len(tArena)
+			scratch := float64(after.TotalAlloc-before.TotalAlloc) - float64(kept)
+			t.Logf("%d blocks, %v: scratch %.2f× dense R and T", blocks, s, scratch/float64(dense))
+			if scratch > 0.3*float64(dense) {
+				t.Errorf("%d blocks, %v: NewFrom allocated %.0f bytes beyond the %d it keeps, %.2f× the %d of dense R and T (limit 0.3×)",
+					blocks, s, scratch, kept, scratch/float64(dense), dense)
 			}
 		}
+	}
+}
+
+// Banded R stores a small share of the dense matrix on loopy functions:
+// each row keeps only its first-to-last nonzero word window.
+func TestBandedRFootprint(t *testing.T) {
+	for _, blocks := range []int{4096, 8192} {
+		g := genFunc(t, blocks, int64(blocks)*1911, false)
+		c := New(g, Options{})
+		n := c.DFS().NumReachable
+		_, words, _ := c.Arenas()
+		dense := n * ((n + 63) / 64)
+		t.Logf("%d blocks (%d nodes): R bands hold %.2f× the dense words", blocks, n, float64(len(words))/float64(dense))
+		if float64(len(words)) > 0.4*float64(dense) {
+			t.Errorf("%d blocks (%d nodes): R bands hold %d words, %.2f× the %d of a dense matrix (limit 0.4×)",
+				blocks, n, len(words), float64(len(words))/float64(dense), dense)
+		}
+	}
+}
+
+// denseR is the test-only reference for R (Definition 4): for each node, a
+// search of the graph minus the DFS back edges, recorded as a dense bitset
+// row over dominance preorder numbers.
+func denseR(g *cfg.Graph, d *cfg.DFS, tree *dom.Tree) [][]uint64 {
+	n := d.NumReachable
+	rows := make([][]uint64, n)
+	seen := make([]int, g.N())
+	for i := range seen {
+		seen[i] = -1
+	}
+	var stack []int
+	for v := 0; v < g.N(); v++ {
+		if !tree.Reachable(v) {
+			continue
+		}
+		row := make([]uint64, (n+63)/64)
+		stack, seen[v] = append(stack[:0], v), v
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			row[tree.Num[x]/64] |= 1 << (tree.Num[x] % 64)
+			for _, w := range g.Succs[x] {
+				if !d.IsBackEdge(x, w) && seen[w] != v {
+					seen[w] = v
+					stack = append(stack, w)
+				}
+			}
+		}
+		rows[tree.Num[v]] = row
+	}
+	return rows
+}
+
+// checkBandsMatchDense checks c's banded R against the dense reference bit
+// for bit: each band is the dense row's first-to-last nonzero word window,
+// exactly, and every word outside it is zero.
+func checkBandsMatchDense(t *testing.T, name string, c *Checker, want [][]uint64) {
+	t.Helper()
+	for vn, dense := range want {
+		row, lo := c.rRow(vn)
+		first, last := -1, -1
+		for i, w := range dense {
+			if w != 0 {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		if lo != first || lo+len(row) != last+1 {
+			t.Fatalf("%s: R row %d band is words [%d, %d), want [%d, %d]", name, vn, lo, lo+len(row), first, last)
+		}
+		for i, w := range row {
+			if dense[lo+i] != w {
+				t.Fatalf("%s: R row %d word %d = %#x, want %#x", name, vn, lo+i, w, dense[lo+i])
+			}
+		}
+	}
+}
+
+// Banded R equals the dense closure bit for bit, for both strategies, on
+// random graphs with self loops and on restart-shaped loopy functions of
+// 512–8192 blocks, every third irreducible.
+func TestBandedRMatchesDenseClosure(t *testing.T) {
+	check := func(name string, g *cfg.Graph) {
+		d := cfg.NewDFS(g)
+		tree := dom.Iterative(g, d)
+		want := denseR(g, d, tree)
+		for _, s := range []Strategy{StrategyPropagate, StrategyExact} {
+			checkBandsMatchDense(t, fmt.Sprintf("%s, %v", name, s), NewFrom(g, d, tree, Options{Strategy: s}), want)
+		}
+	}
+	rng := rand.New(rand.NewSource(107))
+	shape := graphgen.Config{
+		MinNodes: 2, MaxNodes: 300, ExtraEdgeFactor: 1.6, BackEdgeProb: 0.4, AllowSelfLoops: true,
+	}
+	for trial := 0; trial < 60; trial++ {
+		if trial%2 == 0 {
+			check(fmt.Sprintf("random %d", trial), graphgen.Random(rng, shape))
+		} else {
+			check(fmt.Sprintf("reducible %d", trial), graphgen.RandomReducible(rng, shape))
+		}
+	}
+	for i, blocks := range []int{512, 1024, 2048, 4096, 8192} {
+		check(fmt.Sprintf("gen %d blocks", blocks), genFunc(t, blocks, 7001+int64(i)*6151, i%3 == 0))
 	}
 }
 
@@ -555,18 +672,21 @@ func TestLiveOutAtDefNode(t *testing.T) {
 	}
 }
 
-// MemoryBytes is the R arena's words plus 4 bytes per value of the CSR T
-// arena: n+1 offsets and one entry per T_v member.
+// MemoryBytes is 8 bytes per R band word plus 4 bytes per value of the R
+// index (n+1 offset, lo pairs) and of the CSR T arena (n+1 offsets and one
+// entry per T_v member).
 func TestMemoryBytesAndStrategyString(t *testing.T) {
 	g := graphgen.Ladder(64)
 	for _, st := range []Strategy{StrategyExact, StrategyPropagate} {
 		c := New(g, Options{Strategy: st})
 		n := c.DFS().NumReachable
-		entries := 0
+		entries, words := 0, 0
 		for v := 0; v < g.N(); v++ {
 			entries += len(c.TSetNodes(v))
+			row, _ := c.rRow(c.Tree().Num[v])
+			words += len(row)
 		}
-		want := 8*n*((n+63)/64) + 4*(n+1+entries)
+		want := 8*words + 4*(2*(n+1)) + 4*(n+1+entries)
 		if got := c.MemoryBytes(); got != want {
 			t.Fatalf("%v: MemoryBytes %d, want %d (%d nodes, %d T entries)", st, got, want, n, entries)
 		}
@@ -583,7 +703,7 @@ func TestAdoptRejectsMalformedT(t *testing.T) {
 	d := cfg.NewDFS(g)
 	tree := dom.Iterative(g, d)
 	built := NewFrom(g, d, tree, Options{})
-	r, good := built.Arenas()
+	rIdx, rWords, good := built.Arenas()
 	n := d.NumReachable
 	if good[1] != 1 || good[n+1] != 0 || good[3]-good[2] < 2 {
 		t.Fatalf("fixture: want row 0 = {0} and row 2 of two or more entries, arena %v", good)
@@ -605,7 +725,7 @@ func TestAdoptRejectsMalformedT(t *testing.T) {
 		{"row-lacks-own-node", func(a []int32) []int32 { a[n+1] = 1; return a }, "lacks its own node"},
 	} {
 		arena := tc.edit(append([]int32(nil), good...))
-		c, err := Adopt(g, d, tree, Options{}, r, arena)
+		c, err := Adopt(g, d, tree, Options{}, rIdx, rWords, arena)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Fatalf("%s: valid arena rejected: %v", tc.name, err)
@@ -615,8 +735,57 @@ func TestAdoptRejectsMalformedT(t *testing.T) {
 			t.Fatalf("%s: Adopt returned %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := Adopt(g, d, tree, Options{}, nil, good); err == nil {
-		t.Fatal("Adopt accepted a nil R matrix")
+}
+
+// Adopt rejects every banded-R index the membership test could index out
+// of range with, and adopts the index a checker built, reading no R word
+// (every R word of the adopted arena is poisoned).
+func TestAdoptRejectsMalformedR(t *testing.T) {
+	g := graphgen.Ladder(150)
+	d := cfg.NewDFS(g)
+	tree := dom.Iterative(g, d)
+	built := NewFrom(g, d, tree, Options{})
+	good, words, tArena := built.Arenas()
+	n := d.NumReachable
+	var wide int // a row whose band is narrower than the dense row, lo > 0
+	for v := 0; v < n && wide == 0; v++ {
+		if good[2*v+1] > 0 {
+			wide = v
+		}
+	}
+	if n <= 128 || wide == 0 {
+		t.Fatalf("fixture: want over two words per row and a band starting past word 0, index %v", good)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(a []int32) []int32
+		want string // error substring; "" = accepted
+	}{
+		{"built", func(a []int32) []int32 { return a }, ""},
+		{"nil", func(a []int32) []int32 { return nil }, "holds 0 values"},
+		{"short", func(a []int32) []int32 { return a[:len(a)-2] }, "holds"},
+		{"offsets-start-off-zero", func(a []int32) []int32 { a[0] = 1; return a }, "start at 1"},
+		{"offsets-decrease", func(a []int32) []int32 { a[2*wide+2] = a[2*wide] - 1; return a }, "decrease"},
+		{"offsets-end-short", func(a []int32) []int32 { a[2*n]--; return a }, "ends with"},
+		{"offsets-end-long", func(a []int32) []int32 { a[2*n]++; return a }, "ends with"},
+		{"closing-lo", func(a []int32) []int32 { a[2*n+1] = 1; return a }, "ends with"},
+		{"lo-negative", func(a []int32) []int32 { a[2*wide+1] = -1; return a }, "band"},
+		{"band-past-row", func(a []int32) []int32 { a[2*wide+1] = int32((n + 63) / 64); return a }, "band"},
+	} {
+		idx := tc.edit(append([]int32(nil), good...))
+		poisoned := make([]uint64, len(words))
+		for i := range poisoned {
+			poisoned[i] = ^uint64(0)
+		}
+		c, err := Adopt(g, d, tree, Options{}, idx, poisoned, tArena)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Fatalf("%s: valid index rejected: %v", tc.name, err)
+		case tc.want == "" && !c.RSet(0).Has(n-1):
+			t.Fatalf("%s: adopted checker does not read the adopted words", tc.name)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Fatalf("%s: Adopt returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

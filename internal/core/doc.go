@@ -9,7 +9,7 @@
 //
 //   - R_v (Definition 4): the set of nodes reachable from v in the reduced
 //     graph G̃ (the CFG minus DFS back edges, a DAG). Built by
-//     Checker.precomputeR as one reverse-postorder sweep.
+//     Checker.precomputeR in two postorder passes, as banded rows.
 //   - T_q (Definition 5 / Equation 1): the back-edge targets relevant for
 //     queries at q — targets reachable from q along paths that never
 //     re-enter a dominance subtree they left. Checker.precomputeTExact
@@ -35,13 +35,18 @@
 // the most-dominating candidate is the lowest one, which by Theorem 2 is
 // the only candidate that matters on reducible CFGs (Checker.Reducible
 // reports whether that fast path is active; Options.NoReducibleFastPath
-// ablates it). R is a bitset matrix, because the query tests membership
-// in it. T is built as a bitset matrix too, word-parallel, but over one
-// column per back-edge target only — by Equation 1 every member of T_v
-// other than v is a target, and there are about n/32 of them — then
-// packed into one CSR arena of sorted rows, the sorted-array storage §6.1
-// proposes; the propagate strategy's R_v filter runs in that pack. T
-// averages about two entries per row, so the candidate walk is a short
-// linear scan and the arena costs a few bytes per node instead of a dense
-// n×n matrix.
+// ablates it). R is bitsets, because the query tests membership in it,
+// but banded: row v keeps only the words of its dense n-bit row from the
+// first through the last nonzero one, all rows back to back in one word
+// arena with an (offset, lo) index, and a word outside the band is zero.
+// On loopy code most of a dense row is zero words, so the bands hold
+// about a tenth to a half of the dense matrix; the membership test is
+// one more subtraction and compare. T is built as a bitset matrix,
+// word-parallel, but over one column per back-edge target only — by
+// Equation 1 every member of T_v other than v is a target, and there are
+// about n/32 of them — then packed into one CSR arena of sorted rows, the
+// sorted-array storage §6.1 proposes; the propagate strategy's R_v filter
+// runs in that pack. T averages about two entries per row, so the
+// candidate walk is a short linear scan and the arena costs a few bytes
+// per node instead of a dense n×n matrix.
 package core

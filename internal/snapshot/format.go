@@ -12,18 +12,17 @@ import (
 	"unsafe"
 
 	"fastliveness/internal/backend"
-	"fastliveness/internal/bitset"
 	"fastliveness/internal/cfg"
 	"fastliveness/internal/core"
 	"fastliveness/internal/dom"
 	"fastliveness/internal/ir"
 )
 
-// Binary layout, version 4 (all fixed-width fields little-endian):
+// Binary layout, version 5 (all fixed-width fields little-endian):
 //
 //	offset  size  field
 //	0       8     magic "FLSNAP01"
-//	8       4     version (currently 4)
+//	8       4     version (currently 5)
 //	12      4     flags (FlagsFor bits)
 //	16      8     fingerprint
 //	24      4     nBlocks   (CFG nodes)
@@ -55,19 +54,24 @@ import (
 // — a warm load is offset arithmetic plus O(n+e) validation, no
 // re-derivation.
 //
-// R is stored dense, exactly as the checker holds it in memory (arena word
-// order, 8-byte little-endian words), with rBytes = 8 · nReach ·
-// wordsPerRow(nReach) pinned to the header dimensions. T is the checker's
-// CSR arena (core.Checker.Arenas) as 4-byte little-endian int32s: nReach+1
-// row offsets, then every row's sorted entries. Its length depends on the
-// entry count, so tBytes is only bounded by the dimensions (at least
-// 4 · (nReach+1), a multiple of 4) and pinned by the exact file length; T
-// is the last section, so the variable length moves no other offset. On a
-// 64-bit little-endian host both arenas are adopted straight out of the
-// mmap'd file, so no R byte is allocated, zeroed, copied or even read at
-// load time — the kernel pages the words in as queries touch them. T,
-// about two entries per row, is read once by core.Adopt, whose O(n +
-// entries) shape check keeps a corrupt arena from indexing out of range.
+// R is the checker's banded R (core.Checker.Arenas), exactly as it sits
+// in memory: the index, nReach+1 (offset, lo) pairs of 4-byte int32s —
+// row v's first word in the band arena and the dense word index of that
+// word, closed by the pair (word count, 0) — then the band words, 8-byte
+// words holding each row's first through last nonzero word of its dense
+// nReach-bit row, back to back. The index is 8 · (nReach+1) bytes, so the
+// words stay 8-aligned. The word count depends on the bands, so rBytes is
+// only bounded by the dimensions (8 · (nReach+1) plus a multiple of 8, at
+// most 8 · nReach · wordsPerRow(nReach) more) and pinned by the exact file
+// length. T is the checker's CSR arena as 4-byte little-endian int32s:
+// nReach+1 row offsets, then every row's sorted entries; tBytes is
+// likewise bounded (at least 4 · (nReach+1), a multiple of 4) and pinned.
+// On a 64-bit little-endian host all three arrays are adopted straight
+// out of the mmap'd file, so no R word is allocated, zeroed, copied or
+// even read at load time — the kernel pages the words in as queries touch
+// them. core.Adopt reads the R index and T, a few bytes per node, once:
+// its O(n) index check and O(n + entries) T check keep a corrupt index or
+// arena from indexing out of range.
 //
 // One CRC per section, instead of v2's single file-wide checksum, buys
 // two things. First, a load that fails an early check (version skew, a
@@ -83,7 +87,7 @@ import (
 // goroutine. The store's aliasing mmap path instead verifies header + CFG
 // + DFS + DOM and defers the arena scans entirely (see
 // Store.SetVerifyArenas), because scanning them would re-introduce the
-// linear pass over the R matrix that dense aliasing exists to remove.
+// linear pass over the R words that aliasing exists to remove.
 //
 // The corruption contract therefore splits by section. Structural
 // corruption anywhere — header, CFG, DFS, DOM — fails a checksum on
@@ -94,13 +98,17 @@ import (
 // SetVerifyArenas; on the default aliasing path it is not scanned for at
 // load, matching the usual mmap'd-format trade (LMDB and friends): the
 // page cache, not the checksum, is what stands between a query and the
-// disk — except that a T arena out of shape (an entry out of range, an
-// unsorted row, broken offsets) fails core.Adopt and degrades to
-// recompute. (Version-3 files fail the version check and are recomputed
-// and rewritten in this format; so did v2 files under v3.)
+// disk — except that an R index out of shape (an offset that decreases or
+// misses the word count, a band outside its dense row) or a T arena out
+// of shape (an entry out of range, an unsorted row, broken offsets) fails
+// core.Adopt and degrades to recompute; content that stays in shape — a
+// flipped band word, a T entry traded for another in range — is answered
+// from. (Version-4 files, whose R
+// section was the dense matrix, fail the version check and are recomputed
+// and rewritten in this format; so did v3 files under v4.)
 const (
 	headerSize    = 72
-	formatVersion = 4
+	formatVersion = 5
 )
 
 // numSections counts the checksum-sealed payload sections (CFG, DFS, DOM,
@@ -118,8 +126,8 @@ const maxDim = 1 << 30
 
 // Snapshot is one function's decoded (or about-to-be-encoded) checker
 // precomputation: the CFG adjacency arenas, the DFS and dominator-tree
-// arrays, the R matrix and the CSR T arena. The integer slices and the
-// RWords/T arenas may alias a Decode input buffer — the zero-copy path —
+// arrays, the banded R and the CSR T arena. The integer slices and the
+// R and T arenas may alias a Decode input buffer — the zero-copy path —
 // so a Snapshot adopted into a live checker must outlive its buffer, which
 // it does by construction (the slices keep it reachable).
 type Snapshot struct {
@@ -145,8 +153,10 @@ type Snapshot struct {
 	Idom, Num, MaxNum, Order []int
 	ChildOff, Children       []int
 
-	// RWords is the R matrix's word arena; T is the checker's CSR T arena
+	// RIndex and RWords are the checker's banded R — its (offset, lo)
+	// index and the band words — and T its CSR T arena
 	// (core.Checker.Arenas).
+	RIndex []int32
 	RWords []uint64
 	T      []int32
 
@@ -157,14 +167,14 @@ type Snapshot struct {
 }
 
 // Capture packages a live checker's precomputation for serialization. The
-// R words, the T arena and the DFS/dominator arrays alias the live
+// R band index and words, the T arena and the DFS/dominator arrays alias the live
 // structures — WriteTo streams them straight into the file, and all of
 // them are write-once at precompute time, so the alias is safe. Only the
 // adjacency rows and children lists are flattened (copied) here, into the
 // offset-array layout the format stores. Every checker can be captured:
 // the error is always nil.
 func Capture(p *backend.Prep, c *core.Checker) (*Snapshot, error) {
-	r, t := c.Arenas()
+	rIdx, rWords, t := c.Arenas()
 	g, d, tree := p.Graph, p.DFS, p.Tree
 	flags := FlagsFor(c.Options())
 	n := g.N()
@@ -181,7 +191,8 @@ func Capture(p *backend.Prep, c *core.Checker) (*Snapshot, error) {
 
 		Idom: tree.Idom, Num: tree.Num, MaxNum: tree.MaxNum, Order: tree.Order,
 
-		RWords: r.Words(),
+		RIndex: rIdx,
+		RWords: rWords,
 		T:      t,
 	}
 	s.SuccOff, s.Succs = flattenRows(g.Succs, s.NEdges)
@@ -248,7 +259,6 @@ func (s *Snapshot) encodedSize() (int64, error) {
 	if r > 0 {
 		nc = r - 1
 	}
-	arena := r * wordsPerRow(r)
 	switch {
 	case len(s.SuccOff) != n+1 || len(s.Succs) != e || len(s.PredOff) != n+1 || len(s.Preds) != e:
 		return 0, errors.New("snapshot: inconsistent CFG arrays")
@@ -258,12 +268,12 @@ func (s *Snapshot) encodedSize() (int64, error) {
 	case len(s.Idom) != n || len(s.Num) != n || len(s.MaxNum) != n || len(s.Order) != r ||
 		len(s.ChildOff) != n+1 || len(s.Children) != nc:
 		return 0, errors.New("snapshot: inconsistent dominator arrays")
-	case len(s.RWords) != arena:
-		return 0, fmt.Errorf("snapshot: R arena is %d words, want %d", len(s.RWords), arena)
+	case len(s.RIndex) != 2*(r+1) || int(s.RIndex[2*r]) != len(s.RWords) || int64(len(s.RWords)) > int64(r)*int64(wordsPerRow(r)):
+		return 0, fmt.Errorf("snapshot: R index of %d values and %d band words do not describe %d rows", len(s.RIndex), len(s.RWords), r)
 	case len(s.T) < r+1 || int(s.T[r]) != len(s.T)-(r+1):
 		return 0, fmt.Errorf("snapshot: T arena of %d values does not hold %d offsets and the entries they count", len(s.T), r+1)
 	}
-	rB := 8 * int64(arena)
+	rB := 4*int64(len(s.RIndex)) + 8*int64(len(s.RWords))
 	tB := 4 * int64(len(s.T))
 	total := int64(headerSize) + cfgB + dfsB + domB + rB + tB
 	if rB > 1<<32-1 || tB > 1<<32-1 || int64(int(total)) != total {
@@ -292,6 +302,9 @@ func (s *Snapshot) emitSection(i int, stage []byte, fn func([]byte) error) error
 	case 2:
 		ints = [][]int{s.Idom, s.Num, s.MaxNum, s.Order, s.ChildOff, s.Children}
 	case 3:
+		if err := emitArray(s.RIndex, stage, fn); err != nil {
+			return err
+		}
 		return emitArray(s.RWords, stage, fn)
 	default:
 		return emitArray(s.T, stage, fn)
@@ -305,7 +318,7 @@ func (s *Snapshot) emitSection(i int, stage []byte, fn func([]byte) error) error
 }
 
 // elemWidth is an array element's width in the file: 4 bytes for the
-// int32 T arena, 8 for every other array.
+// int32 R index and T arena, 8 for every other array.
 func elemWidth[E int | uint64 | int32]() int {
 	var zero E
 	if _, ok := any(zero).(int32); ok {
@@ -376,7 +389,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(s.NEdges))
 	binary.LittleEndian.PutUint32(hdr[32:], uint32(s.NReach))
 	binary.LittleEndian.PutUint32(hdr[36:], uint32(len(s.BackEdges)/2))
-	binary.LittleEndian.PutUint32(hdr[40:], uint32(8*len(s.RWords)))
+	binary.LittleEndian.PutUint32(hdr[40:], uint32(4*len(s.RIndex)+8*len(s.RWords)))
 	binary.LittleEndian.PutUint32(hdr[44:], uint32(4*len(s.T)))
 	binary.LittleEndian.PutUint32(hdr[68:], crc32.Checksum(hdr[:68], crcTable))
 
@@ -461,8 +474,10 @@ func decode(buf []byte, verifyArenas bool) (*Snapshot, int, error) {
 	crcT := binary.LittleEndian.Uint32(buf[64:])
 
 	cfgB, dfsB, domB, ok := sectionSizes(s.NBlocks, s.NEdges, s.NReach, nBack)
-	arena64 := int64(s.NReach) * int64(wordsPerRow(s.NReach))
-	if !ok || rB != 8*arena64 || tB < 4*(int64(s.NReach)+1) || tB%4 != 0 {
+	idxB := 8 * (int64(s.NReach) + 1)
+	nWords := (rB - idxB) / 8
+	if !ok || rB < idxB || rB%8 != 0 || nWords > int64(s.NReach)*int64(wordsPerRow(s.NReach)) ||
+		tB < 4*(int64(s.NReach)+1) || tB%4 != 0 {
 		return nil, 0, fmt.Errorf("snapshot: implausible dimensions (%d blocks, %d edges, %d reachable, %d back edges, R %d, T %d)",
 			s.NBlocks, s.NEdges, s.NReach, nBack, rB, tB)
 	}
@@ -473,23 +488,26 @@ func decode(buf []byte, verifyArenas bool) (*Snapshot, int, error) {
 	dfsOff := headerSize + int(cfgB)
 	domOff := dfsOff + int(dfsB)
 	rOff := domOff + int(domB)
+	wOff := rOff + int(idxB)
 	tOff := rOff + int(rB)
 
-	// The R/T arenas — R is the O(n²) bulk — are adopted zero-copy when
-	// the host allows, which for an mmap'd buffer means no R byte is read
-	// at all, or decoded by copy otherwise. A copying path verifies the
-	// arena checksums while the bytes are in hand (it pays a linear pass
-	// regardless); the aliasing path scans them only when the caller asks.
-	// Scans run on their own goroutine while this one verifies and adopts
-	// the structural sections, so a multicore scanning load pays max(scan,
-	// adopt), not the sum.
-	var rAliased, tAliased bool
-	s.RWords, rAliased = adoptArray[uint64](buf[rOff:tOff], int(arena64))
+	// The R/T arenas — R's band words are the bulk — are adopted zero-copy
+	// when the host allows, which for an mmap'd buffer means no R word is
+	// read at load (core.Adopt reads only the R index), or decoded by copy
+	// otherwise. A copying path verifies the arena checksums while the
+	// bytes are in hand (it pays a linear pass regardless); the aliasing
+	// path scans them only when the caller asks. Scans run on their own
+	// goroutine while this one verifies and adopts the structural
+	// sections, so a multicore scanning load pays max(scan, adopt), not
+	// the sum.
+	var iAliased, rAliased, tAliased bool
+	s.RIndex, iAliased = adoptArray[int32](buf[rOff:wOff], 2*(s.NReach+1))
+	s.RWords, rAliased = adoptArray[uint64](buf[wOff:tOff], int(nWords))
 	s.T, tAliased = adoptArray[int32](buf[tOff:], int(tB/4))
 	rtScanned := 0
 	var rtErr error
 	done := make(chan struct{})
-	if verifyArenas || !rAliased || !tAliased {
+	if verifyArenas || !iAliased || !rAliased || !tAliased {
 		go func() {
 			defer close(done)
 			rtScanned = 1
@@ -643,11 +661,11 @@ func (s *Snapshot) Restore(f *ir.Func, opts core.Options) (*backend.CheckerResul
 // Validation still runs in full: flags, structural counts, an
 // edge-for-edge comparison of the stored successor rows against f's
 // current blocks, and the shape/consistency checks inside
-// cfg.AdoptGraph, cfg.AdoptDFS, dom.Adopt, bitset.AdoptMatrix and
-// core.Adopt (which checks the T arena's shape). What is *trusted* is the
+// cfg.AdoptGraph, cfg.AdoptDFS, dom.Adopt and core.Adopt (which checks
+// the shape of the R index and the T arena). What is *trusted* is the
 // content the file captured from a live checker: which DFS visit order
-// was taken, which edges are back edges, the R words and which nodes each
-// T row lists — checksummed at save, scanned at load per the store's
+// was taken, which edges are back edges, the R band words and which nodes
+// each T row lists — checksummed at save, scanned at load per the store's
 // arena-verification policy (see the format comment's corruption
 // contract).
 func (s *Snapshot) RestoreFrom(f *ir.Func, index []int, opts core.Options) (*backend.CheckerResult, error) {
@@ -695,12 +713,7 @@ func (s *Snapshot) RestoreFrom(f *ir.Func, index []int, opts core.Options) (*bac
 	if err != nil {
 		return nil, err
 	}
-	nr := d.NumReachable
-	r, err := bitset.AdoptMatrix(s.RWords, nr, nr)
-	if err != nil {
-		return nil, err
-	}
-	c, err := core.Adopt(g, d, tree, opts, r, s.T)
+	c, err := core.Adopt(g, d, tree, opts, s.RIndex, s.RWords, s.T)
 	if err != nil {
 		return nil, err
 	}
@@ -709,9 +722,9 @@ func (s *Snapshot) RestoreFrom(f *ir.Func, index []int, opts core.Options) (*bac
 }
 
 // SizeBytes returns the encoded size of s — recorded by Decode, or
-// computed from the dimensions and the T arena's length (T's entry count
-// is not a function of the dimensions); 0 for a snapshot that cannot be
-// encoded.
+// computed from the dimensions and the lengths of the R band words and
+// the T arena (neither is a function of the dimensions); 0 for a snapshot
+// that cannot be encoded.
 func (s *Snapshot) SizeBytes() int64 {
 	if s.size > 0 {
 		return s.size

@@ -64,8 +64,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				t.Fatalf("snapshot %d: idom[%d] = %d, want %d", i, j, got.Idom[j], s.Idom[j])
 			}
 		}
-		if len(got.RWords) != len(s.RWords) || len(got.T) != len(s.T) {
+		if len(got.RIndex) != len(s.RIndex) || len(got.RWords) != len(s.RWords) || len(got.T) != len(s.T) {
 			t.Fatalf("snapshot %d: arena lengths changed", i)
+		}
+		for j := range s.RIndex {
+			if got.RIndex[j] != s.RIndex[j] {
+				t.Fatalf("snapshot %d: R index value %d changed", i, j)
+			}
 		}
 		for j := range s.RWords {
 			if got.RWords[j] != s.RWords[j] {
@@ -168,7 +173,7 @@ func TestVersionCheckPrecedesChecksum(t *testing.T) {
 }
 
 // Dimension fields that change the payload size are tied to the actual
-// byte count even with a valid header checksum: under v4 every header
+// byte count even with a valid header checksum: under v5 every header
 // dimension — block, edge and reachable counts, and the R/T section byte
 // lengths — feeds the exact-total-length check, so a header claiming more
 // (or less) data than the buffer holds must fail that check, never
@@ -204,7 +209,7 @@ func TestDecodeRejectsResealedDimensionLies(t *testing.T) {
 	}
 }
 
-// reseal recomputes the v4 header checksum after a deliberate header
+// reseal recomputes the v5 header checksum after a deliberate header
 // edit, mirroring the format's definition (CRC-32C of bytes [0,68) stored
 // at [68,72); the payload sections carry their own checksums and are
 // untouched by header edits).
@@ -216,22 +221,25 @@ func reseal(buf []byte) {
 // legacyV2Encode serializes s in the retired v2 layout: a 48-byte header
 // (single file-wide CRC-32C at [40,48) over everything but itself) and a
 // payload of idom as int32s, padding, then the dense — not run-length
-// encoded — R and T arenas (T unpacked from s's CSR arena into words).
+// encoded — R and T arenas (R unpacked from s's bands, T from its CSR
+// arena, into words).
 // Byte-faithful to what v2 Save wrote, so the migration tests exercise
 // exactly the files a pre-v3 process left behind.
 func legacyV2Encode(t testing.TB, s *snapshot.Snapshot) []byte {
 	t.Helper()
 	r := s.NReach
 	wpr := (r + 63) / 64
-	tWords := make([]uint64, r*wpr)
+	rWords, tWords := make([]uint64, r*wpr), make([]uint64, r*wpr)
 	for v := 0; v < r; v++ {
+		off, lo := s.RIndex[2*v], s.RIndex[2*v+1]
+		copy(rWords[v*wpr+int(lo):], s.RWords[off:s.RIndex[2*v+2]])
 		for _, x := range s.T[r+1+int(s.T[v]) : r+1+int(s.T[v+1])] {
 			tWords[v*wpr+int(x)/64] |= 1 << (x % 64)
 		}
 	}
 	idomBytes := 4 * s.NBlocks
 	pad := (8 - idomBytes%8) % 8
-	buf := make([]byte, 48+idomBytes+pad+8*(len(s.RWords)+len(tWords)))
+	buf := make([]byte, 48+idomBytes+pad+8*(len(rWords)+len(tWords)))
 	copy(buf, "FLSNAP01")
 	binary.LittleEndian.PutUint32(buf[8:], 2)
 	binary.LittleEndian.PutUint32(buf[12:], s.Flags)
@@ -244,10 +252,10 @@ func legacyV2Encode(t testing.TB, s *snapshot.Snapshot) []byte {
 		binary.LittleEndian.PutUint32(p[4*i:], uint32(int32(d)))
 	}
 	p = p[idomBytes+pad:]
-	for i, w := range s.RWords {
+	for i, w := range rWords {
 		binary.LittleEndian.PutUint64(p[8*i:], w)
 	}
-	p = p[8*len(s.RWords):]
+	p = p[8*len(rWords):]
 	for i, w := range tWords {
 		binary.LittleEndian.PutUint64(p[8*i:], w)
 	}
@@ -309,7 +317,7 @@ func TestStoreMigratesLegacyV2(t *testing.T) {
 
 // FuzzDecode hammers the parser with corrupted and arbitrary buffers: the
 // contract under test is "error or valid snapshot, never a panic". Seeds
-// include a genuine encoded snapshot (so mutation explores the v4
+// include a genuine encoded snapshot (so mutation explores the v5
 // neighborhood), a genuine legacy v2 file (so mutation explores the
 // version-skew path old stores feed the decoder), and assorted prefixes.
 func FuzzDecode(f *testing.F) {
@@ -738,6 +746,103 @@ func TestStoreCorruptTEntryRejected(t *testing.T) {
 	})
 }
 
+// Each field of the R index in a saved file, corrupted, its R checksum
+// left stale: the default aliasing load defers that checksum, so
+// core.Adopt's O(n) shape check is what must turn the file down — Restore
+// errors, never panics or indexes past the band arena — while the copying
+// decode's checksum rejects the file first. With the checksum resealed
+// over the edit the copying decode passes its scan, and Adopt must catch
+// the index there too. Either way the load misses and the caller's
+// recompute answers like the data-flow ground truth.
+func TestStoreCorruptRIndexRejected(t *testing.T) {
+	const n = 150
+	s := captureLadder(t, n, core.StrategyPropagate)
+	r := s.NReach
+	wide := 0 // a row whose band starts past word 0
+	for v := 0; v < r && wide == 0; v++ {
+		if s.RIndex[2*v+1] > 0 {
+			wide = v
+		}
+	}
+	if wide == 0 {
+		t.Fatalf("fixture: no band starts past word 0 in %v", s.RIndex)
+	}
+	for _, tc := range []struct {
+		name  string
+		field int // position in the index
+		value int32
+		want  string // core.Adopt's error
+	}{
+		{"offsets-start-off-zero", 0, 1, "start at 1"},
+		{"offsets-decrease", 2*wide + 2, s.RIndex[2*wide] - 1, "decrease"},
+		{"offsets-overrun", 2 * wide, int32(len(s.RWords)) + 1, "leaves"},
+		{"offsets-end-short", 2 * r, int32(len(s.RWords)) - 1, "ends with"},
+		{"closing-lo", 2*r + 1, 1, "ends with"},
+		{"lo-negative", 2*wide + 1, -1, "band"},
+		{"lo-past-row", 2*wide + 1, int32(r+63) / 64, "band"},
+	} {
+		for _, mode := range []string{"alias-stale", "copy-stale", "copy-resealed"} {
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				st, err := snapshot.Open(t.TempDir(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Save(s); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(st.Dir(), fpName(s.FP))
+				buf, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rBytes := int(binary.LittleEndian.Uint32(buf[40:]))
+				rOff := len(buf) - rBytes - int(binary.LittleEndian.Uint32(buf[44:]))
+				binary.LittleEndian.PutUint32(buf[rOff+4*tc.field:], uint32(tc.value))
+				if mode == "copy-resealed" {
+					crc := crc32.Checksum(buf[rOff:rOff+rBytes], crc32.MakeTable(crc32.Castagnoli))
+					binary.LittleEndian.PutUint32(buf[60:], crc)
+					reseal(buf)
+				}
+				if err := os.WriteFile(path, buf, 0o666); err != nil {
+					t.Fatal(err)
+				}
+				if mode != "alias-stale" {
+					snapshot.SetForceCopyDecode(true)
+					defer snapshot.SetForceCopyDecode(false)
+				}
+				loaded, err := st.Load(s.FP)
+				switch {
+				case mode == "copy-stale" || (mode == "alias-stale" && !aliasingHost()):
+					if err == nil || !strings.Contains(err.Error(), "R section checksum") {
+						t.Fatalf("copying load: got %v, want an R-section checksum error", err)
+					}
+					return
+				case err != nil:
+					t.Fatalf("load: %v", err)
+				}
+				if _, err := loaded.Restore(ladderFunc(n), core.Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("restore: got %v, want an error containing %q", err, tc.want)
+				}
+			})
+		}
+	}
+	// The recompute the caller falls back to answers like data flow.
+	f := ladderFunc(n)
+	p, err := backend.Prepare(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := backend.NewCheckerResult(p, core.Options{})
+	truth := dataflow.Analyze(f)
+	f.Values(func(v *ir.Value) {
+		for _, b := range f.Blocks {
+			if res.IsLiveIn(v, b) != truth.IsLiveIn(v, b) || res.IsLiveOut(v, b) != truth.IsLiveOut(v, b) {
+				t.Fatalf("recompute disagrees with data flow on %v at %v", v, b)
+			}
+		}
+	})
+}
+
 // aliasingHost reports whether decoded snapshots alias the mapped file
 // on this host (64-bit little-endian). Elsewhere every load copies the
 // payload and so verifies all five sections.
@@ -798,7 +903,7 @@ func captureLadder(t testing.TB, n int, st core.Strategy) *snapshot.Snapshot {
 	return s
 }
 
-// The file format is pinned byte for byte: SHA-256 digests of the v4
+// The file format is pinned byte for byte: SHA-256 digests of the v5
 // encoding of fixed functions. The encoder must reproduce them exactly —
 // through Encode and through the file Store.Save writes — on every host:
 // the 600-block case fills the portable encoder's staging chunk several
@@ -810,12 +915,12 @@ func TestEncodeGoldenDigest(t *testing.T) {
 		size   int
 		digest string
 	}{
-		{9, core.StrategyExact, 1484, "5a04c14d852e7c851dcf2820720fcb845d400670f05ba9f8d697c659748d39df"},
-		{9, core.StrategyPropagate, 1484, "d7be7873076ac5333377807885f2c04dbb8bac1ba7234970e5c7f1d2c4e9b479"},
-		{150, core.StrategyExact, 55748, "49b09402981de461af11e2ac923c7c70415d3cd79c2e15258137bc524ae53736"},
-		{150, core.StrategyPropagate, 55748, "993adc4c3a5d572ac9335c605ce9fc4860d0d43a19d11a84c7c56a393beb5541"},
-		{600, core.StrategyExact, 616012, "026a9a9e2848a9814c160730ea8cc9840481f1b02a389a1c42a11d207c5b3953"},
-		{600, core.StrategyPropagate, 616012, "fa7d967bc86803f17303b00399f598af2fa917eb78e65a50107c335e9a31f220"},
+		{9, core.StrategyExact, 1564, "8720779f4da24d787f853a32a2d6094b6477ec21651a5a4077eea020ba10339a"},
+		{9, core.StrategyPropagate, 1564, "dd8004454f09f4ac9ea51bfdb72a77b74236dae1dcd966ba21cf493af108ae7f"},
+		{150, core.StrategyExact, 56092, "56fa65a9f5f02d0fdc0716d262f194cdbdbfa7c969b19e33302cbe0b98b45625"},
+		{150, core.StrategyPropagate, 56092, "a7c54716118456c88ba037c70bd4604f8299404ebe5c6088ee600569e251a40c"},
+		{600, core.StrategyExact, 600660, "8a5bffbd552a4f1ea5edb48c11ee9b5e09042d43fbb54728e507ce39b9ed5e13"},
+		{600, core.StrategyPropagate, 600660, "85d97aa6ecc0515d9e8807f7fa9b7d907e9800b4201250c2436a81f6cf0cc604"},
 	} {
 		s := captureLadder(t, tc.n, tc.st)
 		buf, err := s.Encode()
@@ -847,16 +952,17 @@ func TestEncodeGoldenDigest(t *testing.T) {
 }
 
 // WriteTo writes nothing for a snapshot whose arrays contradict its
-// dimensions — an R arena of the wrong size, a T arena shorter than its
-// offsets or longer than its last offset counts — and reports a failing
-// writer's error.
+// dimensions — R band words other than its index counts, an R index of
+// the wrong length, a T arena shorter than its offsets or longer than its
+// last offset counts — and reports a failing writer's error.
 func TestWriteToErrors(t *testing.T) {
 	s := captureLadder(t, 150, core.StrategyExact)
-	shortR, shortT, offEnd := *s, *s, *s
+	shortR, shortIdx, shortT, offEnd := *s, *s, *s, *s
 	shortR.RWords = shortR.RWords[1:]
+	shortIdx.RIndex = shortIdx.RIndex[:len(s.RIndex)-2]
 	shortT.T = shortT.T[:s.NReach] // fewer values than offsets
 	offEnd.T = offEnd.T[:len(offEnd.T)-1]
-	for _, bad := range []snapshot.Snapshot{shortR, shortT, offEnd} {
+	for _, bad := range []snapshot.Snapshot{shortR, shortIdx, shortT, offEnd} {
 		var buf bytes.Buffer
 		if n, err := bad.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
 			t.Fatalf("inconsistent arenas: wrote %d bytes, err %v", n, err)

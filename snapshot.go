@@ -99,7 +99,7 @@ type SnapshotStoreOptions struct {
 	// failing save gets. 0 means 2; negative disables retries.
 	SaveRetries int
 	// VerifyArenas opts mmap-backed loads into eager checksum scans of
-	// the R/T arena sections (the O(n²) R matrix and the CSR T arena). By
+	// the R/T arena sections (the banded R and the CSR T arena). By
 	// default the aliasing load path verifies the header and the
 	// structural sections and defers the arena scans — the sub-linear
 	// warm-start trade, in which an on-disk bit flip inside R, or one
