@@ -386,61 +386,6 @@ func BenchmarkLiveSets(b *testing.B) {
 	})
 }
 
-// ---- Extension E2: the §8 loop-forest checker vs the R/T checker ----
-
-func BenchmarkCheckerVariants(b *testing.B) {
-	rng := rand.New(rand.NewSource(33))
-	g := graphgen.RandomReducible(rng, graphgen.Config{
-		MinNodes: 150, MaxNodes: 150, ExtraEdgeFactor: 1.3, BackEdgeProb: 0.5,
-	})
-	d := cfg.NewDFS(g)
-	tree := dom.Iterative(g, d)
-	var dominated []int
-	for v := 1; v < g.N(); v++ {
-		if tree.Reachable(v) {
-			dominated = append(dominated, v)
-		}
-	}
-	uses := []int{dominated[len(dominated)/2], dominated[len(dominated)-1]}
-
-	b.Run("precompute/rt", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.NewFrom(g, d, tree, core.Options{})
-		}
-	})
-	b.Run("precompute/loopforest", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := loops.NewChecker(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	rt := core.NewFrom(g, d, tree, core.Options{})
-	lf, err := loops.NewChecker(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("query/rt", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rt.IsLiveIn(0, uses, dominated[i%len(dominated)])
-		}
-	})
-	b.Run("query/loopforest", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lf.IsLiveIn(0, uses, dominated[i%len(dominated)])
-		}
-	})
-	b.Run("memory", func(b *testing.B) {
-		b.ReportMetric(float64(rt.MemoryBytes()), "rt-bytes")
-		b.ReportMetric(float64(lf.MemoryBytes()), "loopforest-bytes")
-	})
-}
-
 // ---- End-to-end: the whole destruction pass under each oracle ----
 
 func BenchmarkDestructionEndToEnd(b *testing.B) {

@@ -197,8 +197,9 @@ type buildState struct {
 
 // Engine analyzes a whole program: a set of functions registered with Add
 // (or all at once via AnalyzeProgram), precomputed in parallel by
-// Precompute, and queried through per-function Liveness handles or the
-// batched query methods. All methods are safe for concurrent use.
+// Precompute, and queried through per-function Liveness handles, Oracles
+// or the batched query methods. All methods are safe for concurrent use,
+// and so is every Liveness the engine hands out.
 //
 // Staleness is handled automatically: every cached analysis records the
 // function's edit epochs (ir.Func.CFGEpoch/InstrEpoch), and Liveness
@@ -214,10 +215,10 @@ type buildState struct {
 // (EngineConfig.RebuildWorkers) Metrics().BackgroundRebuilds reports the
 // ones the workers absorbed off the hot path instead.
 //
-// The one hazard left with the caller is handle lifetime: a *Liveness or
-// Querier obtained before an edit keeps answering against the pre-edit
-// program. Request handles through the engine (or use Oracle, which
-// re-fetches on staleness) instead of holding them across edits.
+// The one hazard left with the caller is handle lifetime: a *Liveness
+// obtained before an edit keeps answering against the pre-edit program.
+// Request handles through the engine (or use Oracle, which re-fetches on
+// staleness) instead of holding them across edits.
 type Engine struct {
 	config EngineConfig
 
@@ -382,9 +383,8 @@ func (e *Engine) PrecomputeContext(ctx context.Context) error {
 // Engine invalidation contract). Concurrent calls for the same function
 // share one build; a build the rebuild pool already has in flight is
 // likewise shared, never duplicated. The returned Liveness stays valid
-// even if the engine later evicts it; as with Analyze, its query methods
-// reuse a scratch buffer, so use NewQuerier (or the engine's batch
-// methods) for concurrent querying.
+// even if the engine later evicts it, and like every Liveness it is safe
+// for concurrent queries.
 //
 // Errors wrap the package sentinels: ErrUnknownFunc for a function never
 // registered with Add, ErrEngineClosed after Shutdown, and ErrQuarantined
@@ -770,14 +770,15 @@ const batchParallelThreshold = 256
 
 // BatchIsLiveIn answers queries[i] = IsLiveIn(V, B) for every query, all
 // against function f. One analysis lookup and one query handle serve the
-// whole batch (large batches are sharded over the worker pool), so the
-// per-query overhead of the one-at-a-time API is paid once. Answers are
-// positionally identical to calling Liveness.IsLiveIn per query. The
-// batch runs under the function's read lock and re-fetches if an Edit
-// lands between the analysis lookup and the batch execution, so it never
-// answers from an analysis an edit has invalidated.
+// whole batch (large batches are sharded over the worker pool, whose
+// goroutines share the handle), so the per-query overhead of the
+// one-at-a-time API is paid once. Answers are positionally identical to
+// calling Liveness.IsLiveIn per query. The batch runs under the
+// function's read lock and re-fetches if an Edit lands between the
+// analysis lookup and the batch execution, so it never answers from an
+// analysis an edit has invalidated.
 func (e *Engine) BatchIsLiveIn(f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(context.Background(), f, queries, (*Querier).IsLiveIn)
+	return e.batch(context.Background(), f, queries, (*Liveness).IsLiveIn)
 }
 
 // BatchIsLiveInContext is BatchIsLiveIn bounded by a context: the
@@ -785,20 +786,20 @@ func (e *Engine) BatchIsLiveIn(f *ir.Func, queries []Query) ([]bool, error) {
 // LivenessContext; the query execution itself is not interrupted once an
 // analysis is held.
 func (e *Engine) BatchIsLiveInContext(ctx context.Context, f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(ctx, f, queries, (*Querier).IsLiveIn)
+	return e.batch(ctx, f, queries, (*Liveness).IsLiveIn)
 }
 
 // BatchIsLiveOut is BatchIsLiveIn for live-out queries.
 func (e *Engine) BatchIsLiveOut(f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(context.Background(), f, queries, (*Querier).IsLiveOut)
+	return e.batch(context.Background(), f, queries, (*Liveness).IsLiveOut)
 }
 
 // BatchIsLiveOutContext is BatchIsLiveInContext for live-out queries.
 func (e *Engine) BatchIsLiveOutContext(ctx context.Context, f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(ctx, f, queries, (*Querier).IsLiveOut)
+	return e.batch(ctx, f, queries, (*Liveness).IsLiveOut)
 }
 
-func (e *Engine) batch(ctx context.Context, f *ir.Func, queries []Query, ask func(*Querier, *ir.Value, *ir.Block) bool) ([]bool, error) {
+func (e *Engine) batch(ctx context.Context, f *ir.Func, queries []Query, ask func(*Liveness, *ir.Value, *ir.Block) bool) ([]bool, error) {
 	h := e.lookup(f)
 	if h == nil {
 		return nil, errUnknownFunc(f.Name)
@@ -833,19 +834,18 @@ func (e *Engine) batch(ctx context.Context, f *ir.Func, queries []Query, ask fun
 // runBatch executes the queries against one (fresh) analysis, sharding
 // large batches over the worker pool. The caller holds the function's
 // read lock; the fan-out goroutines run under it too — RLock is shared,
-// so they need no locks of their own.
-func (e *Engine) runBatch(live *Liveness, queries []Query, ask func(*Querier, *ir.Value, *ir.Block) bool) []bool {
+// and they share live, which is safe for concurrent queries.
+func (e *Engine) runBatch(live *Liveness, queries []Query, ask func(*Liveness, *ir.Value, *ir.Block) bool) []bool {
 	out := make([]bool, len(queries))
 	workers := e.config.workers()
 	if len(queries) < batchParallelThreshold || workers < 2 {
-		qr := live.NewQuerier()
 		for i, q := range queries {
-			out[i] = ask(qr, q.V, q.B)
+			out[i] = ask(live, q.V, q.B)
 		}
 		return out
 	}
-	// Shard into contiguous ranges, one querier per shard; each shard
-	// writes disjoint indices, so the result is order-independent.
+	// Shard into contiguous ranges; each shard writes disjoint indices, so
+	// the result is order-independent.
 	if workers > len(queries) {
 		workers = len(queries)
 	}
@@ -859,9 +859,8 @@ func (e *Engine) runBatch(live *Liveness, queries []Query, ask func(*Querier, *i
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			qr := live.NewQuerier()
 			for i := lo; i < hi; i++ {
-				out[i] = ask(qr, queries[i].V, queries[i].B)
+				out[i] = ask(live, queries[i].V, queries[i].B)
 			}
 		}(lo, hi)
 	}
@@ -878,17 +877,16 @@ func (e *Engine) runBatch(live *Liveness, queries []Query, ask func(*Querier, *i
 // any backend with no manual refresh hooks — rebuild policy lives in the
 // epochs, not at the call sites.
 //
-// An Oracle owns its Querier (scratch buffers); like the function it
-// queries, it is single-goroutine.
-// Create one per goroutine. Each query executes under the function's
-// read lock, so oracle queries are safe against concurrent Engine.Edit
-// calls on the same function.
+// An Oracle swaps in the re-fetched analysis in place, so it is
+// single-goroutine: create one per goroutine (they share the engine's
+// analysis). Each query executes under the function's read lock, so
+// oracle queries are safe against concurrent Engine.Edit calls on the
+// same function.
 type Oracle struct {
 	e    *Engine
 	h    *handle
 	f    *ir.Func
 	live *Liveness
-	qr   *Querier
 }
 
 // Oracle returns an auto-refreshing query handle for a registered
@@ -914,7 +912,7 @@ func (e *Engine) OracleContext(ctx context.Context, f *ir.Func) (*Oracle, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Oracle{e: e, h: h, f: f, live: live, qr: live.NewQuerier()}, nil
+	return &Oracle{e: e, h: h, f: f, live: live}, nil
 }
 
 // ensure re-fetches the analysis when the held one went stale. Re-analysis
@@ -928,28 +926,27 @@ func (e *Engine) OracleContext(ctx context.Context, f *ir.Func) (*Oracle, error)
 // ensure runs without the function's read lock held (taking it here
 // would deadlock against the build path, which read-locks around its own
 // IR walk); the query wrapper re-checks staleness under the lock.
-func (o *Oracle) ensure() *Querier {
+func (o *Oracle) ensure() *Liveness {
 	if o.live.Stale() {
 		live, err := o.e.liveness(context.Background(), o.h)
 		if err != nil {
 			panic(fmt.Sprintf("fastliveness: oracle re-analysis of %s after edit: %v", o.f.Name, err))
 		}
 		o.live = live
-		o.qr = live.NewQuerier()
 	}
-	return o.qr
+	return o.live
 }
 
 // query answers one question under the function's read lock, re-fetching
 // until the analysis it holds is fresh at the moment the lock is held.
 // The common case (no intervening edit) is one lock-free staleness check
 // plus one uncontended RLock.
-func (o *Oracle) query(ask func(*Querier) bool) bool {
+func (o *Oracle) query(ask func(*Liveness) bool) bool {
 	for {
-		qr := o.ensure()
+		live := o.ensure()
 		o.h.irMu.RLock()
-		if !o.live.Stale() {
-			v := ask(qr)
+		if !live.Stale() {
+			v := ask(live)
 			o.h.irMu.RUnlock()
 			// One atomic add is the entire per-query instrumentation cost:
 			// per-query timing would double the hot path's latency for a
@@ -966,15 +963,15 @@ func (o *Oracle) query(ask func(*Querier) bool) bool {
 // IsLiveIn answers against the current program, re-analyzing first if an
 // edit made the held analysis stale.
 func (o *Oracle) IsLiveIn(v *ir.Value, b *ir.Block) bool {
-	return o.query(func(qr *Querier) bool { return qr.IsLiveIn(v, b) })
+	return o.query(func(l *Liveness) bool { return l.IsLiveIn(v, b) })
 }
 
 // IsLiveOut is IsLiveIn for live-out queries.
 func (o *Oracle) IsLiveOut(v *ir.Value, b *ir.Block) bool {
-	return o.query(func(qr *Querier) bool { return qr.IsLiveOut(v, b) })
+	return o.query(func(l *Liveness) bool { return l.IsLiveOut(v, b) })
 }
 
 // Interfere is the Budimlić interference test against the current program.
 func (o *Oracle) Interfere(x, y *ir.Value) bool {
-	return o.query(func(qr *Querier) bool { return qr.Interfere(x, y) })
+	return o.query(func(l *Liveness) bool { return l.Interfere(x, y) })
 }

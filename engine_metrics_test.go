@@ -444,7 +444,7 @@ func TestEngineMetricsScrapeRace(t *testing.T) {
 		qss[i] = allQueries(f)[:16]
 	}
 	var wg sync.WaitGroup
-	// Queriers: batch traffic on every function.
+	// Batch traffic on every function.
 	for i := range funcs {
 		wg.Add(1)
 		go func(i int) {

@@ -376,7 +376,6 @@ func TestEngineSnapshotLoadedQueriesZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	sweep() // warm the scratch buffer
 	if avg := testing.AllocsPerRun(10, sweep); avg != 0 {
 		t.Errorf("snapshot-loaded steady-state sweep: %v allocs, want 0", avg)
 	}

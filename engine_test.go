@@ -249,7 +249,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				ref := refs[f].NewQuerier()
+				ref := refs[f]
 				for i, q := range qs {
 					if got[i] != ref.IsLiveIn(q.V, q.B) {
 						errs <- fmt.Errorf("worker %d: %s live-in(%s,%s) mismatch", w, f.Name, q.V, q.B)

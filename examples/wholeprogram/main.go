@@ -6,7 +6,8 @@
 // or JIT has thousands of CFGs, and their precomputations are independent.
 // This example builds a 64-function program, precomputes it across a
 // worker pool, and shows the three ways to query the result: a cached
-// per-function handle, a batched query slice, and per-goroutine Queriers.
+// per-function handle, a batched query slice, and goroutines sharing one
+// handle.
 package main
 
 import (
@@ -88,8 +89,8 @@ func main() {
 	}
 	fmt.Printf("\n%s: %d of %d (var, block) pairs are live-in\n", f.Name, hot, len(queries))
 
-	// Per-goroutine Queriers share one precomputation for concurrent
-	// serving; the engine's batch methods do this internally too.
+	// Goroutines share one Liveness for concurrent serving: a query writes
+	// nothing, and the engine's batch methods do the same internally.
 	live, err := engine.Liveness(f)
 	if err != nil {
 		log.Fatal(err)
@@ -97,10 +98,9 @@ func main() {
 	done := make(chan int, 4)
 	for w := 0; w < 4; w++ {
 		go func(w int) {
-			qr := live.NewQuerier()
 			n := 0
 			for i := w; i < len(queries); i += 4 {
-				if qr.IsLiveIn(queries[i].V, queries[i].B) {
+				if live.IsLiveIn(queries[i].V, queries[i].B) {
 					n++
 				}
 			}
@@ -111,7 +111,7 @@ func main() {
 	for w := 0; w < 4; w++ {
 		sum += <-done
 	}
-	fmt.Printf("4 concurrent queriers agree: %d live-in answers\n", sum)
+	fmt.Printf("4 goroutines sharing one handle agree: %d live-in answers\n", sum)
 
 	// A CFG edit invalidates exactly one function's analysis — and the
 	// engine notices on its own: the edit bumps the function's CFGEpoch,

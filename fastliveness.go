@@ -21,6 +21,10 @@
 // per-variable walker and the loop-forest engine). Config.Backend selects
 // one by name; "auto" picks per function.
 //
+// A query writes nothing but LiveIn/LiveOut's lazily built sets, which a
+// mutex guards, so every Liveness is safe for concurrent queries under any
+// backend: goroutines share one handle rather than each holding their own.
+//
 // Example:
 //
 //	live, err := fastliveness.Analyze(f, fastliveness.Config{})
@@ -50,18 +54,13 @@ const (
 
 // Config tunes the analysis. The zero value is the paper's configuration.
 type Config struct {
-	// Strategy selects the T-set precomputation scheme.
+	// Strategy selects the T-set precomputation scheme. It tunes the
+	// checker and is ignored by the other backends.
 	Strategy Strategy
-	// NoSkipSubtrees disables the §5.1 dominance-subtree skip (ablation).
-	NoSkipSubtrees bool
-	// NoReducibleFastPath disables the Theorem 2 single-test fast path
-	// (ablation).
-	NoReducibleFastPath bool
 	// Backend names the liveness engine serving the queries: one of
 	// Backends() — "checker" (the paper's R/T checker, the default),
 	// "dataflow", "lao", "pervar", "loops", or "auto" (per-function
-	// adaptive selection). The empty string means "checker". The fields
-	// above tune the checker and are ignored by the other backends.
+	// adaptive selection). The empty string means "checker".
 	//
 	// Every backend answers queries identically (the differential suite
 	// proves it); they differ in precompute cost, memory, and what
@@ -85,18 +84,14 @@ func Backends() []string { return backend.Names() }
 
 // Liveness answers liveness queries for one function. It is bound to the
 // function's CFG at Analyze time; see the package comment for what
-// invalidates it. Queries are not safe for concurrent use (a scratch
-// buffer is reused); create one Liveness per goroutine if needed.
+// invalidates it. It is safe for concurrent queries: any number of
+// goroutines may share one Liveness (against an unchanging program).
 type Liveness struct {
-	f       *ir.Func
-	prep    *backend.Prep
-	res     backend.Result
-	checker *core.Checker // non-nil iff the checker serves the queries
-	q       Querier       // the handle's own query scratch space
-	// enum is the lazily built set-producing result behind LiveIn/LiveOut.
-	// enumMu guards it: an Engine reports MemoryBytes concurrently with the
-	// handle owner's first enumeration, so this corner of the otherwise
-	// single-goroutine Liveness must synchronize.
+	f    *ir.Func
+	prep *backend.Prep
+	res  backend.Result
+	// enum is the lazily built set-producing result behind LiveIn/LiveOut,
+	// the one field a query may write; enumMu guards it.
 	enumMu sync.Mutex
 	enum   backend.Result
 }
@@ -120,9 +115,9 @@ func Analyze(f *ir.Func, config Config) (*Liveness, error) {
 	var res backend.Result
 	switch config.Backend {
 	case "", backend.DefaultName:
-		// The checker honors the strategy/ablation knobs; going through
-		// the registry would lose them.
-		res = backend.NewCheckerResult(prep, config.coreOptions())
+		// The checker honors the strategy; going through the registry
+		// would lose it.
+		res = backend.NewCheckerResult(prep, core.Options{Strategy: config.Strategy})
 	default:
 		b, err := backend.Get(config.Backend)
 		if err != nil {
@@ -132,33 +127,17 @@ func Analyze(f *ir.Func, config Config) (*Liveness, error) {
 			return nil, err
 		}
 	}
-	return newLiveness(f, prep, res), nil
+	return &Liveness{f: f, prep: prep, res: res}, nil
 }
-
-// newLiveness wraps an analysis of f as a query handle without re-running
-// it; the engine adopts snapshot-loaded checker results through it.
-func newLiveness(f *ir.Func, prep *backend.Prep, res backend.Result) *Liveness {
-	l := &Liveness{f: f, prep: prep, res: res}
-	l.q.l = l
-	if cr, ok := res.(*backend.CheckerResult); ok {
-		// Route checker queries through the handles' own scratch, never
-		// the shared result's.
-		l.checker = cr.Checker()
-	}
-	return l
-}
-
-// node maps a block to its CFG node, tolerating blocks added after Analyze
-// only if the CFG has not changed — which the API contract forbids anyway.
-func (l *Liveness) node(b *ir.Block) int { return l.prep.Node(b) }
 
 // IsLiveIn reports whether v is live-in at block b (paper Definition 2 /
-// Algorithm 3).
-func (l *Liveness) IsLiveIn(v *ir.Value, b *ir.Block) bool { return l.q.IsLiveIn(v, b) }
+// Algorithm 3). A checker query reads v's def-use chain (Definition 1
+// placement) fresh.
+func (l *Liveness) IsLiveIn(v *ir.Value, b *ir.Block) bool { return l.res.IsLiveIn(v, b) }
 
 // IsLiveOut reports whether v is live-out at block b (paper Definition 3 /
 // Algorithm 2).
-func (l *Liveness) IsLiveOut(v *ir.Value, b *ir.Block) bool { return l.q.IsLiveOut(v, b) }
+func (l *Liveness) IsLiveOut(v *ir.Value, b *ir.Block) bool { return l.res.IsLiveOut(v, b) }
 
 // sets returns the set-producing result behind LiveIn/LiveOut: the
 // analysis itself when it already materializes sets (and is still fresh),
@@ -239,54 +218,12 @@ func (l *Liveness) Stale() bool { return backend.Stale(l.res, l.f) }
 //
 // This is what register allocators and coalescers (see examples/jitregalloc
 // and internal/destruct) ask instead of materializing an interference
-// graph. Like the query methods it reuses this handle's scratch buffer;
-// concurrent callers use Querier.Interfere.
-func (l *Liveness) Interfere(x, y *ir.Value) bool { return l.q.Interfere(x, y) }
-
-// Querier is a lightweight per-goroutine handle onto a Liveness: it shares
-// all precomputed sets but owns its scratch buffer, so any number of
-// Queriers may run queries concurrently (against an unchanging program).
-// A Liveness answers its own queries through an embedded Querier.
-type Querier struct {
-	l       *Liveness
-	scratch []int
-}
-
-// NewQuerier returns a query handle sharing l's precomputation.
-func (l *Liveness) NewQuerier() *Querier { return &Querier{l: l} }
-
-// IsLiveIn is Liveness.IsLiveIn through this handle's scratch space. A
-// checker query reads v's def-use chain (Definition 1 placement) fresh.
-func (qr *Querier) IsLiveIn(v *ir.Value, b *ir.Block) bool {
-	l := qr.l
-	if l.checker != nil {
-		qr.scratch = l.prep.UseNodes(qr.scratch, v)
-		return l.checker.IsLiveIn(l.node(v.Block), qr.scratch, l.node(b))
-	}
-	return l.res.IsLiveIn(v, b)
-}
-
-// IsLiveOut is Liveness.IsLiveOut through this handle's scratch space.
-func (qr *Querier) IsLiveOut(v *ir.Value, b *ir.Block) bool {
-	l := qr.l
-	if l.checker != nil {
-		qr.scratch = l.prep.UseNodes(qr.scratch, v)
-		return l.checker.IsLiveOut(l.node(v.Block), qr.scratch, l.node(b))
-	}
-	return l.res.IsLiveOut(v, b)
-}
-
-// Interfere is Liveness.Interfere through this handle's scratch space:
-// interference queries issue IsLiveOut internally, so routing them through
-// the shared Liveness would race concurrent Queriers on its scratch
-// buffer. Through this method they are safe to run from any number of
-// goroutines.
-func (qr *Querier) Interfere(x, y *ir.Value) bool {
-	l := qr.l
+// graph.
+func (l *Liveness) Interfere(x, y *ir.Value) bool {
 	if x == y {
 		return false
 	}
-	bx, by := l.node(x.Block), l.node(y.Block)
+	bx, by := l.prep.Node(x.Block), l.prep.Node(y.Block)
 	switch {
 	case l.prep.Tree.Dominates(bx, by):
 	case l.prep.Tree.Dominates(by, bx):
@@ -297,7 +234,7 @@ func (qr *Querier) Interfere(x, y *ir.Value) bool {
 	if x.Block == y.Block && x.Block.ValueIndex(x) > y.Block.ValueIndex(y) {
 		x, y = y, x
 	}
-	if qr.IsLiveOut(x, y.Block) {
+	if l.IsLiveOut(x, y.Block) {
 		return true
 	}
 	yPos := y.Block.ValueIndex(y)
@@ -321,8 +258,8 @@ func (qr *Querier) Interfere(x, y *ir.Value) bool {
 // Reducible reports whether the function's CFG is reducible; on reducible
 // CFGs checker queries take the Theorem 2 single-test fast path.
 func (l *Liveness) Reducible() bool {
-	if l.checker != nil {
-		return l.checker.Reducible()
+	if cr, ok := l.res.(*backend.CheckerResult); ok {
+		return cr.Checker().Reducible()
 	}
 	return l.prep.Reducible()
 }

@@ -3,6 +3,7 @@ package fastliveness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fastliveness/internal/core"
@@ -34,7 +35,6 @@ func buildEngines(t *testing.T, f *ir.Func) []engine {
 	}{
 		{"checker/propagate", Config{}},
 		{"checker/exact", Config{Strategy: StrategyExact}},
-		{"checker/no-opts", Config{NoSkipSubtrees: true, NoReducibleFastPath: true}},
 	} {
 		live, err := Analyze(f, cfgVariant.c)
 		if err != nil {
@@ -173,47 +173,136 @@ func TestPrecomputationSurvivesProgramEdits(t *testing.T) {
 	check("after removing uses")
 }
 
-// Queriers share one precomputation but query safely in parallel.
+// Goroutines share one Liveness per backend — the checker, a checker
+// restored from a warm snapshot store, dataflow and auto — and every
+// IsLiveIn, IsLiveOut, Interfere and LiveIn answer must match one computed
+// up front. A query writes nothing shared (LiveIn's lazily built sets sit
+// behind a mutex), which the race detector checks in CI.
 func TestConcurrentQueriers(t *testing.T) {
-	c := gen.Default(321)
-	c.TargetBlocks = 50
-	f := gen.Generate("t", c)
-	ssa.Construct(f)
-	live, err := Analyze(f, Config{})
+	mk := func() *ir.Func {
+		c := gen.Default(321)
+		c.TargetBlocks = 50
+		f := gen.Generate("t", c)
+		ssa.Construct(f)
+		return f
+	}
+	analyzed := func(backend string) func(t *testing.T) (*ir.Func, *Liveness) {
+		return func(t *testing.T) (*ir.Func, *Liveness) {
+			f := mk()
+			live, err := Analyze(f, Config{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f, live
+		}
+	}
+	restored := func(t *testing.T) (*ir.Func, *Liveness) {
+		ss, err := OpenSnapshotStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := AnalyzeProgram([]*ir.Func{mk()}, EngineConfig{SnapshotStore: ss})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold.Close()
+		f := mk()
+		warm, err := AnalyzeProgram([]*ir.Func{f}, EngineConfig{SnapshotStore: ss})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(warm.Close)
+		if s := warm.SnapshotStats(); s.Hits != 1 {
+			t.Fatalf("second engine did not restore from the store: %+v", s)
+		}
+		live, err := warm.Liveness(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, live
+	}
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) (*ir.Func, *Liveness)
+	}{
+		{"checker", analyzed("checker")},
+		{"checker/snapshot", restored},
+		{"dataflow", analyzed("dataflow")},
+		{"auto", analyzed("auto")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, live := tc.open(t)
+			queryConcurrently(t, f, live)
+		})
+	}
+}
+
+// sortedIDs returns the IDs of vs in ascending order.
+func sortedIDs(vs []*ir.Value) []int {
+	ids := make([]int, len(vs))
+	for i, v := range vs {
+		ids[i] = v.ID
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// queryConcurrently runs IsLiveIn, IsLiveOut, Interfere and LiveIn on live
+// from several goroutines and checks every answer against the data-flow
+// ground truth.
+func queryConcurrently(t *testing.T, f *ir.Func, live *Liveness) {
+	t.Helper()
+	truth := dataflow.Analyze(f)
+	ref, err := Analyze(f, Config{Backend: "dataflow"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := dataflow.Analyze(f)
 	var vars []*ir.Value
 	f.Values(func(v *ir.Value) {
 		if v.Op.HasResult() {
 			vars = append(vars, v)
 		}
 	})
+	liveIn := make([][]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		liveIn[i] = truth.LiveInIDs(b)
+	}
 
 	const workers = 8
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			qr := live.NewQuerier()
-			for i := 0; i < 2000; i++ {
+			for i := 0; i < 1000; i++ {
 				v := vars[(i*7+w)%len(vars)]
-				b := f.Blocks[(i*13+w)%len(f.Blocks)]
-				if qr.IsLiveIn(v, b) != want.IsLiveIn(v, b) {
+				x := vars[(i*11+3*w)%len(vars)]
+				bi := (i*13 + w) % len(f.Blocks)
+				b := f.Blocks[bi]
+				if live.IsLiveIn(v, b) != truth.IsLiveIn(v, b) {
 					errs <- fmt.Errorf("worker %d: IsLiveIn(%s,%s) wrong", w, v, b)
 					return
 				}
-				if qr.IsLiveOut(v, b) != want.IsLiveOut(v, b) {
+				if live.IsLiveOut(v, b) != truth.IsLiveOut(v, b) {
 					errs <- fmt.Errorf("worker %d: IsLiveOut(%s,%s) wrong", w, v, b)
 					return
+				}
+				if live.Interfere(v, x) != ref.Interfere(v, x) {
+					errs <- fmt.Errorf("worker %d: Interfere(%s,%s) wrong", w, v, x)
+					return
+				}
+				if i%16 == 0 {
+					if got := sortedIDs(live.LiveIn(b)); !slices.Equal(got, liveIn[bi]) {
+						errs <- fmt.Errorf("worker %d: LiveIn(%s) = %v, want %v", w, b, got, liveIn[bi])
+						return
+					}
 				}
 			}
 			errs <- nil
 		}(w)
 	}
+	// Wait for every worker, so none outlives the subtest.
 	for w := 0; w < workers; w++ {
 		if err := <-errs; err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
 	}
 }

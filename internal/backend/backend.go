@@ -54,10 +54,8 @@ func (i Invalidation) String() string {
 	return fmt.Sprintf("invalidation(%d)", uint8(i))
 }
 
-// Result answers liveness queries for one analyzed function. Implementations
-// wrapping explicit set representations are safe for concurrent queries;
-// the checker-backed result reuses a scratch buffer and is not (the public
-// fastliveness.Querier provides the concurrent handle there).
+// Result answers liveness queries for one analyzed function. Every Result
+// is safe for concurrent queries.
 type Result interface {
 	// IsLiveIn reports whether v is live-in at b (paper Definition 2).
 	IsLiveIn(v *ir.Value, b *ir.Block) bool

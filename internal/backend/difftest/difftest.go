@@ -25,6 +25,7 @@ import (
 	"fastliveness"
 	"fastliveness/internal/backend"
 	"fastliveness/internal/cfg"
+	"fastliveness/internal/core"
 	"fastliveness/internal/dataflow"
 	"fastliveness/internal/dom"
 	"fastliveness/internal/gen"
@@ -182,8 +183,7 @@ const interferePairCap = 4096
 
 // compareInterfere cross-checks the public API's Interfere relation: the
 // checker-backed and the dataflow-backed analyses route the live-out test
-// of the Budimlić algorithm through different engines, and the concurrent
-// Querier handle routes it through its own scratch, so all three must
+// of the Budimlić algorithm through different engines, so both must
 // classify every sampled value pair identically.
 func compareInterfere(f *ir.Func) error {
 	chk, err := fastliveness.Analyze(f, fastliveness.Config{Backend: "checker"})
@@ -209,17 +209,12 @@ func compareInterfere(f *ir.Func) error {
 		for stride = n * n / interferePairCap; gcd(stride, n) != 1; stride++ {
 		}
 	}
-	qr := chk.NewQuerier()
 	for k := 0; k < n*n; k += stride {
 		x, y := vals[k/n], vals[k%n]
 		want := chk.Interfere(x, y)
 		if got := df.Interfere(x, y); got != want {
 			return fmt.Errorf("difftest: %s: Interfere(%s, %s) = %v via %s, %v via checker",
 				f.Name, x, y, got, GroundTruth, want)
-		}
-		if got := qr.Interfere(x, y); got != want {
-			return fmt.Errorf("difftest: %s: Querier.Interfere(%s, %s) = %v, Liveness says %v",
-				f.Name, x, y, got, want)
 		}
 	}
 	return nil
@@ -280,60 +275,33 @@ func compare(name string, f *ir.Func, res backend.Result, truth *dataflow.Result
 
 // CheckerConfigs enumerates the checker configurations that must stay
 // answer-identical: both T-set strategies, which build different (though
-// answer-equivalent) T arenas. Validate covers the registered backends
-// under default options; this axis covers the checker's own T space.
-func CheckerConfigs() []fastliveness.Config {
-	return []fastliveness.Config{
-		{Strategy: fastliveness.StrategyExact},
-		{Strategy: fastliveness.StrategyPropagate},
+// answer-equivalent) T arenas, each with the §5.1 subtree skip and the
+// Theorem 2 fast path on or off. Validate covers the registered backends
+// under default options; this axis covers the checker's own option space.
+func CheckerConfigs() []core.Options {
+	var out []core.Options
+	for _, s := range []core.Strategy{core.StrategyExact, core.StrategyPropagate} {
+		for _, noSkip := range []bool{false, true} {
+			for _, noFast := range []bool{false, true} {
+				out = append(out, core.Options{Strategy: s, NoSkipSubtrees: noSkip, NoReducibleFastPath: noFast})
+			}
+		}
 	}
+	return out
 }
 
 // ValidateCheckerStorage cross-checks the checker under every
 // CheckerConfigs combination against the data-flow ground truth on f:
-// every live-in/live-out query through the Liveness handle and through a
-// Querier.
+// every live-in/live-out query and both enumerated sets of every block.
 func ValidateCheckerStorage(f *ir.Func) error {
 	truth := dataflow.Analyze(f)
-	for _, cfg := range CheckerConfigs() {
-		live, err := fastliveness.Analyze(f, cfg)
-		if err != nil {
-			return fmt.Errorf("difftest: checker config %+v on %s: %w", cfg, f.Name, err)
-		}
-		qr := live.NewQuerier()
-		sweep := func(stage string) error {
-			var firstErr error
-			f.Values(func(v *ir.Value) {
-				if !v.Op.HasResult() || firstErr != nil {
-					return
-				}
-				for _, b := range f.Blocks {
-					wantIn, wantOut := truth.IsLiveIn(v, b), truth.IsLiveOut(v, b)
-					if got := live.IsLiveIn(v, b); got != wantIn {
-						firstErr = fmt.Errorf("difftest: checker %+v on %s (%s): live-in(%s, %s) = %v, ground truth %v",
-							cfg, f.Name, stage, v, b, got, wantIn)
-						return
-					}
-					if got := live.IsLiveOut(v, b); got != wantOut {
-						firstErr = fmt.Errorf("difftest: checker %+v on %s (%s): live-out(%s, %s) = %v, ground truth %v",
-							cfg, f.Name, stage, v, b, got, wantOut)
-						return
-					}
-					if got := qr.IsLiveIn(v, b); got != wantIn {
-						firstErr = fmt.Errorf("difftest: checker %+v on %s (%s): Querier live-in(%s, %s) = %v, ground truth %v",
-							cfg, f.Name, stage, v, b, got, wantIn)
-						return
-					}
-					if got := qr.IsLiveOut(v, b); got != wantOut {
-						firstErr = fmt.Errorf("difftest: checker %+v on %s (%s): Querier live-out(%s, %s) = %v, ground truth %v",
-							cfg, f.Name, stage, v, b, got, wantOut)
-						return
-					}
-				}
-			})
-			return firstErr
-		}
-		if err := sweep("fresh"); err != nil {
+	p, err := backend.Prepare(f)
+	if err != nil {
+		return fmt.Errorf("difftest: checker on %s: %w", f.Name, err)
+	}
+	for _, opts := range CheckerConfigs() {
+		name := fmt.Sprintf("checker %+v", opts)
+		if err := compare(name, f, backend.NewCheckerResult(p, opts), truth); err != nil {
 			return err
 		}
 	}

@@ -24,9 +24,9 @@ func TestAllBackendsAgreeOnRandomCorpus(t *testing.T) {
 	}
 }
 
-// The checker's storage representations — arena vs sorted-array T sets,
-// both precompute strategies — must answer identically to the ground
-// truth, through both query handle kinds.
+// Every checker configuration — both precompute strategies, each with the
+// §5.1 skip and the Theorem 2 fast path on or off — must answer
+// identically to the ground truth.
 func TestCheckerStorageConfigsAgree(t *testing.T) {
 	n := 60
 	if testing.Short() {

@@ -66,14 +66,16 @@ func (p *Prep) Node(b *ir.Block) int {
 func (p *Prep) Reducible() bool { return dom.IsReducible(p.DFS, p.Tree) }
 
 // UseNodes reads v's def-use chain (the paper's Definition 1 placement)
-// into scratch as CFG nodes, returning the reused slice. Every query
-// surface that owns a scratch buffer (CheckerResult, Liveness, Querier)
-// translates through this one helper so the Index conventions live in a
-// single place.
+// into scratch as CFG nodes, returning the reused slice. It translates each
+// use exactly as a CheckerResult query does (useNode), so timing it times
+// the def-use walk of a query.
 func (p *Prep) UseNodes(scratch []int, v *ir.Value) []int {
-	scratch = v.UseBlockIDs(scratch[:0])
-	for i, id := range scratch {
-		scratch[i] = p.Index[id]
+	scratch = scratch[:0]
+	for _, u := range v.Uses() {
+		scratch = append(scratch, p.useNode(u))
 	}
 	return scratch
 }
+
+// useNode maps one use record to the CFG node of its Definition 1 block.
+func (p *Prep) useNode(u ir.Use) int { return p.Index[u.Block().ID] }

@@ -11,7 +11,7 @@
 // A "variable" in the paper's sense is simply a *Value with a result here —
 // SSA makes values and variables interchangeable. φ-functions use their
 // arguments at the corresponding predecessor block (paper Definition 1);
-// Value.UseBlockIDs implements exactly that placement, and is what the
+// Use.Block implements exactly that placement, and is what the
 // fastliveness facade reads fresh at query time, so liveness answers track
 // program edits without re-analysis.
 //

@@ -192,6 +192,20 @@ type Use struct {
 	UserBlock *Block
 }
 
+// Block returns the block where the use reads its value under paper
+// Definition 1: a non-φ use at the user's block, a φ use at the φ block's
+// corresponding predecessor, a control use at the controlling block.
+func (u Use) Block() *Block {
+	switch {
+	case u.UserBlock != nil:
+		return u.UserBlock
+	case u.User.Op == OpPhi:
+		return u.User.Block.Preds[u.Index].B
+	default:
+		return u.User.Block
+	}
+}
+
 // Value is one SSA value / instruction.
 type Value struct {
 	ID    int
@@ -363,19 +377,11 @@ func (v *Value) Uses() []Use { return v.uses }
 func (v *Value) NumUses() int { return len(v.uses) }
 
 // UseBlockIDs appends to dst the IDs of the blocks where v is used,
-// following paper Definition 1: a non-φ use at the user's block, a φ use at
-// the φ block's corresponding predecessor, a control use at the controlling
-// block. Duplicates are possible; callers that need distinct blocks dedup.
+// following paper Definition 1 (see Use.Block). Duplicates are possible;
+// callers that need distinct blocks dedup.
 func (v *Value) UseBlockIDs(dst []int) []int {
 	for _, u := range v.uses {
-		switch {
-		case u.UserBlock != nil:
-			dst = append(dst, u.UserBlock.ID)
-		case u.User.Op == OpPhi:
-			dst = append(dst, u.User.Block.Preds[u.Index].B.ID)
-		default:
-			dst = append(dst, u.User.Block.ID)
-		}
+		dst = append(dst, u.Block().ID)
 	}
 	return dst
 }

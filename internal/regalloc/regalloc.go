@@ -48,7 +48,8 @@ import (
 // Oracle answers the liveness queries the allocator issues. It is the
 // destruct.Oracle shape extended with the live-in query the scan needs for
 // block-entry occupancy. The production choice is the paper's checker (a
-// *fastliveness.Liveness or Querier satisfies it directly); a
+// *fastliveness.Liveness satisfies it directly, and goroutines may share
+// one); a
 // *fastliveness.Oracle satisfies it under any backend and refreshes itself
 // across the spill edits. Every internal/backend Result satisfies it too,
 // which is how the harness times all engines on the identical query

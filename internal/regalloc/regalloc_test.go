@@ -258,27 +258,3 @@ func TestHighPressureModeRaisesPressure(t *testing.T) {
 		t.Fatalf("high-pressure corpus max-pressure sum %d not above default %d", hi, lo)
 	}
 }
-
-// Querier (the concurrent handle) satisfies the Oracle shape too and must
-// drive the allocator to the same assignment as the owning Liveness.
-func TestQuerierOracleMatchesLiveness(t *testing.T) {
-	c := gen.HighPressure(11)
-	c.TargetBlocks = 20
-	f := gen.Generate("qr", c)
-	ssa.Construct(f)
-	live := analyze(t, f)
-	p := regalloc.MeasurePressure(f, live)
-	a1, err := regalloc.Run(f, live, p.Max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := regalloc.Run(f, live.NewQuerier(), p.Max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range a1.Reg {
-		if a1.Reg[id] != a2.Reg[id] {
-			t.Fatalf("value ID %d: Liveness oracle assigned r%d, Querier oracle r%d", id, a1.Reg[id], a2.Reg[id])
-		}
-	}
-}

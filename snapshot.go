@@ -324,15 +324,6 @@ func (e *Engine) SnapshotStats() SnapshotStats {
 	return st
 }
 
-// coreOptions maps the public per-function Config to checker options.
-func (c Config) coreOptions() core.Options {
-	return core.Options{
-		Strategy:            c.Strategy,
-		NoSkipSubtrees:      c.NoSkipSubtrees,
-		NoReducibleFastPath: c.NoReducibleFastPath,
-	}
-}
-
 // snapshotTier returns the store to consult for this engine's builds, or
 // nil when there is none or the configured backend is not the checker —
 // set-producing backends materialize per-instruction sets, which the
@@ -416,7 +407,7 @@ func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness) {
 		e.met.snapLoadNs.Observe(d.Nanoseconds())
 		e.tracer.SnapshotLoad(f.Name, live != nil, d)
 	}()
-	opts := e.config.Config.coreOptions()
+	opts := core.Options{Strategy: e.config.Config.Strategy}
 	fp, index := snapshot.FingerprintFunc(f, snapshot.FlagsFor(opts))
 	s, err := ss.load(fp)
 	if err != nil {
@@ -433,7 +424,7 @@ func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness) {
 	}
 	e.snap.snapHits.Add(1)
 	e.snap.snapLoadedBytes.Add(s.SizeBytes())
-	return newLiveness(f, cr.Prep(), cr)
+	return &Liveness{f: f, prep: cr.Prep(), res: cr}
 }
 
 // saveSnapshot schedules a write-back of a freshly computed checker
