@@ -11,8 +11,7 @@
 // uses its own whole-program corpus, sized by -funcs and spread over the
 // -workers counts; besides the precompute-scaling and batch-query tables
 // it runs the sharded-engine contention benchmark (concurrent querier
-// goroutines vs. a paced mutator, -shards and -rebuildworkers setting the
-// engine shape), and with -json emits that contention report in the
+// goroutines vs. a paced mutator, -shards setting the engine shape), and with -json emits that contention report in the
 // BENCH_*.json format.
 //
 // -table backends runs every backend registered with internal/backend over
@@ -79,31 +78,29 @@ import (
 // registration point, shared with the tests so the flagTables map can be
 // checked for drift against the real flag set.
 type benchOpts struct {
-	table          *string
-	limit          *int
-	workers        *string
-	funcs          *int
-	shards         *int
-	rebuildWorkers *int
-	jsonOut        *bool
-	regs           *int
-	editEvery      *int
-	debugAddr      *string
+	table     *string
+	limit     *int
+	workers   *string
+	funcs     *int
+	shards    *int
+	jsonOut   *bool
+	regs      *int
+	editEvery *int
+	debugAddr *string
 }
 
 // registerFlags declares all flags on fs and returns their destinations.
 func registerFlags(fs *flag.FlagSet) *benchOpts {
 	return &benchOpts{
-		table:          fs.String("table", "all", "which table: 1|2|edges|fullprecomp|queries|scaling|engine|backends|regalloc|pipeline|warmstart|latency|all"),
-		limit:          fs.Int("limit", 120, "procedures per benchmark (0 = full corpus)"),
-		workers:        fs.String("workers", "1,2,4,8", "worker/querier counts for -table engine"),
-		funcs:          fs.Int("funcs", 128, "corpus size for -table engine"),
-		shards:         fs.Int("shards", 0, "engine shard count for -table engine (0 = default)"),
-		rebuildWorkers: fs.Int("rebuildworkers", 2, "background rebuild workers for -table engine"),
-		jsonOut:        fs.Bool("json", false, "emit -table engine|backends|regalloc|pipeline|warmstart|latency rows as JSON"),
-		regs:           fs.Int("regs", 8, "register budget for -table regalloc|pipeline"),
-		editEvery:      fs.Int("editevery", 64, "benign instruction edit every N queries for -table latency (0 = no edits)"),
-		debugAddr:      fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)"),
+		table:     fs.String("table", "all", "which table: 1|2|edges|fullprecomp|queries|scaling|engine|backends|regalloc|pipeline|warmstart|latency|all"),
+		limit:     fs.Int("limit", 120, "procedures per benchmark (0 = full corpus)"),
+		workers:   fs.String("workers", "1,2,4,8", "worker/querier counts for -table engine"),
+		funcs:     fs.Int("funcs", 128, "corpus size for -table engine"),
+		shards:    fs.Int("shards", 0, "engine shard count for -table engine (0 = default)"),
+		jsonOut:   fs.Bool("json", false, "emit -table engine|backends|regalloc|pipeline|warmstart|latency rows as JSON"),
+		regs:      fs.Int("regs", 8, "register budget for -table regalloc|pipeline"),
+		editEvery: fs.Int("editevery", 64, "benign instruction edit every N queries for -table latency (0 = no edits)"),
+		debugAddr: fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)"),
 	}
 }
 
@@ -160,7 +157,7 @@ func main() {
 	case "scaling":
 		fmt.Println(bench.ScalingSeries([]int{64, 128, 256, 512, 1024, 2048, 4096}))
 	case "engine":
-		rep := bench.MeasureEngineContention(*opts.funcs, workerCounts, *opts.shards, *opts.rebuildWorkers, 0)
+		rep := bench.MeasureEngineContention(*opts.funcs, workerCounts, *opts.shards, 0)
 		if *opts.jsonOut {
 			out, err := bench.EngineContentionJSON(rep)
 			if err != nil {
@@ -264,7 +261,7 @@ func main() {
 		fmt.Println(bench.ScalingSeries([]int{64, 128, 256, 512, 1024, 2048}))
 		fmt.Println(bench.ProgramTable(*opts.funcs, workerCounts, 3))
 		fmt.Println(bench.EngineContentionSection(
-			bench.MeasureEngineContention(*opts.funcs, workerCounts, *opts.shards, *opts.rebuildWorkers, 0)))
+			bench.MeasureEngineContention(*opts.funcs, workerCounts, *opts.shards, 0)))
 		fmt.Println(bench.BackendTable(corpora))
 		fmt.Println(bench.RegallocTable(corpora, *opts.regs))
 		fmt.Println(bench.PipelineTable(*opts.limit, *opts.regs))
@@ -288,13 +285,12 @@ func main() {
 // every table) — TestFlagTablesCoverRegisteredFlags enforces that every
 // registered flag lands in exactly one of the two.
 var flagTables = map[string][]string{
-	"limit":          {"1", "2", "edges", "fullprecomp", "queries", "backends", "regalloc", "pipeline", "latency", "all"},
-	"workers":        {"engine", "all"},
-	"funcs":          {"engine", "all"},
-	"shards":         {"engine", "all"},
-	"rebuildworkers": {"engine", "all"},
-	"regs":           {"regalloc", "pipeline", "all"},
-	"editevery":      {"latency", "all"},
+	"limit":     {"1", "2", "edges", "fullprecomp", "queries", "backends", "regalloc", "pipeline", "latency", "all"},
+	"workers":   {"engine", "all"},
+	"funcs":     {"engine", "all"},
+	"shards":    {"engine", "all"},
+	"regs":      {"regalloc", "pipeline", "all"},
+	"editevery": {"latency", "all"},
 }
 
 // alwaysHonoredFlags lists the flags warnIgnoredFlags must never warn

@@ -125,7 +125,6 @@ func main() {
 		regs      = flag.Int("regalloc", 0, "allocate that many registers and print the assignment (0 = off)")
 		pipe      = flag.Bool("pipeline", false, "run the full pass pipeline and print the per-pass report")
 		shards    = flag.Int("shards", 0, "engine shard count (0 = default); a contention knob, never changes answers")
-		rebuild   = flag.Int("rebuild-workers", 0, "background rebuild workers re-analyzing edited functions ahead of queries (0 = off)")
 		snapDir   = flag.String("snapshot-dir", "", "persist checker precomputations under this directory and reuse them across runs")
 		failFast  = flag.Bool("fail-fast", false, "abort a whole-program run on the first failing function instead of collecting failures")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
@@ -155,9 +154,9 @@ func main() {
 	if err == nil {
 		switch {
 		case *pipe:
-			err = runPipeline(paths, *backendN, *verify, *regs, *shards, *rebuild)
+			err = runPipeline(paths, *backendN, *verify, *regs, *shards)
 		case program:
-			err = runProgram(paths, *construct, *backendN, *verify, *stat, *parallel, *regs, *shards, *rebuild, snap, queries, *failFast)
+			err = runProgram(paths, *construct, *backendN, *verify, *stat, *parallel, *regs, *shards, snap, queries, *failFast)
 		default:
 			err = run(flag.Arg(0), *construct, *backendN, *verify, *stat, *regs, snap, queries)
 		}
@@ -248,7 +247,7 @@ func failuresError(total int, failures []funcFailure) error {
 // so one broken input in a large directory costs one diagnostic, not the
 // whole batch. With zero failures the output is byte-identical to the
 // pre-collection behavior.
-func runProgram(paths []string, construct bool, backendName string, verify, stat bool, parallel, regs, shards, rebuildWorkers int, snap *fastliveness.SnapshotStore, queries queryList, failFast bool) error {
+func runProgram(paths []string, construct bool, backendName string, verify, stat bool, parallel, regs, shards int, snap *fastliveness.SnapshotStore, queries queryList, failFast bool) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no .ssair files found")
 	}
@@ -295,11 +294,10 @@ func runProgram(paths []string, construct bool, backendName string, verify, stat
 	}
 
 	eng, err := fastliveness.AnalyzeProgram(funcs, fastliveness.EngineConfig{
-		Config:         fastliveness.Config{Backend: backendName},
-		Parallelism:    parallel,
-		Shards:         shards,
-		RebuildWorkers: rebuildWorkers,
-		SnapshotStore:  snap,
+		Config:        fastliveness.Config{Backend: backendName},
+		Parallelism:   parallel,
+		Shards:        shards,
+		SnapshotStore: snap,
 	})
 	if err != nil && failFast {
 		return err
@@ -377,19 +375,15 @@ func runProgram(paths []string, construct bool, backendName string, verify, stat
 }
 
 // printEngineMetrics ends a -stats run with one deterministic line of the
-// engine's consolidated metrics snapshot (Engine.Metrics). Close first so
-// background work has settled and the counts are final; like
-// printSnapshotStats, the idempotent Close keeps the deferred one
-// harmless.
+// engine's consolidated metrics snapshot (Engine.Metrics).
 func printEngineMetrics(eng *fastliveness.Engine, stat bool) {
 	if !stat {
 		return
 	}
-	eng.Close()
 	m := eng.Metrics()
-	fmt.Fprintf(stdout, "engine: funcs=%d resident=%d builds=%d computes=%d queries=%d batches=%d rebuilds=%d background=%d queued=%d discarded=%d quarantined=%d\n",
+	fmt.Fprintf(stdout, "engine: funcs=%d resident=%d builds=%d computes=%d queries=%d batches=%d rebuilds=%d quarantined=%d\n",
 		m.Funcs, m.Resident, m.Builds, m.Snapshot.Computes, m.Queries, m.Batches,
-		m.Rebuilds, m.BackgroundRebuilds, m.QueuedRebuilds, m.RebuildDiscards, m.Quarantined)
+		m.Rebuilds, m.Quarantined)
 }
 
 // printSnapshotStats ends a -snapshot-dir run with its disk-tier traffic.
@@ -399,14 +393,12 @@ func printEngineMetrics(eng *fastliveness.Engine, stat bool) {
 // accounting (scans = sections CRC-verified off disk, skips = sections
 // served without a scan — from the decoded cache, as deferred arena
 // sections on the aliasing mmap path, or after an early version/header
-// reject). Close first so pending asynchronous write-backs land on
-// disk before the count is reported (Close is idempotent, so the caller's
-// deferred Close stays harmless).
+// reject). Write-backs are inline, so every save is on disk and counted
+// by the time the builds return.
 func printSnapshotStats(eng *fastliveness.Engine, snap *fastliveness.SnapshotStore) {
 	if snap == nil {
 		return
 	}
-	eng.Close()
 	s := eng.SnapshotStats()
 	fmt.Fprintf(stdout, "snapshot: %d hits, %d misses, %d stored\n", s.Hits, s.Misses, s.Stores)
 	fmt.Fprintf(stdout, "snapshot-store: %d cached loads, %d file loads, %d section scans, %d section skips\n",
@@ -537,7 +529,7 @@ func run(path string, construct bool, backendName string, verify, stat bool, reg
 // liveness queries it issued. Inputs may be slot form — construction is
 // the first pass. Output is deterministic (no timings), so it doubles as
 // the golden-test surface.
-func runPipeline(paths []string, backendName string, verify bool, regs, shards, rebuildWorkers int) error {
+func runPipeline(paths []string, backendName string, verify bool, regs, shards int) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no .ssair files found")
 	}
@@ -551,7 +543,7 @@ func runPipeline(paths []string, backendName string, verify bool, regs, shards, 
 	}
 	rep, err := pipeline.Run(funcs, pipeline.Config{
 		Backend: backendName, Regs: regs, Verify: verify,
-		Shards: shards, RebuildWorkers: rebuildWorkers,
+		Shards: shards,
 	})
 	if err != nil {
 		return err

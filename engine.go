@@ -9,7 +9,7 @@
 // results behind sharded thread-safe LRU-cached handles, and batches
 // queries so callers amortize per-query overhead.
 //
-// Concurrency layout (see also rebuild.go):
+// Concurrency layout:
 //
 //   - The function index is a lock-free sync.Map; looking up the handle
 //     for a function takes no lock at all.
@@ -18,8 +18,10 @@
 //     shards never contend; the old single engine mutex is gone.
 //   - Per-function staleness is an epoch comparison against atomic
 //     counters (ir.Func.CFGEpoch/InstrEpoch) — no lock on that check.
-//   - An optional background rebuild pool re-analyzes functions marked
-//     dirty by editing passes ahead of the next query (rebuild.go).
+//   - There is one build path: the query path's single-flight startBuild.
+//     A stale analysis is rebuilt by the first request that finds it
+//     stale; under the default checker only CFG edits make it stale (the
+//     paper's §4 property).
 
 package fastliveness
 
@@ -57,8 +59,7 @@ const (
 
 // EngineConfig tunes a program-level Engine. The zero value analyzes with
 // the paper's per-function configuration, uses one worker per CPU, shards
-// the index defaultShards ways, caches every analysis, and runs no
-// background rebuild workers.
+// the index defaultShards ways and caches every analysis.
 type EngineConfig struct {
 	// Config is the per-function analysis configuration.
 	Config Config
@@ -80,16 +81,11 @@ type EngineConfig struct {
 	// address-space layout. Query answers, Stats and Rebuilds are
 	// invariant under the shard count. 0 means defaultShards.
 	Shards int
-	// RebuildWorkers starts that many background goroutines that
-	// re-analyze functions enqueued by MarkDirty (or Edit) before the
-	// next query needs them. 0 disables the pool: stale analyses are
-	// rebuilt synchronously on the query path, exactly as before. An
-	// engine with workers must be Closed to stop them.
-	RebuildWorkers int
 	// SnapshotStore adds a persistent disk tier under the LRU (see
 	// snapshot.go): analysis builds first try a fingerprint-matched
 	// snapshot load, and full precomputes are written back for future
-	// processes. Nil disables the tier. Only the checker backend (the
+	// processes; each write-back is on disk when the build that produced it
+	// returns. Nil disables the tier. Only the checker backend (the
 	// default) uses it; its precomputation is the CFG-only one that stays
 	// valid across instruction edits and hence across runs. The store's
 	// I/O sits behind a circuit breaker: a failing or slow disk degrades
@@ -102,7 +98,7 @@ type EngineConfig struct {
 	MaxBuildRetries int
 	// Tracer receives the engine's lifecycle events (build start/end,
 	// query batches, snapshot loads/saves, quarantine enter/clear,
-	// breaker transitions, rebuild enqueue/discard). Callbacks run
+	// breaker transitions). Callbacks run
 	// synchronously on the emitting goroutine, sometimes under engine
 	// locks — they must be fast, must not block, and must not call back
 	// into the engine. Nil means no tracing (zero overhead beyond the
@@ -153,25 +149,22 @@ type shard struct {
 }
 
 // handle is the engine's per-function cache slot. The irMu field guards
-// the function's IR structure against the background rebuild pool (see
-// Engine.Edit); every other field is guarded by the owning shard's mutex,
-// except that the single in-flight builder (building set, see flight)
-// owns st.verified.
+// the function's IR structure against Engine.Edit; every other field is
+// guarded by the owning shard's mutex, except that the single in-flight
+// builder (building set, see startBuild) owns st.verified.
 type handle struct {
 	f     *ir.Func
 	shard *shard
 
 	// irMu is the function-structure guard: Edit write-locks it around
-	// mutations, builds (sync and async) and batch query execution
-	// read-lock it around IR walks. Callers that never run the rebuild
-	// pool and never call Edit pay only uncontended RLocks.
+	// mutations; builds, batches and Oracle queries read-lock it around
+	// IR walks. Callers that never call Edit pay only uncontended RLocks.
 	irMu sync.RWMutex
 
 	live     *Liveness
 	st       buildState
 	building bool
-	queued   bool // sitting in the rebuild pool's queue
-	gen      int  // bumped by invalidation and eviction; in-flight builds from older gens are discarded
+	gen      int // bumped by invalidation and eviction; in-flight builds from older gens are not cached
 	elem     *list.Element
 }
 
@@ -211,9 +204,7 @@ type buildState struct {
 // paper's §4 property. With a set-producing backend ("dataflow", "lao",
 // "pervar", "loops", or "auto" when it picks one) any edit triggers a
 // rebuild on the next request. Rebuilds reports how many staleness-forced
-// re-analyses the query path has paid; with a rebuild pool
-// (EngineConfig.RebuildWorkers) Metrics().BackgroundRebuilds reports the
-// ones the workers absorbed off the hot path instead.
+// re-analyses that has cost.
 //
 // The one hazard left with the caller is handle lifetime: a *Liveness
 // obtained before an edit keeps answering against the pre-edit program.
@@ -228,23 +219,20 @@ type Engine struct {
 	shards []*shard
 
 	resident atomic.Int64 // resident analyses across all shards
-	pool     *rebuildPool // nil unless RebuildWorkers > 0
 	snap     snapshotCounters
-	closed   atomic.Bool // set by Shutdown; engine methods then fail fast
+	closed   atomic.Bool // set by Close; engine methods then fail fast
 
 	// tracer is config.Tracer or NopTracer, so emit sites never nil-check;
 	// met is the atomic instrument block behind Metrics()/WriteMetrics.
 	// unobserve detaches the engine's breaker-transition observer (set only
 	// for a traced engine with a store) from the (possibly shared)
-	// SnapshotStore at Shutdown.
+	// SnapshotStore at Close.
 	tracer    telemetry.Tracer
 	met       engineMetrics
 	unobserve func()
 }
 
-// NewEngine returns an empty engine; register functions with Add. With
-// EngineConfig.RebuildWorkers > 0 the background pool starts immediately;
-// call Close to stop it.
+// NewEngine returns an empty engine; register functions with Add.
 func NewEngine(config EngineConfig) *Engine {
 	e := &Engine{config: config, tracer: config.Tracer}
 	if e.tracer == nil {
@@ -258,15 +246,12 @@ func NewEngine(config EngineConfig) *Engine {
 	}
 	if config.SnapshotStore != nil && config.Tracer != nil {
 		// Forward the (shared) store's breaker transitions to this engine's
-		// tracer; Shutdown detaches. The closure holds the tracer, never
-		// the engine, so an engine that is only Closed stays collectable.
+		// tracer; Close detaches. The closure holds the tracer, never the
+		// engine, so the store never keeps an engine reachable.
 		tr := config.Tracer
 		e.unobserve = config.SnapshotStore.observeBreaker(func(from, to retry.State) {
 			tr.BreakerTransition(from.String(), to.String())
 		})
-	}
-	if config.RebuildWorkers > 0 {
-		e.pool = newRebuildPool(e, config.RebuildWorkers)
 	}
 	return e
 }
@@ -381,13 +366,12 @@ func (e *Engine) PrecomputeContext(ctx context.Context) error {
 // demand (and transparently rebuilding after eviction or after an edit
 // made the resident analysis stale for the configured backend — see the
 // Engine invalidation contract). Concurrent calls for the same function
-// share one build; a build the rebuild pool already has in flight is
-// likewise shared, never duplicated. The returned Liveness stays valid
+// share one build. The returned Liveness stays valid
 // even if the engine later evicts it, and like every Liveness it is safe
 // for concurrent queries.
 //
 // Errors wrap the package sentinels: ErrUnknownFunc for a function never
-// registered with Add, ErrEngineClosed after Shutdown, and ErrQuarantined
+// registered with Add, ErrEngineClosed after Close, and ErrQuarantined
 // (carrying a *BuildPanicError with the captured stack) for a function
 // whose build panicked and is quarantined until its next edit.
 func (e *Engine) Liveness(f *ir.Func) (*Liveness, error) {
@@ -471,9 +455,7 @@ func (e *Engine) liveness(ctx context.Context, h *handle) (*Liveness, error) {
 // drop removes h's cached analysis (if resident) and bumps its generation
 // so in-flight builds from before the drop are discarded instead of
 // cached. Called with h's shard mutex held. Used by staleness rebuilds,
-// Invalidate, and LRU eviction — the generation bump on eviction is what
-// keeps a function evicted while queued for an async rebuild from being
-// resurrected into the cache (see rebuildOne in rebuild.go).
+// Invalidate, and LRU eviction.
 func (e *Engine) drop(h *handle) {
 	h.gen++
 	if h.elem != nil {
@@ -485,27 +467,37 @@ func (e *Engine) drop(h *handle) {
 
 // startBuild analyzes h.f (which is neither resident nor building) and
 // publishes the result. Called — and returns — with h's shard mutex held.
+// It brings h's state record up to date, claims the build by setting
+// building (so concurrent requesters wait instead of duplicating it),
+// captures the generation, and runs the build with the shard unlocked.
+// It then relocks, releases the claim, wakes waiters and caches the
+// result only if the generation survived: Invalidate bumps it, and a
+// superseded result describes a CFG that may no longer exist, so it is
+// handed to this caller (whose view predates the invalidation) but not
+// cached.
 //
 // Without a cancellable context the build runs synchronously on this
-// goroutine with the shard unlocked. With one, the build runs detached
-// (see flight) and publishes on its own whether or not the initiating
-// caller is still waiting: cancellation abandons the wait, never the
-// build, so an in-flight build is always either fully published or
-// discarded by the generation rules — never half-cached, and never wasted
-// for the waiters it wakes.
+// goroutine. With one, the build runs detached on a new goroutine and
+// publishes on its own whether or not the initiating caller is still
+// waiting: cancellation abandons the wait, never the build, so an
+// in-flight build is always either fully published or discarded by the
+// generation rule — never half-cached, and never wasted for the waiters
+// it wakes.
 func (e *Engine) startBuild(ctx context.Context, h *handle) (*Liveness, error) {
+	s := h.shard
+	e.resetState(h, false)
+	h.building = true
+	gen := h.gen
 	var live *Liveness
 	var err error
-	var done chan struct{} // closed once a detached build has landed
-	if ctx.Done() != nil {
-		done = make(chan struct{})
-	}
-	e.flight(h, done != nil, func() { live, err = e.runBuild(h) }, func(current bool) {
+	// land runs the build unlocked and returns with the mutex held.
+	land := func() {
+		live, err = e.runBuild(h)
+		s.mu.Lock()
+		h.building = false
+		s.cond.Broadcast()
 		switch {
-		case !current:
-			// Invalidated or evicted mid-build: the result describes a CFG
-			// that may no longer exist. Hand it to this caller (whose view
-			// predates the invalidation) but do not cache it.
+		case h.gen != gen: // superseded: returned, not cached
 		case err != nil:
 			e.recordFailure(h, err)
 		default:
@@ -518,15 +510,19 @@ func (e *Engine) startBuild(ctx context.Context, h *handle) (*Liveness, error) {
 		if errors.As(err, &bp) {
 			err = quarantineErr(h.f.Name, err)
 		}
-		if done != nil {
-			close(done)
-		}
-	})
-	if done == nil {
+	}
+	s.mu.Unlock()
+	if ctx.Done() == nil {
+		land()
 		return live, err
 	}
-	h.shard.mu.Unlock()
-	defer h.shard.mu.Lock() // the caller's deferred unlock expects the lock held
+	done := make(chan struct{})
+	go func() {
+		land()
+		s.mu.Unlock()
+		close(done)
+	}()
+	defer s.mu.Lock() // the caller's deferred unlock expects the lock held
 	select {
 	case <-done:
 		return live, err
@@ -535,48 +531,10 @@ func (e *Engine) startBuild(ctx context.Context, h *handle) (*Liveness, error) {
 	}
 }
 
-// flight is the single-flight build protocol both build paths share (the
-// query path's startBuild and the rebuild pool's rebuildOne). Called with
-// h's shard mutex held, h neither resident nor building: it brings h's
-// state record up to date, claims the build by setting building (so
-// concurrent requesters wait instead of duplicating it), captures the
-// generation, and runs build with the shard unlocked. It then relocks,
-// releases the claim, wakes waiters and calls land under the mutex with
-// whether the generation survived — false means Invalidate or eviction
-// superseded the build and its result must not be cached.
-//
-// flight returns with the mutex held. With detach the unlocked half runs
-// on a new goroutine, which takes the mutex itself for land, and flight
-// returns as soon as the build is claimed.
-func (e *Engine) flight(h *handle, detach bool, build func(), land func(current bool)) {
-	e.resetState(h, false)
-	h.building = true
-	gen := h.gen
-	if detach {
-		go func() {
-			landFlight(h, gen, build, land)
-			h.shard.mu.Unlock()
-		}()
-		return
-	}
-	h.shard.mu.Unlock()
-	landFlight(h, gen, build, land)
-}
-
-// landFlight is flight's unlocked half: run build, then relock, release
-// the claim, wake waiters and land. Returns with the mutex held.
-func landFlight(h *handle, gen int, build func(), land func(current bool)) {
-	build()
-	h.shard.mu.Lock()
-	h.building = false
-	h.shard.cond.Broadcast()
-	land(h.gen == gen)
-}
-
 // runBuild executes the analysis for h outside any shard lock, converting
 // a backend panic into a *BuildPanicError instead of letting it unwind
-// into the caller (a query goroutine or a rebuild-pool worker) — this is
-// the recover boundary of the engine's failure model. The IR walk runs
+// into the requesting goroutine — this is the recover boundary of the
+// engine's failure model. The IR walk runs
 // under the function's read lock so it cannot race an Edit; the unlock is
 // deferred after the recover, so it still runs when the analysis panics.
 func (e *Engine) runBuild(h *handle) (live *Liveness, err error) {
@@ -666,9 +624,7 @@ func (h *handle) stateCurrent() bool {
 
 // enforceCacheBound evicts from s's LRU tail while the global resident
 // count exceeds MaxCached. Called with s's mutex held; only the local
-// shard is touched, so enforcement never takes a second lock. Eviction
-// goes through drop, so a victim's queued or in-flight rebuild is
-// discarded rather than resurrecting it.
+// shard is touched, so enforcement never takes a second lock.
 func (e *Engine) enforceCacheBound(s *shard) {
 	max := e.config.MaxCached
 	if max <= 0 {
@@ -698,6 +654,52 @@ func (e *Engine) Invalidate(f *ir.Func) {
 	e.resetState(h, true)
 }
 
+// Edit runs edit — a mutation of f — under f's write lock, excluding
+// concurrent builds, batches and Oracle queries on f for its duration.
+// This is the sanctioned way to mutate a registered function while other
+// goroutines are using the engine; a single-goroutine owner that also
+// issues all the queries (a pass pipeline) may instead edit the IR
+// directly, as the ir package contract always allowed. Either way the
+// next request finds a stale analysis from the edit epochs and rebuilds
+// it.
+//
+// edit must not call back into the engine for f (the lock is not
+// reentrant); engine calls for other functions are fine. If f is not
+// registered, edit runs with no locking.
+func (e *Engine) Edit(f *ir.Func, edit func()) {
+	h := e.lookup(f)
+	if h == nil {
+		edit()
+		return
+	}
+	h.irMu.Lock()
+	defer h.irMu.Unlock()
+	edit()
+}
+
+// Close stops the engine for good: every later analysis, Oracle or batch
+// request fails fast with an error wrapping ErrEngineClosed, callers
+// parked on an in-flight build wake and fail the same way, and a traced
+// engine detaches its breaker observer from the (possibly shared)
+// snapshot store. Snapshot write-backs run inline in the build that
+// produced them, so there is nothing left to flush. Close is idempotent.
+// Analyses and Oracles already handed out keep answering — they own their
+// precomputed sets and never call back into the engine until a staleness
+// re-fetch. Metrics and WriteMetrics keep working.
+func (e *Engine) Close() {
+	if e.closed.Swap(true) {
+		return
+	}
+	if e.unobserve != nil {
+		e.unobserve()
+	}
+	for _, s := range e.shards {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}
+}
+
 // Resident reports how many per-function analyses are currently cached
 // across all shards.
 func (e *Engine) Resident() int {
@@ -712,11 +714,10 @@ func (e *Engine) Shards() int {
 
 // Rebuilds reports how many re-analyses stale results have forced on the
 // query path so far — first builds and refills after LRU eviction or
-// explicit Invalidate do not count, and neither do rebuilds the
-// background pool absorbed (those are Metrics().BackgroundRebuilds). This
-// is the measurable form of the paper's asymmetry: over an
-// instruction-editing pipeline (destruction, the spill loop) a
-// checker-backed engine reports 0 while set-producing backends pay one
+// explicit Invalidate do not count. This is the measurable form of the
+// paper's asymmetry: over an instruction-editing pipeline (destruction,
+// the spill loop) a checker-backed engine reports 0 while set-producing
+// backends pay one
 // rebuild per edit-then-query; cmd/benchtables -table pipeline records
 // exactly this per backend. The total is invariant under the shard count.
 // It is Metrics().Rebuilds, kept for callers that want the one number.
@@ -869,9 +870,9 @@ func (e *Engine) runBatch(live *Liveness, queries []Query, ask func(*Liveness, *
 }
 
 // Oracle is an auto-refreshing query handle bound to one registered
-// function: every query first checks the epochs its current analysis was
-// computed at (a lock-free atomic comparison) and transparently
-// re-fetches through the engine (which rebuilds stale analyses) when an
+// function: every query checks the epochs its current analysis was
+// computed at (an atomic comparison, under the function's read lock) and
+// transparently re-fetches through the engine (which rebuilds stale analyses) when an
 // edit invalidated it. It satisfies the liveness-oracle shapes of
 // internal/regalloc and internal/destruct, so editing passes run against
 // any backend with no manual refresh hooks — rebuild policy lives in the
@@ -915,38 +916,24 @@ func (e *Engine) OracleContext(ctx context.Context, f *ir.Func) (*Oracle, error)
 	return &Oracle{e: e, h: h, f: f, live: live}, nil
 }
 
-// ensure re-fetches the analysis when the held one went stale. Re-analysis
-// can fail — an edit broke the function structurally, or a CFG edit made
-// it irreducible under the loops backend — and the query methods have no
-// error channel, so the oracle fails closed with a panic rather than
-// answering from a dead analysis. Callers that edit CFGs under a
-// reducibility-limited backend must re-request oracles through
-// Engine.Oracle, where the error is returnable.
-//
-// ensure runs without the function's read lock held (taking it here
-// would deadlock against the build path, which read-locks around its own
-// IR walk); the query wrapper re-checks staleness under the lock.
-func (o *Oracle) ensure() *Liveness {
-	if o.live.Stale() {
-		live, err := o.e.liveness(context.Background(), o.h)
-		if err != nil {
-			panic(fmt.Sprintf("fastliveness: oracle re-analysis of %s after edit: %v", o.f.Name, err))
-		}
-		o.live = live
-	}
-	return o.live
-}
-
 // query answers one question under the function's read lock, re-fetching
-// until the analysis it holds is fresh at the moment the lock is held.
-// The common case (no intervening edit) is one lock-free staleness check
-// plus one uncontended RLock.
+// through the engine until the analysis it holds is fresh at the moment
+// the lock is held. The common case (no intervening edit) is one
+// uncontended RLock and one staleness check.
+//
+// The re-fetch runs without the read lock (the build path read-locks
+// around its own IR walk). Re-analysis can fail — an edit broke the
+// function structurally, or a CFG edit made it irreducible under the
+// loops backend — and the query methods have no error channel, so the
+// oracle fails closed with a panic rather than answering from a dead
+// analysis. Callers that edit CFGs under a reducibility-limited backend
+// must re-request oracles through Engine.Oracle, where the error is
+// returnable.
 func (o *Oracle) query(ask func(*Liveness) bool) bool {
 	for {
-		live := o.ensure()
 		o.h.irMu.RLock()
-		if !live.Stale() {
-			v := ask(live)
+		if !o.live.Stale() {
+			v := ask(o.live)
 			o.h.irMu.RUnlock()
 			// One atomic add is the entire per-query instrumentation cost:
 			// per-query timing would double the hot path's latency for a
@@ -955,8 +942,12 @@ func (o *Oracle) query(ask func(*Liveness) bool) bool {
 			o.e.met.queries.Inc()
 			return v
 		}
-		// An edit landed between ensure and the lock: retry.
 		o.h.irMu.RUnlock()
+		live, err := o.e.liveness(context.Background(), o.h)
+		if err != nil {
+			panic(fmt.Sprintf("fastliveness: oracle re-analysis of %s after edit: %v", o.f.Name, err))
+		}
+		o.live = live
 	}
 }
 

@@ -149,47 +149,6 @@ func TestEngineChaosPanicRetryBackoffRecovers(t *testing.T) {
 	assertMatchesFresh(t, e, f)
 }
 
-// A panic inside a rebuild-pool worker must not kill the worker: the
-// function is quarantined like on the query path and the pool keeps
-// draining its queue.
-func TestEngineChaosRebuildWorkerSurvivesPanic(t *testing.T) {
-	funcs := engineCorpus(t, 4, 203)
-	site := backend.FaultSiteAnalyze + ":" + funcs[0].Name
-	in := faults.New(3)
-	// Skip the precompute build; panic on the rebuild (the second call).
-	in.Add(faults.Rule{Site: site, Action: faults.ActionPanic, After: 1, Times: 1})
-	armFaulty(t, faultyDF, in)
-
-	e := NewEngine(EngineConfig{Config: Config{Backend: "faultydf"}, RebuildWorkers: 2})
-	defer e.Close()
-	e.Add(funcs...)
-	if err := e.Precompute(); err != nil {
-		t.Fatal(err)
-	}
-	// Stale the victim and let a worker rebuild it: the armed panic fires
-	// in the worker, which must recover and keep serving.
-	addSomeUse(t, funcs[0])
-	e.MarkDirty(funcs[0])
-	waitFor(t, "the armed panic to fire", func() bool { return in.Fired(site) == 1 })
-
-	// The pool still works: a rebuild of another function completes.
-	before := e.Metrics().BackgroundRebuilds
-	addSomeUse(t, funcs[1])
-	e.MarkDirty(funcs[1])
-	waitFor(t, "pool to rebuild after the panic", func() bool {
-		return e.Metrics().BackgroundRebuilds > before
-	})
-	// The victim recovers through the backoff-paced retry (the injected
-	// panic was one-shot), and every answer matches a fresh recompute.
-	waitFor(t, "victim to recover", func() bool {
-		_, err := e.Liveness(funcs[0])
-		return err == nil
-	})
-	for _, f := range funcs {
-		assertMatchesFresh(t, e, f)
-	}
-}
-
 // A dead disk opens the snapshot breaker, after which builds stop
 // touching the store entirely — zero further disk I/O — and recompute
 // from IR with correct answers.
@@ -259,7 +218,7 @@ func TestEngineChaosSnapshotBreakerHalfOpenRestores(t *testing.T) {
 	if err := e1.Precompute(); err != nil {
 		t.Fatal(err)
 	}
-	e1.Close() // flush the write-back
+	e1.Close()
 	if e1.SnapshotStats().Stores != 1 {
 		t.Fatalf("warm-up stored %d snapshots, want 1", e1.SnapshotStats().Stores)
 	}
@@ -333,8 +292,8 @@ func TestEngineChaosSnapshotSaveRetriesTransientError(t *testing.T) {
 	}
 }
 
-// Invalidate, edits and background rebuilds racing query-path builds that
-// panic at random — run under -race in CI. Each handle's state record is
+// Invalidate and edits racing query-path builds that panic at random —
+// run under -race in CI. Each handle's state record is
 // reset by Invalidate and by edits while builds (some of them quarantine
 // retries) are in flight; the race detector holds the ownership rule (the
 // in-flight builder alone touches the verified bit, resets run
@@ -348,7 +307,7 @@ func TestEngineChaosStateResetRacesBuilds(t *testing.T) {
 		faults.Rule{Site: backend.FaultSiteAnalyze, Action: faults.ActionPanic, P: 0.3},
 	)
 	armFaulty(t, faulty, in)
-	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, MaxBuildRetries: 1, RebuildWorkers: 2})
+	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, MaxBuildRetries: 1})
 	defer e.Close()
 	e.Add(funcs...)
 
@@ -380,7 +339,6 @@ func TestEngineChaosStateResetRacesBuilds(t *testing.T) {
 	wg.Wait()
 
 	faulty.SetInjector(nil)
-	e.Close()
 	for _, f := range funcs {
 		e.Invalidate(f)
 		assertMatchesFresh(t, e, f)
@@ -413,7 +371,7 @@ func TestEngineChaosSnapshotFaultStress(t *testing.T) {
 	ss.store.SetFaultInjector(in)
 
 	funcs := engineCorpus(t, 16, 207)
-	e := NewEngine(EngineConfig{SnapshotStore: ss, Parallelism: 4, RebuildWorkers: 2})
+	e := NewEngine(EngineConfig{SnapshotStore: ss, Parallelism: 4})
 	defer e.Close()
 	e.Add(funcs...)
 	if err := e.Precompute(); err != nil {

@@ -1,9 +1,9 @@
 package fastliveness
 
-// Context-cancellation and lifecycle-sentinel tests: waiters parked on a
-// build wake promptly on cancellation, a cancelled builder detaches
-// without ever half-caching its result, and the error surface wraps the
-// package sentinels.
+// Context-cancellation and lifecycle tests: waiters parked on a build
+// wake promptly on cancellation or Close, a cancelled builder detaches
+// without ever half-caching its result, a superseded build is never
+// cached, and the error surface wraps the package sentinels.
 
 import (
 	"context"
@@ -145,41 +145,50 @@ func TestEngineUnknownFuncSentinel(t *testing.T) {
 	}
 }
 
-// Shutdown is terminal: subsequent requests fail fast with
-// ErrEngineClosed (unlike Close, which keeps the engine serving), and
-// already-handed-out analyses keep answering.
-func TestEngineShutdownSentinel(t *testing.T) {
+// Close is terminal: subsequent requests — analyses, oracles, batches,
+// precomputes — fail fast with ErrEngineClosed, a second Close is a
+// no-op, and already-handed-out analyses keep answering.
+func TestEngineCloseSentinel(t *testing.T) {
 	funcs := engineCorpus(t, 2, 305)
-	e := NewEngine(EngineConfig{RebuildWorkers: 1})
+	e := NewEngine(EngineConfig{})
 	e.Add(funcs...)
 	live, err := e.Liveness(funcs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	e.Shutdown()
-	e.Shutdown() // idempotent
-
-	if _, err := e.Liveness(funcs[0]); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Liveness after Shutdown: %v, want ErrEngineClosed", err)
-	}
-	if _, err := e.Oracle(funcs[1]); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Oracle after Shutdown: %v, want ErrEngineClosed", err)
-	}
-	if err := e.Precompute(); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Precompute after Shutdown: %v, want ErrEngineClosed", err)
-	}
-	// The analysis handed out before Shutdown still answers.
 	qs := allQueries(funcs[0])
 	if len(qs) == 0 {
 		t.Fatal("empty query set")
 	}
-	_ = live.IsLiveIn(qs[0].V, qs[0].B)
+	want := live.IsLiveIn(qs[0].V, qs[0].B)
+
+	e.Close()
+	e.Close() // idempotent
+
+	if _, err := e.Liveness(funcs[0]); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("Liveness after Close: %v, want ErrEngineClosed", err)
+	}
+	if _, err := e.Oracle(funcs[1]); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("Oracle after Close: %v, want ErrEngineClosed", err)
+	}
+	if _, err := e.BatchIsLiveIn(funcs[0], qs[:1]); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("BatchIsLiveIn after Close: %v, want ErrEngineClosed", err)
+	}
+	if _, err := e.BatchIsLiveOut(funcs[0], qs[:1]); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("BatchIsLiveOut after Close: %v, want ErrEngineClosed", err)
+	}
+	if err := e.Precompute(); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("Precompute after Close: %v, want ErrEngineClosed", err)
+	}
+	// The analysis handed out before Close still answers.
+	if got := live.IsLiveIn(qs[0].V, qs[0].B); got != want {
+		t.Fatalf("handed-out analysis answered %v after Close, want %v", got, want)
+	}
 }
 
-// Shutdown must wake waiters parked on an in-flight build so they observe
+// Close must wake waiters parked on an in-flight build so they observe
 // the closed engine instead of sleeping until the build publishes.
-func TestEngineShutdownWakesWaiters(t *testing.T) {
+func TestEngineCloseWakesWaiters(t *testing.T) {
 	f := engineCorpus(t, 1, 306)[0]
 	e := NewEngine(EngineConfig{Config: Config{Backend: "gate"}})
 	e.Add(f)
@@ -198,12 +207,63 @@ func TestEngineShutdownWakesWaiters(t *testing.T) {
 		waiterErr <- err
 	}()
 	// The waiter may not have parked yet; either way it must observe the
-	// shutdown — parked waiters via the broadcast, new arrivals via the
+	// Close — parked waiters via the broadcast, new arrivals via the
 	// loop's closed check.
-	e.Shutdown()
-	if err := recvErr(t, "waiter to observe shutdown", waiterErr); !errors.Is(err, ErrEngineClosed) {
+	e.Close()
+	if err := recvErr(t, "waiter to observe Close", waiterErr); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("waiter got %v, want ErrEngineClosed", err)
 	}
 	release()
 	recvErr(t, "builder to finish", builderDone)
+}
+
+// A build superseded mid-flight (Invalidate bumps the generation while
+// the builder is inside Analyze) is returned to its caller, whose request
+// predates the invalidation, but never cached: the next request builds
+// afresh.
+func TestEngineSupersededBuildNotCached(t *testing.T) {
+	f := engineCorpus(t, 1, 77)[0]
+	e := NewEngine(EngineConfig{Config: Config{Backend: "gate"}})
+	defer e.Close()
+	e.Add(f)
+
+	started, release := gate.Arm()
+	type result struct {
+		live *Liveness
+		err  error
+	}
+	builder := make(chan result, 1)
+	go func() {
+		live, err := e.Liveness(f)
+		builder <- result{live, err}
+	}()
+	<-started // the builder is parked inside Analyze
+	e.Invalidate(f)
+	release()
+	var r result
+	select {
+	case r = <-builder:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the superseded builder")
+	}
+	if r.err != nil || r.live == nil {
+		t.Fatalf("superseded build returned (%v, %v), want its analysis", r.live, r.err)
+	}
+	if got := e.Resident(); got != 0 {
+		t.Fatalf("Resident = %d after a superseded build, want 0 (not cached)", got)
+	}
+	builds := e.Metrics().Builds
+	live, err := e.Liveness(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live == r.live {
+		t.Fatal("the superseded analysis was served from the cache")
+	}
+	if got := e.Metrics().Builds; got != builds+1 {
+		t.Fatalf("Builds = %d after the next request, want %d (a fresh build)", got, builds+1)
+	}
+	if got := e.Resident(); got != 1 {
+		t.Fatalf("Resident = %d, want 1 (the fresh build)", got)
+	}
 }

@@ -72,8 +72,6 @@ func (r *recordingTracer) SnapshotSave(ok bool, d time.Duration) { r.hit("Snapsh
 func (r *recordingTracer) QuarantineEnter(fn string)             { r.hit("QuarantineEnter", fn) }
 func (r *recordingTracer) QuarantineClear(fn string)             { r.hit("QuarantineClear", fn) }
 func (r *recordingTracer) BreakerTransition(from, to string)     { r.hit("Breaker:"+from+">"+to, "") }
-func (r *recordingTracer) RebuildEnqueue(fn string)              { r.hit("RebuildEnqueue", fn) }
-func (r *recordingTracer) RebuildDiscard(fn string)              { r.hit("RebuildDiscard", fn) }
 
 // TestEngineMetricsConsolidation: Metrics() must agree with every legacy
 // accessor it consolidates, and the instruments this layer added must
@@ -84,11 +82,11 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	funcs := engineCorpus(t, 6, 310)
-	e, err := AnalyzeProgram(funcs, EngineConfig{SnapshotStore: ss, RebuildWorkers: 1})
+	e, err := AnalyzeProgram(funcs, EngineConfig{SnapshotStore: ss})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Shutdown()
+	defer e.Close()
 
 	// Traffic: one small batch per function plus two oracle queries each.
 	for _, f := range funcs {
@@ -104,35 +102,21 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 			o.IsLiveIn(q.V, q.B)
 		}
 	}
-	// One query-path rebuild (CFG edit, no MarkDirty) and one background
-	// rebuild (CFG edit plus MarkDirty).
-	splitSomeEdge(t, funcs[0])
-	if _, err := e.Liveness(funcs[0]); err != nil {
-		t.Fatal(err)
+	// Two query-path rebuilds (a CFG edit, then a request).
+	for _, f := range funcs[:2] {
+		splitSomeEdge(t, f)
+		if _, err := e.Liveness(f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	splitSomeEdge(t, funcs[1])
-	e.MarkDirty(funcs[1])
-	waitFor(t, "background rebuild", func() bool { return e.Metrics().BackgroundRebuilds == 1 })
-	// Quiesce: drain the pool's pending snapshot saves so the counters
-	// below are settled, not racing a write-back worker.
-	e.Close()
 
 	m := e.Metrics()
 	if m.Funcs != len(funcs) || m.Resident != e.Resident() || m.Shards != e.Shards() {
 		t.Fatalf("Funcs/Resident/Shards = %d/%d/%d, want %d/%d/%d",
 			m.Funcs, m.Resident, m.Shards, len(funcs), e.Resident(), e.Shards())
 	}
-	if m.Rebuilds != e.Rebuilds() || m.Rebuilds != 1 {
-		t.Fatalf("Rebuilds = %d (accessor %d), want 1", m.Rebuilds, e.Rebuilds())
-	}
-	if m.BackgroundRebuilds != 1 {
-		t.Fatalf("BackgroundRebuilds = %d, want 1", m.BackgroundRebuilds)
-	}
-	if m.QueuedRebuilds != 0 {
-		t.Fatalf("QueuedRebuilds = %d, want 0", m.QueuedRebuilds)
-	}
-	if m.RebuildEnqueues != 1 || m.RebuildDiscards != 0 {
-		t.Fatalf("RebuildEnqueues/Discards = %d/%d, want 1/0", m.RebuildEnqueues, m.RebuildDiscards)
+	if m.Rebuilds != e.Rebuilds() || m.Rebuilds != 2 {
+		t.Fatalf("Rebuilds = %d (accessor %d), want 2", m.Rebuilds, e.Rebuilds())
 	}
 	if m.Snapshot != e.SnapshotStats() {
 		t.Fatalf("Snapshot %+v != SnapshotStats() %+v", m.Snapshot, e.SnapshotStats())
@@ -140,7 +124,7 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 	if m.Quarantined != 0 {
 		t.Fatalf("Quarantined = %d, want 0", m.Quarantined)
 	}
-	// 6 first builds + 1 query-path rebuild + 1 background rebuild.
+	// 6 first builds + 2 query-path rebuilds.
 	if m.Builds != 8 {
 		t.Fatalf("Builds = %d, want 8", m.Builds)
 	}
@@ -243,15 +227,15 @@ func TestEngineMetricsQuarantineGauge(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsTracerEvents drives the remaining tracer callbacks
-// through real engine paths: builds, batches, rebuild enqueues, and the
-// close-time pending discard (worker parked mid-build via the gate
-// backend, second dirty function queued behind it, then Close).
+// TestEngineMetricsTracerEvents drives the build and batch tracer
+// callbacks through real engine paths: first builds, a batch, and a
+// staleness rebuild.
 func TestEngineMetricsTracerEvents(t *testing.T) {
 	tr := newRecordingTracer()
 	funcs := engineCorpus(t, 2, 312)
 	f1, f2 := funcs[0], funcs[1]
-	e := NewEngine(EngineConfig{Config: Config{Backend: "gate"}, RebuildWorkers: 1, Tracer: tr})
+	e := NewEngine(EngineConfig{Config: Config{Backend: "gate"}, Tracer: tr})
+	defer e.Close()
 	e.Add(funcs...)
 	if err := e.Precompute(); err != nil {
 		t.Fatal(err)
@@ -267,32 +251,20 @@ func TestEngineMetricsTracerEvents(t *testing.T) {
 		t.Fatalf("QueryBatch events = %d, want 1 for %s", tr.count("QueryBatch"), f1.Name)
 	}
 
-	// Park the worker inside f1's rebuild, queue f2 behind it, then Close:
-	// f2's pending entry must be discarded (and traced as such). The gate
-	// backend is set-producing, so the instruction edit stales it.
-	started, release := gate.Arm()
-	addSomeUse(t, f1)
-	e.MarkDirty(f1)
-	<-started
+	// The gate backend is set-producing, so an instruction edit stales
+	// it: the next request rebuilds f2, and only f2.
 	addSomeUse(t, f2)
-	e.MarkDirty(f2)
-	if tr.count("RebuildEnqueue") != 2 {
-		t.Fatalf("RebuildEnqueue events = %d, want 2", tr.count("RebuildEnqueue"))
+	if _, err := e.Liveness(f2); err != nil {
+		t.Fatal(err)
 	}
-	closed := make(chan struct{})
-	go func() { e.Close(); close(closed) }()
-	waitFor(t, "pool to begin closing", func() bool {
-		e.pool.mu.Lock()
-		defer e.pool.mu.Unlock()
-		return e.pool.closed
-	})
-	release()
-	<-closed
-	if !tr.saw("RebuildDiscard", f2.Name) {
-		t.Fatalf("no RebuildDiscard for %s; discard events: %d", f2.Name, tr.count("RebuildDiscard"))
+	if tr.count("BuildStart") != 3 || tr.count("BuildEnd") != 3 {
+		t.Fatalf("BuildStart/End = %d/%d after the rebuild, want 3/3", tr.count("BuildStart"), tr.count("BuildEnd"))
 	}
-	if got := e.Metrics().RebuildDiscards; got < 1 {
-		t.Fatalf("RebuildDiscards = %d, want >= 1", got)
+	tr.mu.Lock()
+	last := tr.names["BuildStart"][2]
+	tr.mu.Unlock()
+	if last != f2.Name {
+		t.Fatalf("the rebuild traced BuildStart for %s, want %s", last, f2.Name)
 	}
 }
 
@@ -313,7 +285,7 @@ func TestEngineMetricsTracerSnapshotEvents(t *testing.T) {
 		if err := e.Precompute(); err != nil {
 			t.Fatal(err)
 		}
-		e.Shutdown()
+		e.Close()
 		return tr
 	}
 	tr := run()
@@ -329,8 +301,7 @@ func TestEngineMetricsTracerSnapshotEvents(t *testing.T) {
 }
 
 // TestEngineMetricsBreakerTransitions: breaker state changes reach the
-// engine's tracer while it is attached and stop after Shutdown detaches
-// it; the store-global transition counter keeps counting either way.
+// engine's tracer while it is attached and stop after Close detaches it; the store-global transition counter keeps counting either way.
 func TestEngineMetricsBreakerTransitions(t *testing.T) {
 	ss, err := OpenSnapshotStoreOptions(t.TempDir(), SnapshotStoreOptions{
 		BreakerFailures: 1,
@@ -359,10 +330,10 @@ func TestEngineMetricsBreakerTransitions(t *testing.T) {
 		t.Fatalf("BreakerTransitions/State = %d/%q, want 1/open", m.BreakerTransitions, m.BreakerState)
 	}
 
-	// Shutdown unregisters the observer: the next transition (cooldown
+	// Close unregisters the observer: the next transition (cooldown
 	// elapsed, Allow admits a half-open probe) bumps the store-global
 	// counter but no longer reaches the detached tracer.
-	e.Shutdown()
+	e.Close()
 	time.Sleep(5 * time.Millisecond)
 	if !ss.breaker.Allow() {
 		t.Fatal("cooled-down breaker refused the probe")
@@ -378,7 +349,7 @@ func TestEngineMetricsBreakerTransitions(t *testing.T) {
 // TestEngineClosedEngineNotPinnedByStore: a shared SnapshotStore must not
 // keep Closed engines — and every analysis they hold — reachable. Untraced
 // engines register no breaker observer; a traced engine's observer holds
-// only the tracer, so the engine is collectable after Close.
+// only the tracer, and Close unregisters it.
 func TestEngineClosedEngineNotPinnedByStore(t *testing.T) {
 	ss, err := OpenSnapshotStore(t.TempDir(), 0)
 	if err != nil {
@@ -411,12 +382,8 @@ func TestEngineClosedEngineNotPinnedByStore(t *testing.T) {
 	if reachable != 0 {
 		t.Errorf("%d of %d Closed engines still reachable from the shared store", reachable, engines)
 	}
-	if obs := ss.obs.Load(); obs == nil || len(*obs) != 1 {
-		n := 0
-		if obs != nil {
-			n = len(*obs)
-		}
-		t.Errorf("store has %d breaker observers, want 1 (the traced engine's)", n)
+	if obs := ss.obs.Load(); obs != nil && len(*obs) != 0 {
+		t.Errorf("store has %d breaker observers after every engine Closed, want 0", len(*obs))
 	}
 }
 
@@ -430,11 +397,11 @@ func TestEngineMetricsScrapeRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	funcs := engineCorpus(t, 8, 314)
-	e, err := AnalyzeProgram(funcs, EngineConfig{SnapshotStore: ss, RebuildWorkers: 2})
+	e, err := AnalyzeProgram(funcs, EngineConfig{SnapshotStore: ss})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Shutdown()
+	defer e.Close()
 
 	const iters = 60
 	// Take the query sets before the editors start: walking the IR outside
@@ -487,9 +454,8 @@ func TestEngineMetricsScrapeRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Quiesce the pool, then hold the settled exposition to the lint and
-	// the cross-field invariants a racing scrape cannot assert.
-	e.Close()
+	// Hold the settled exposition to the lint and the cross-field
+	// invariants a racing scrape cannot assert.
 
 	m := e.Metrics()
 	if m.Queries == 0 || m.Batches == 0 || m.Builds == 0 {
@@ -505,18 +471,18 @@ func TestEngineMetricsScrapeRace(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsShutdownSafe: Metrics and WriteMetrics still answer on
-// a Shutdown engine — monitoring outlives serving.
-func TestEngineMetricsShutdownSafe(t *testing.T) {
+// TestEngineMetricsCloseSafe: Metrics and WriteMetrics still answer on a
+// Closed engine — monitoring outlives serving.
+func TestEngineMetricsCloseSafe(t *testing.T) {
 	funcs := engineCorpus(t, 2, 315)
 	e, err := AnalyzeProgram(funcs, EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Shutdown()
+	e.Close()
 	m := e.Metrics()
 	if m.Funcs != 2 || m.Builds != 2 {
-		t.Fatalf("post-Shutdown Metrics: Funcs/Builds = %d/%d, want 2/2", m.Funcs, m.Builds)
+		t.Fatalf("post-Close Metrics: Funcs/Builds = %d/%d, want 2/2", m.Funcs, m.Builds)
 	}
 	var buf bytes.Buffer
 	e.WriteMetrics(&buf)

@@ -35,12 +35,17 @@ func TestEngineSnapshotWarmStart(t *testing.T) {
 	ss := snapshotDir(t)
 
 	cold := engineCorpus(t, n, 321)
-	e1, err := AnalyzeProgram(cold, EngineConfig{Parallelism: 2, RebuildWorkers: 2, SnapshotStore: ss})
+	e1, err := AnalyzeProgram(cold, EngineConfig{Parallelism: 2, SnapshotStore: ss})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Write-backs are inline: every save is on disk when Precompute
+	// returns, before any Close — a process may exit right after it.
+	if s := e1.SnapshotStats(); s.Stores != n || ss.Len() != n {
+		t.Fatalf("after Precompute: %d stores, %d files on disk; want %d/%d", s.Stores, ss.Len(), n, n)
+	}
 	fp1 := fingerprint(t, e1, cold)
-	e1.Close() // drains pending snapshot write-backs
+	e1.Close()
 	s1 := e1.SnapshotStats()
 	if s1.Hits+s1.Misses != n {
 		t.Fatalf("cold run consulted the store %d times, want %d", s1.Hits+s1.Misses, n)
@@ -57,7 +62,7 @@ func TestEngineSnapshotWarmStart(t *testing.T) {
 	}
 
 	warm := engineCorpus(t, n, 321) // same shapes, fresh IR: a new process
-	e2, err := AnalyzeProgram(warm, EngineConfig{Parallelism: 2, RebuildWorkers: 2, SnapshotStore: ss})
+	e2, err := AnalyzeProgram(warm, EngineConfig{Parallelism: 2, SnapshotStore: ss})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +75,8 @@ func TestEngineSnapshotWarmStart(t *testing.T) {
 	if s2.Computes != 0 {
 		t.Fatalf("warm run ran %d precomputes on an unchanged corpus, want 0", s2.Computes)
 	}
-	if e2.Rebuilds() != 0 || e2.Metrics().BackgroundRebuilds != 0 {
-		t.Fatalf("warm run: %d query-path + %d background rebuilds, want 0/0",
-			e2.Rebuilds(), e2.Metrics().BackgroundRebuilds)
+	if e2.Rebuilds() != 0 {
+		t.Fatalf("warm run: %d rebuilds, want 0", e2.Rebuilds())
 	}
 	if s2.LoadedBytes == 0 {
 		t.Fatal("warm run loaded 0 bytes")
@@ -381,14 +385,14 @@ func TestEngineSnapshotLoadedQueriesZeroAlloc(t *testing.T) {
 	}
 }
 
-// Concurrent queries, edits and background rebuilds over a live store —
-// run under -race in CI. Answers are validated by construction (Oracle
-// re-fetches across edits); the property under test is freedom from data
-// races between the save jobs, the rebuild workers and the query paths.
+// Concurrent queries, edits and rebuilds over a live store — run under
+// -race in CI. Answers are validated by construction (Oracle re-fetches
+// across edits); the property under test is freedom from data races
+// between the inline saves, the edits and the query paths.
 func TestEngineSnapshotConcurrentEditQuery(t *testing.T) {
 	ss := snapshotDir(t)
 	funcs := engineCorpus(t, 8, 1234)
-	e, err := AnalyzeProgram(funcs, EngineConfig{Parallelism: 2, RebuildWorkers: 2, SnapshotStore: ss})
+	e, err := AnalyzeProgram(funcs, EngineConfig{Parallelism: 2, SnapshotStore: ss})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,8 +68,8 @@ func mutateFunc(f *ir.Func, rng *rand.Rand) {
 // per-function test lock), queriers pin it shared (read side), issue
 // BatchIsLiveIn/Out and Oracle queries through the engine, and compare
 // every answer against a fresh dataflow recompute. The engine runs with
-// shards, a bounded cache and background rebuild workers, so eviction,
-// staleness and async-rebuild races are all in play.
+// shards and a bounded cache, so eviction and staleness rebuild races
+// are both in play.
 func TestEngineConcurrentEditQueryStress(t *testing.T) {
 	const nFuncs = 12
 	iters := 48
@@ -78,10 +78,9 @@ func TestEngineConcurrentEditQueryStress(t *testing.T) {
 	}
 	funcs := engineCorpus(t, nFuncs, 1234)
 	e := NewEngine(EngineConfig{
-		Parallelism:    2,
-		Shards:         4,
-		MaxCached:      nFuncs - 2, // keep eviction in play
-		RebuildWorkers: 2,
+		Parallelism: 2,
+		Shards:      4,
+		MaxCached:   nFuncs - 2, // keep eviction in play
 	})
 	defer e.Close()
 	e.Add(funcs...)

@@ -15,10 +15,8 @@ var (
 	// errors.Is(err, ErrUnknownFunc).
 	ErrUnknownFunc = errors.New("function is not registered with the engine")
 
-	// ErrEngineClosed is wrapped by engine methods called after Shutdown.
-	// Close (stop the background workers, keep serving) never produces it;
-	// only the terminal Shutdown does.
-	ErrEngineClosed = errors.New("engine has been shut down")
+	// ErrEngineClosed is wrapped by engine methods called after Close.
+	ErrEngineClosed = errors.New("engine has been closed")
 
 	// ErrQuarantined is wrapped by every error the engine reports for a
 	// function whose build panicked: the first failing call, the fail-fast
@@ -34,8 +32,8 @@ var (
 // at the engine's build boundary: the panic value and the goroutine stack
 // captured at recovery. The engine quarantines the function (bounded
 // backoff-paced retries, then fail-fast until its next edit) instead of
-// letting the panic take down the process; rebuild-pool workers likewise
-// survive it and keep draining their queue.
+// letting the panic take down the process; precompute workers likewise
+// survive it.
 type BuildPanicError struct {
 	// Func is the function whose build panicked.
 	Func string

@@ -73,9 +73,8 @@ type Config struct {
 	// it when the IR was already verified — a frontend that validates its
 	// output, or a benchmark isolating analysis cost. The Engine manages
 	// this itself: it verifies each function once per edit epoch and skips
-	// re-verification on eviction refills, snapshot restores, and
-	// background rebuilds, so engine builds never pay the verifier twice
-	// for the same IR.
+	// re-verification on eviction refills and snapshot restores, so
+	// engine builds never pay the verifier twice for the same IR.
 	SkipVerify bool
 }
 

@@ -17,9 +17,10 @@ import (
 // hammered by W querier goroutines issuing per-function query batches
 // while one mutator goroutine edits random functions through Engine.Edit
 // at a fixed pace. Per-function sharding means queriers on different
-// functions never contend on a cache mutex, and the background rebuild
-// pool absorbs the mutator's staleness off the query path — the scaling
-// of batch-query throughput with W is the number this table reports.
+// functions never contend on a cache mutex, and a querier that finds a
+// function stale after a CFG edit rebuilds it on the query path — the
+// scaling of batch-query throughput with W is the number this table
+// reports.
 //
 // Batches are capped below the engine's internal fan-out threshold so a
 // single batch never recruits extra goroutines: all measured parallelism
@@ -40,36 +41,34 @@ const cfgEditPeriod = 8
 
 // EngineRow is one contention measurement at a fixed querier count.
 type EngineRow struct {
-	Queriers           int     `json:"queriers"`
-	Batches            int64   `json:"batches"`
-	Queries            int64   `json:"queries"`
-	WallNs             int64   `json:"wall_ns"`
-	QueriesPerSec      float64 `json:"queries_per_sec"`
-	Speedup            float64 `json:"speedup"`
-	Edits              int64   `json:"edits"`
-	QueryRebuilds      int     `json:"query_rebuilds"`
-	BackgroundRebuilds int     `json:"background_rebuilds"`
+	Queriers      int     `json:"queriers"`
+	Batches       int64   `json:"batches"`
+	Queries       int64   `json:"queries"`
+	WallNs        int64   `json:"wall_ns"`
+	QueriesPerSec float64 `json:"queries_per_sec"`
+	Speedup       float64 `json:"speedup"`
+	Edits         int64   `json:"edits"`
+	QueryRebuilds int     `json:"query_rebuilds"`
 }
 
 // EngineContention is the full contention report: the corpus and engine
 // shape, plus one row per querier count. Speedups are relative to the
 // first row.
 type EngineContention struct {
-	Funcs          int         `json:"funcs"`
-	Blocks         int         `json:"blocks"`
-	Shards         int         `json:"shards"`
-	RebuildWorkers int         `json:"rebuild_workers"`
-	GOMAXPROCS     int         `json:"gomaxprocs"`
-	Note           string      `json:"note"`
-	Rows           []EngineRow `json:"rows"`
+	Funcs      int         `json:"funcs"`
+	Blocks     int         `json:"blocks"`
+	Shards     int         `json:"shards"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	Note       string      `json:"note"`
+	Rows       []EngineRow `json:"rows"`
 }
 
 // MeasureEngineContention runs the contention benchmark: for each entry
 // in queriers it builds a fresh clone of the n-function corpus, stands up
-// a sharded engine with a background rebuild pool, precomputes, then runs
+// a sharded engine, precomputes, then runs
 // that many querier goroutines against one paced mutator for the window
 // and reports batch-query throughput. window <= 0 selects a default.
-func MeasureEngineContention(nFuncs int, queriers []int, shards, rebuildWorkers int, window time.Duration) *EngineContention {
+func MeasureEngineContention(nFuncs int, queriers []int, shards int, window time.Duration) *EngineContention {
 	if window <= 0 {
 		window = 300 * time.Millisecond
 	}
@@ -79,15 +78,14 @@ func MeasureEngineContention(nFuncs int, queriers []int, shards, rebuildWorkers 
 		blocks += len(f.Blocks)
 	}
 	rep := &EngineContention{
-		Funcs:          nFuncs,
-		Blocks:         blocks,
-		RebuildWorkers: rebuildWorkers,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
+		Funcs:      nFuncs,
+		Blocks:     blocks,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: fmt.Sprintf("wall-clock throughput scaling saturates at the hardware's core count (GOMAXPROCS=%d)",
 			runtime.GOMAXPROCS(0)),
 	}
 	for _, w := range queriers {
-		row, effectiveShards := contentionRow(master, w, shards, rebuildWorkers, window)
+		row, effectiveShards := contentionRow(master, w, shards, window)
 		rep.Shards = effectiveShards
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -100,15 +98,12 @@ func MeasureEngineContention(nFuncs int, queriers []int, shards, rebuildWorkers 
 // contentionRow measures one querier count over a fresh clone of the
 // corpus, so earlier rows' mutations never skew later ones. The second
 // return is the engine's effective shard count (resolving a zero config).
-func contentionRow(master []*ir.Func, queriers, shards, rebuildWorkers int, window time.Duration) (EngineRow, int) {
+func contentionRow(master []*ir.Func, queriers, shards int, window time.Duration) (EngineRow, int) {
 	funcs := make([]*ir.Func, len(master))
 	for i, f := range master {
 		funcs[i] = ir.Clone(f)
 	}
-	e, err := fastliveness.AnalyzeProgram(funcs, fastliveness.EngineConfig{
-		Shards:         shards,
-		RebuildWorkers: rebuildWorkers,
-	})
+	e, err := fastliveness.AnalyzeProgram(funcs, fastliveness.EngineConfig{Shards: shards})
 	if err != nil {
 		panic(err)
 	}
@@ -137,8 +132,8 @@ func contentionRow(master []*ir.Func, queriers, shards, rebuildWorkers int, wind
 	var nBatches, nQueries, nEdits atomic.Int64
 
 	// One paced mutator: mostly instruction edits (the checker survives
-	// them), every cfgEditPeriod-th a CFG edit (forces re-analysis, which
-	// the rebuild pool absorbs via Edit's MarkDirty).
+	// them), every cfgEditPeriod-th a CFG edit (forces re-analysis on the
+	// next query of that function).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -194,14 +189,13 @@ func contentionRow(master []*ir.Func, queriers, shards, rebuildWorkers int, wind
 	elapsed := time.Since(start)
 
 	return EngineRow{
-		Queriers:           queriers,
-		Batches:            nBatches.Load(),
-		Queries:            nQueries.Load(),
-		WallNs:             elapsed.Nanoseconds(),
-		QueriesPerSec:      float64(nQueries.Load()) / elapsed.Seconds(),
-		Edits:              nEdits.Load(),
-		QueryRebuilds:      e.Rebuilds(),
-		BackgroundRebuilds: e.Metrics().BackgroundRebuilds,
+		Queriers:      queriers,
+		Batches:       nBatches.Load(),
+		Queries:       nQueries.Load(),
+		WallNs:        elapsed.Nanoseconds(),
+		QueriesPerSec: float64(nQueries.Load()) / elapsed.Seconds(),
+		Edits:         nEdits.Load(),
+		QueryRebuilds: e.Rebuilds(),
 	}, e.Shards()
 }
 
@@ -221,15 +215,15 @@ func EngineContentionSection(rep *EngineContention) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Sharded-engine contention: %d queriers vs. one mutator over %d functions (%d blocks)\n",
 		len(rep.Rows), rep.Funcs, rep.Blocks)
-	fmt.Fprintf(&sb, "shards=%d rebuild-workers=%d GOMAXPROCS=%d; %s.\n\n",
-		rep.Shards, rep.RebuildWorkers, rep.GOMAXPROCS,
+	fmt.Fprintf(&sb, "shards=%d GOMAXPROCS=%d; %s.\n\n",
+		rep.Shards, rep.GOMAXPROCS,
 		"batch-query throughput by concurrent querier count")
-	fmt.Fprintf(&sb, "%9s %12s %14s %9s %7s %9s %9s\n",
-		"queriers", "batches", "queries/sec", "speedup", "edits", "q-rebuild", "bg-rebuild")
+	fmt.Fprintf(&sb, "%9s %12s %14s %9s %7s %9s\n",
+		"queriers", "batches", "queries/sec", "speedup", "edits", "q-rebuild")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&sb, "%9d %12d %14.0f %9.2f %7d %9d %9d\n",
+		fmt.Fprintf(&sb, "%9d %12d %14.0f %9.2f %7d %9d\n",
 			r.Queriers, r.Batches, r.QueriesPerSec, r.Speedup, r.Edits,
-			r.QueryRebuilds, r.BackgroundRebuilds)
+			r.QueryRebuilds)
 	}
 	return sb.String()
 }

@@ -16,15 +16,15 @@ func TestEngineContentionReport(t *testing.T) {
 	if testing.Short() {
 		window = 25 * time.Millisecond
 	}
-	rep := MeasureEngineContention(12, []int{1, 2}, 4, 2, window)
+	rep := MeasureEngineContention(12, []int{1, 2}, 4, window)
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rep.Rows))
 	}
 	if rep.Funcs != 12 || rep.Blocks == 0 {
 		t.Fatalf("corpus shape funcs=%d blocks=%d", rep.Funcs, rep.Blocks)
 	}
-	if rep.Shards != 4 || rep.RebuildWorkers != 2 {
-		t.Fatalf("engine shape shards=%d workers=%d", rep.Shards, rep.RebuildWorkers)
+	if rep.Shards != 4 {
+		t.Fatalf("engine shape shards=%d", rep.Shards)
 	}
 	for i, r := range rep.Rows {
 		if r.Queriers != []int{1, 2}[i] {

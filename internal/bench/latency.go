@@ -147,7 +147,7 @@ func LatencyTable(corpora []*Corpus, editEvery int) string {
 	}
 	var sb strings.Builder
 	sb.WriteString("Per-query latency distribution over the recorded destruction stream,\n")
-	fmt.Fprintf(&sb, "one engine per backend (no rebuild pool), benign instruction edit every %d queries.\n", editEvery)
+	fmt.Fprintf(&sb, "one engine per backend, benign instruction edit every %d queries.\n", editEvery)
 	sb.WriteString("An instruction edit leaves the checker's CFG-only precomputation valid but\n")
 	sb.WriteString("stales the set backends, whose inline re-analysis shows up at the tail (p99).\n\n")
 	fmt.Fprintf(&sb, "%-10s %6s %5s | %9s %7s %8s | %10s %8s %8s %8s %9s\n",

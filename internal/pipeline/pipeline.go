@@ -57,13 +57,6 @@ type Config struct {
 	// contention knob only: per-pass counters and answers are
 	// shard-invariant.
 	Shards int
-	// RebuildWorkers starts that many background rebuild workers on the
-	// engine. The driver marks each function dirty only after it completes
-	// the whole chain — no pass ever queries it again — so the workers
-	// refresh finished functions for later consumers without perturbing a
-	// single per-pass counter: Rebuilds still counts exactly the
-	// staleness the passes themselves paid on the query path.
-	RebuildWorkers int
 }
 
 // Context is the state a Pass runs against: one function, the shared
@@ -243,9 +236,8 @@ func Run(funcs []*ir.Func, cfg Config) (*Report, error) {
 // RunPasses is Run with an explicit pass chain.
 func RunPasses(funcs []*ir.Func, passes []Pass, cfg Config) (*Report, error) {
 	eng := fastliveness.NewEngine(fastliveness.EngineConfig{
-		Config:         fastliveness.Config{Backend: cfg.Backend},
-		Shards:         cfg.Shards,
-		RebuildWorkers: cfg.RebuildWorkers,
+		Config: fastliveness.Config{Backend: cfg.Backend},
+		Shards: cfg.Shards,
 	})
 	defer eng.Close()
 	eng.Add(funcs...)
@@ -298,11 +290,6 @@ func RunPasses(funcs []*ir.Func, passes []Pass, cfg Config) (*Report, error) {
 			perPass[i].Queries = ctx.queries
 			perPass[i].Ns = time.Since(start).Nanoseconds()
 		}
-		// The chain is done with f — no pass queries it again — so hand
-		// any staleness its last passes left to the background workers
-		// (a no-op without RebuildWorkers, or when the backend survived
-		// the edits, as the checker does).
-		eng.MarkDirty(f)
 		if skipped {
 			report.Skipped++
 			continue

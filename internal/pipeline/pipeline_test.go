@@ -142,13 +142,11 @@ func TestPipelineSkipsIrreducibleForLoops(t *testing.T) {
 	}
 }
 
-// Driving the pipeline through an engine with shards and background
-// rebuild workers must not change a single report counter or output
-// program: functions are marked dirty only after they finish the chain,
-// so the async machinery refreshes finished functions without touching
-// the per-pass accounting. Wall-time fields are the only legitimate
-// difference and are normalized away.
-func TestPipelineAsyncEngineEquivalence(t *testing.T) {
+// Driving the pipeline through a sharded engine must not change a single
+// report counter or output program: the shard count is a contention knob
+// only. Wall-time fields are the only legitimate difference and are
+// normalized away.
+func TestPipelineShardedEngineEquivalence(t *testing.T) {
 	protos := slotCorpus(t, 8, 42, true)
 	run := func(cfg pipeline.Config) (*pipeline.Report, []string) {
 		funcs := make([]*ir.Func, len(protos))
@@ -169,20 +167,19 @@ func TestPipelineAsyncEngineEquivalence(t *testing.T) {
 		}
 		return rep, out
 	}
-	// dataflow so the post-chain MarkDirty actually queues work (the
-	// checker survives the editing tail and marks nothing dirty).
+	// dataflow, so every edit stales the analysis and the rebuild counts
+	// are nonzero.
 	base := pipeline.Config{Backend: "dataflow", Regs: 4, Verify: true}
 	wantRep, wantOut := run(base)
-	async := base
-	async.Shards = 4
-	async.RebuildWorkers = 2
-	gotRep, gotOut := run(async)
+	sharded := base
+	sharded.Shards = 4
+	gotRep, gotOut := run(sharded)
 	if !reflect.DeepEqual(gotRep, wantRep) {
-		t.Fatalf("async engine changed the report:\nsync  %+v\nasync %+v", wantRep, gotRep)
+		t.Fatalf("sharded engine changed the report:\ndefault shards %+v\n4 shards       %+v", wantRep, gotRep)
 	}
 	for i := range wantOut {
 		if gotOut[i] != wantOut[i] {
-			t.Fatalf("async engine changed the output program for %s", protos[i].Name)
+			t.Fatalf("sharded engine changed the output program for %s", protos[i].Name)
 		}
 	}
 }

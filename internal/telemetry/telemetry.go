@@ -229,17 +229,16 @@ func (s HistogramSnapshot) Mean() float64 {
 }
 
 // Tracer is the engine's lifecycle hook interface: one callback per event
-// the engine, its rebuild pool, and its snapshot tier emit. Callbacks run
-// synchronously on the emitting goroutine — often inside the engine's hot
-// paths — so implementations must be fast, must not block, and must not
-// call back into the engine (shard locks may be held by the caller's
-// frame). All callbacks may be invoked concurrently.
+// the engine and its snapshot tier emit. Callbacks run synchronously on
+// the emitting goroutine — often inside the engine's hot paths — so
+// implementations must be fast, must not block, and must not call back
+// into the engine (shard locks may be held by the caller's frame). All callbacks may be invoked concurrently.
 //
 // Embed NopTracer to implement only the events of interest and stay
 // source-compatible when new callbacks are added.
 type Tracer interface {
 	// BuildStart fires when an analysis build begins (first build, eviction
-	// refill, staleness rebuild — query path or rebuild worker alike).
+	// refill, staleness rebuild).
 	BuildStart(fn string)
 	// BuildEnd fires when the build finishes; err is nil on success.
 	BuildEnd(fn string, d time.Duration, err error)
@@ -249,8 +248,8 @@ type Tracer interface {
 	// SnapshotLoad fires after a snapshot-tier load attempt; hit reports
 	// whether a validated snapshot served the build.
 	SnapshotLoad(fn string, hit bool, d time.Duration)
-	// SnapshotSave fires after a snapshot write-back attempt (possibly on
-	// a rebuild-pool worker, long after the build).
+	// SnapshotSave fires after a snapshot write-back attempt, on the
+	// building goroutine.
 	SnapshotSave(ok bool, d time.Duration)
 	// QuarantineEnter fires when a panicking build quarantines a function.
 	QuarantineEnter(fn string)
@@ -260,14 +259,6 @@ type Tracer interface {
 	// BreakerTransition fires on snapshot-store circuit-breaker state
 	// changes ("closed", "open", "half-open").
 	BreakerTransition(from, to string)
-	// RebuildEnqueue fires when MarkDirty/Edit queues a function for
-	// background re-analysis.
-	RebuildEnqueue(fn string)
-	// RebuildDiscard fires when queued or in-flight background work is
-	// thrown away: the function was evicted or invalidated while queued,
-	// the build was superseded mid-flight, an edit landed mid-build, or
-	// the pool closed with the entry still pending.
-	RebuildDiscard(fn string)
 }
 
 // NopTracer is a Tracer that ignores every event; embed it in partial
@@ -298,12 +289,6 @@ func (NopTracer) QuarantineClear(string) {}
 
 // BreakerTransition implements Tracer.
 func (NopTracer) BreakerTransition(string, string) {}
-
-// RebuildEnqueue implements Tracer.
-func (NopTracer) RebuildEnqueue(string) {}
-
-// RebuildDiscard implements Tracer.
-func (NopTracer) RebuildDiscard(string) {}
 
 // NumBuckets reports the fixed bucket count of every Histogram — exposed
 // for tests and exporters that iterate bucket bounds.

@@ -343,6 +343,4 @@ func TestNopTracer(t *testing.T) {
 	tr.QuarantineEnter("f")
 	tr.QuarantineClear("f")
 	tr.BreakerTransition("closed", "open")
-	tr.RebuildEnqueue("f")
-	tr.RebuildDiscard("f")
 }

@@ -32,12 +32,12 @@ type HistogramSnapshot = telemetry.HistogramSnapshot
 
 // engineMetrics is the engine's atomic instrument block. Everything here
 // is written with lock-free atomic operations from the hot paths and read
-// by Metrics()/WriteMetrics; none of it takes a shard or pool lock.
+// by Metrics()/WriteMetrics; none of it takes a shard lock.
 type engineMetrics struct {
 	// builds counts runBuild executions: first builds, eviction refills,
-	// staleness rebuilds, background rebuilds — every analysis execution,
-	// successful or not (snapshot hits count too; Snapshot.Computes is the
-	// full-precompute subset).
+	// staleness rebuilds — every analysis execution, successful or not
+	// (snapshot hits count too; Snapshot.Computes is the full-precompute
+	// subset).
 	builds telemetry.Counter
 	// buildNs observes each build's wall-clock nanoseconds.
 	buildNs telemetry.Histogram
@@ -54,12 +54,6 @@ type engineMetrics struct {
 	quarantined telemetry.Gauge
 	// rebuilds counts staleness-forced re-analyses paid on the query path.
 	rebuilds telemetry.Counter
-	// Rebuild-pool accounting (all zero without a pool): rebuilds the pool
-	// published, entries queued and thrown away, and the queue depth.
-	backgroundRebuilds telemetry.Counter
-	rebuildEnqueues    telemetry.Counter
-	rebuildDiscards    telemetry.Counter
-	queueDepth         telemetry.Gauge
 	// Snapshot-tier latency (the hit/miss/store counts live in
 	// snapshotCounters, surfaced as SnapshotStats).
 	snapLoadNs telemetry.Histogram
@@ -90,16 +84,8 @@ type EngineMetrics struct {
 	Batches int64
 
 	// Rebuilds counts staleness-forced re-analyses paid on the query path
-	// (the paper's asymmetry, see Engine.Rebuilds). BackgroundRebuilds
-	// counts the ones the pool absorbed instead. QueuedRebuilds is the
-	// pool queue's current depth; RebuildEnqueues/RebuildDiscards count
-	// entries ever queued and entries thrown away (evicted while queued,
-	// superseded mid-build, edited mid-build, dropped at Close).
-	Rebuilds           int
-	BackgroundRebuilds int
-	QueuedRebuilds     int
-	RebuildEnqueues    int64
-	RebuildDiscards    int64
+	// (the paper's asymmetry, see Engine.Rebuilds).
+	Rebuilds int
 
 	// Quarantined is how many functions are currently failing fast after
 	// a panicking build (ErrQuarantined) and have not yet recovered.
@@ -139,12 +125,8 @@ func (e *Engine) Metrics() EngineMetrics {
 		Queries: e.met.queries.Load(),
 		Batches: e.met.batches.Load(),
 
-		Rebuilds:           int(e.met.rebuilds.Load()),
-		BackgroundRebuilds: int(e.met.backgroundRebuilds.Load()),
-		QueuedRebuilds:     int(e.met.queueDepth.Load()),
-		RebuildEnqueues:    e.met.rebuildEnqueues.Load(),
-		RebuildDiscards:    e.met.rebuildDiscards.Load(),
-		Quarantined:        int(e.met.quarantined.Load()),
+		Rebuilds:    int(e.met.rebuilds.Load()),
+		Quarantined: int(e.met.quarantined.Load()),
 
 		Snapshot: e.SnapshotStats(),
 
@@ -204,10 +186,6 @@ func WriteEngineMetrics(w io.Writer, m EngineMetrics) {
 	c("queries_total", "individual liveness queries answered", m.Queries)
 	c("batches_total", "batched query executions", m.Batches)
 	c("query_rebuilds_total", "staleness rebuilds paid on the query path", int64(m.Rebuilds))
-	c("background_rebuilds_total", "staleness rebuilds absorbed by the pool", int64(m.BackgroundRebuilds))
-	g("rebuild_queue_depth", "functions queued for background rebuild", int64(m.QueuedRebuilds))
-	c("rebuild_enqueues_total", "functions ever queued for background rebuild", m.RebuildEnqueues)
-	c("rebuild_discards_total", "queued or in-flight background rebuilds thrown away", m.RebuildDiscards)
 	g("quarantined", "functions currently quarantined after a panicking build", int64(m.Quarantined))
 	c("snapshot_hits_total", "builds served by a validated snapshot load", m.Snapshot.Hits)
 	c("snapshot_misses_total", "builds that fell through to a full precompute", m.Snapshot.Misses)

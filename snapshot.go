@@ -8,8 +8,7 @@
 // engine: on an analysis miss (first build, eviction refill, CFG-edit
 // rebuild) the engine first tries a fingerprint-matched load from disk and
 // only falls back to the full precompute when none validates; successful
-// computes are written back asynchronously through the rebuild pool's
-// workers, off the build path.
+// computes are written back inline by the build that produced them.
 package fastliveness
 
 import (
@@ -159,7 +158,7 @@ func (s *SnapshotStore) onBreakerTransition(from, to retry.State) {
 
 // observeBreaker registers fn to be called on every breaker state change
 // and returns its unregister function. Engines call this at construction
-// to forward transitions to their tracer and unregister at Shutdown; the
+// to forward transitions to their tracer and unregister at Close; the
 // store may outlive (and be shared by) any number of engines.
 func (s *SnapshotStore) observeBreaker(fn func(from, to retry.State)) (unregister func()) {
 	s.obsMu.Lock()
@@ -341,11 +340,11 @@ func (e *Engine) snapshotTier() *SnapshotStore {
 }
 
 // analyze is the engine's single analysis chokepoint: every build — first
-// touch, eviction refill, staleness rebuild, background rebuild — funnels
-// through here, which is what makes the snapshot tier sit under the whole
-// LRU rather than under one code path. Callers hold the function's read
-// lock inside flight, which makes them the sole toucher of the state
-// record's verified bit.
+// touch, eviction refill, staleness rebuild — funnels through here, which
+// is what makes the snapshot tier sit under the whole LRU rather than
+// under one code path. Callers hold the function's read lock inside
+// startBuild, which makes them the sole toucher of the state record's
+// verified bit.
 func (e *Engine) analyze(h *handle) (*Liveness, error) {
 	if err := e.verify(h); err != nil {
 		return nil, err
@@ -369,8 +368,8 @@ func (e *Engine) analyze(h *handle) (*Liveness, error) {
 // verify runs ir.Verify on h's function unless Config.SkipVerify opts out
 // or the state record shows it already passed for this IR. Verification
 // is thereby epoch-tracked: it runs at most once per function per edit
-// epoch, and every later build of the same IR — eviction refill, snapshot
-// restore, background rebuild — reuses the recorded pass instead of
+// epoch, and every later build of the same IR — eviction refill or
+// snapshot restore — reuses the recorded pass instead of
 // re-walking every instruction. The first build after any edit still
 // verifies, so the safety contract of direct Analyze is kept. Called by
 // the in-flight builder under the function's read lock.
@@ -427,20 +426,17 @@ func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness) {
 	return &Liveness{f: f, prep: cr.Prep(), res: cr}
 }
 
-// saveSnapshot schedules a write-back of a freshly computed checker
-// analysis. Capture is done inline — it aliases the checker's write-once
-// arenas and copies only the idom array — while the encode and file write
-// ride the rebuild pool's workers when the engine has them (rebuild jobs
-// take priority; Close drains pending saves to disk). Without a pool the
-// save runs inline, so single-shot tools still leave a warm store behind.
-// While the store's breaker is not closed the save is skipped before any
-// work — no capture, no stat, no latency sample — since the store would
-// refuse it anyway.
+// saveSnapshot writes back a freshly computed checker analysis, inline on
+// the building goroutine, so every save is on disk when the build that
+// scheduled it returns: single-shot tools and a process that Closes right
+// after Precompute leave a warm store behind. Capture aliases the
+// checker's write-once arenas and copies only the idom array. While the
+// store's breaker is not closed the save is skipped before any work — no
+// capture, no stat, no latency sample — since the store would refuse it
+// anyway.
 //
-// Snapshots are keyed by fingerprint, not by function, so a save executing
-// long after its function was edited or evicted is still correct: it
-// describes the CFG shape it captured, and only a future function with
-// that exact shape will load it.
+// Snapshots are keyed by fingerprint, not by function: a function with
+// the same CFG shape as one already stored has nothing to write.
 func (e *Engine) saveSnapshot(ss *SnapshotStore, live *Liveness) {
 	cr, ok := live.res.(*backend.CheckerResult)
 	if !ok || ss.breaker.State() != retry.Closed {
@@ -450,23 +446,13 @@ func (e *Engine) saveSnapshot(ss *SnapshotStore, live *Liveness) {
 	if err != nil || ss.store.Contains(snap.FP) {
 		return
 	}
-	job := func() {
-		if ss.store.Contains(snap.FP) {
-			return // another function with the same shape got there first
-		}
-		start := time.Now()
-		err := ss.save(snap)
-		d := time.Since(start)
-		e.met.snapSaveNs.Observe(d.Nanoseconds())
-		e.tracer.SnapshotSave(err == nil, d)
-		if err == nil {
-			e.snap.snapStores.Add(1)
-			e.snap.snapStoredBytes.Add(snap.SizeBytes())
-		}
+	start := time.Now()
+	err = ss.save(snap)
+	d := time.Since(start)
+	e.met.snapSaveNs.Observe(d.Nanoseconds())
+	e.tracer.SnapshotSave(err == nil, d)
+	if err == nil {
+		e.snap.snapStores.Add(1)
+		e.snap.snapStoredBytes.Add(snap.SizeBytes())
 	}
-	if e.pool != nil {
-		e.pool.enqueueSave(job)
-		return
-	}
-	job()
 }
