@@ -274,9 +274,9 @@ func TestQuerierInterfereConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// Engine.MemoryBytes and Stats are documented concurrent-safe even while a
-// handle owner triggers the lazy first enumeration; the race detector
-// checks the synchronization on the cached enumeration result.
+// Engine.MemoryBytes and Liveness.Backend are documented concurrent-safe
+// even while a handle owner triggers the lazy first enumeration; the race
+// detector checks the synchronization on the cached enumeration result.
 func TestEngineMemoryConcurrentWithEnumeration(t *testing.T) {
 	funcs := []*ir.Func{ir.MustParse(backendLoopSrc), ir.MustParse(backendIrrSrc)}
 	eng, err := AnalyzeProgram(funcs, EngineConfig{})
@@ -301,29 +301,34 @@ func TestEngineMemoryConcurrentWithEnumeration(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				eng.MemoryBytes()
-				eng.Stats()
+				live.Backend()
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// Engine.Stats must report the per-backend selection mix: with "auto", a
-// program mixing reducible and irreducible functions lands on both the
-// loops and checker engines.
+// The engine's handles must report the per-backend selection mix: with
+// "auto", a program mixing reducible and irreducible functions lands on
+// both the loops and checker engines.
 func TestEngineStatsReportsSelectionMix(t *testing.T) {
 	funcs := []*ir.Func{ir.MustParse(backendLoopSrc), ir.MustParse(backendIrrSrc)}
 	eng, err := AnalyzeProgram(funcs, EngineConfig{Config: Config{Backend: "auto"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := eng.Stats()
-	if stats["loops"].Funcs != 1 || stats["checker"].Funcs != 1 {
-		t.Fatalf("Stats() = %+v, want one loops and one checker analysis", stats)
-	}
-	for name, s := range stats {
-		if s.MemoryBytes <= 0 {
-			t.Errorf("backend %s reports %d memory bytes", name, s.MemoryBytes)
+	mix := make(map[string]int)
+	for _, f := range funcs {
+		live, err := eng.Liveness(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		mix[live.Backend()]++
+		if live.MemoryBytes() <= 0 {
+			t.Errorf("%s (backend %s) reports %d memory bytes", f.Name, live.Backend(), live.MemoryBytes())
+		}
+	}
+	if mix["loops"] != 1 || mix["checker"] != 1 {
+		t.Fatalf("selection mix %v, want one loops and one checker analysis", mix)
 	}
 }

@@ -27,7 +27,6 @@ package fastliveness
 
 import (
 	"container/list"
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -48,8 +47,7 @@ import (
 const defaultShards = 16
 
 // Quarantine pacing: how many backoff-paced retries a panicking build
-// gets before the function fails fast until its next edit
-// (EngineConfig.MaxBuildRetries overrides the count), and the
+// gets before the function fails fast until its next edit, and the
 // decorrelated-jitter backoff bounds between retries.
 const (
 	defaultMaxBuildRetries = 2
@@ -78,7 +76,7 @@ type EngineConfig struct {
 	// own mutex and LRU. Functions are assigned round-robin in
 	// registration order — deterministic, perfectly balanced, and
 	// equivalent to hashing the function pointer without depending on
-	// address-space layout. Query answers, Stats and Rebuilds are
+	// address-space layout. Query answers, Rebuilds and MemoryBytes are
 	// invariant under the shard count. 0 means defaultShards.
 	Shards int
 	// SnapshotStore adds a persistent disk tier under the LRU (see
@@ -91,11 +89,6 @@ type EngineConfig struct {
 	// I/O sits behind a circuit breaker: a failing or slow disk degrades
 	// builds to recomputation, never to an error or a wrong answer.
 	SnapshotStore *SnapshotStore
-	// MaxBuildRetries bounds how many backoff-paced retries a function
-	// whose build panicked gets before it fails fast (ErrQuarantined)
-	// until its next edit. 0 means the default (2); negative quarantines
-	// on the first panic with no retries.
-	MaxBuildRetries int
 	// Tracer receives the engine's lifecycle events (build start/end,
 	// query batches, snapshot loads/saves, quarantine enter/clear,
 	// breaker transitions). Callbacks run
@@ -118,16 +111,6 @@ func (c EngineConfig) shardCount() int {
 		return c.Shards
 	}
 	return defaultShards
-}
-
-func (c EngineConfig) buildRetries() int {
-	switch {
-	case c.MaxBuildRetries > 0:
-		return c.MaxBuildRetries
-	case c.MaxBuildRetries < 0:
-		return 0
-	}
-	return defaultMaxBuildRetries
 }
 
 // Query is one liveness question: is V live (in or out, per the method
@@ -192,7 +175,9 @@ type buildState struct {
 // (or all at once via AnalyzeProgram), precomputed in parallel by
 // Precompute, and queried through per-function Liveness handles, Oracles
 // or the batched query methods. All methods are safe for concurrent use,
-// and so is every Liveness the engine hands out.
+// and so is every Liveness the engine hands out. Every method blocks until
+// its answer is ready: a build is near-linear in the function's size and
+// runs on the goroutine that requested it, so there is nothing to cancel.
 //
 // Staleness is handled automatically: every cached analysis records the
 // function's edit epochs (ir.Func.CFGEpoch/InstrEpoch), and Liveness
@@ -222,6 +207,9 @@ type Engine struct {
 	snap     snapshotCounters
 	closed   atomic.Bool // set by Close; engine methods then fail fast
 
+	// buildRetries is the quarantine's retry budget: defaultMaxBuildRetries.
+	buildRetries int
+
 	// tracer is config.Tracer or NopTracer, so emit sites never nil-check;
 	// met is the atomic instrument block behind Metrics()/WriteMetrics.
 	// unobserve detaches the engine's breaker-transition observer (set only
@@ -234,7 +222,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine; register functions with Add.
 func NewEngine(config EngineConfig) *Engine {
-	e := &Engine{config: config, tracer: config.Tracer}
+	e := &Engine{config: config, tracer: config.Tracer, buildRetries: defaultMaxBuildRetries}
 	if e.tracer == nil {
 		e.tracer = telemetry.NopTracer{}
 	}
@@ -314,18 +302,9 @@ func (e *Engine) Funcs() []*ir.Func {
 // MaxCached is smaller than the program — LRU order follows completion
 // order — but evicted analyses rebuild on demand to identical answers.
 // With a snapshot store every build tries a fingerprint-keyed load first,
-// so these workers are also the engine's warm-start fan-out.
+// so these workers are also the engine's warm-start fan-out. Precompute
+// returns once every function has been built or has failed.
 func (e *Engine) Precompute() error {
-	return e.PrecomputeContext(context.Background())
-}
-
-// PrecomputeContext is Precompute bounded by a context: when ctx is
-// cancelled or its deadline passes, the workers stop claiming functions,
-// in-flight builds are detached (they complete and publish on their own —
-// see LivenessContext), and the call returns ctx.Err() promptly. The
-// engine remains fully usable afterwards: functions that were analyzed
-// stay resident, the rest build on demand.
-func (e *Engine) PrecomputeContext(ctx context.Context) error {
 	funcs := e.Funcs()
 	workers := e.config.workers()
 	if workers > len(funcs) {
@@ -341,19 +320,16 @@ func (e *Engine) PrecomputeContext(ctx context.Context) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(funcs) {
 					return
 				}
-				_, errs[i] = e.LivenessContext(ctx, funcs[i])
+				_, errs[i] = e.Liveness(funcs[i])
 			}
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("fastliveness: engine precompute %s: %w", funcs[i].Name, err)
@@ -366,52 +342,29 @@ func (e *Engine) PrecomputeContext(ctx context.Context) error {
 // demand (and transparently rebuilding after eviction or after an edit
 // made the resident analysis stale for the configured backend — see the
 // Engine invalidation contract). Concurrent calls for the same function
-// share one build. The returned Liveness stays valid
-// even if the engine later evicts it, and like every Liveness it is safe
-// for concurrent queries.
+// share one build: the first caller runs it on its own goroutine and the
+// rest wait for it. The returned Liveness stays valid even if the engine
+// later evicts it, and like every Liveness it is safe for concurrent
+// queries.
 //
 // Errors wrap the package sentinels: ErrUnknownFunc for a function never
 // registered with Add, ErrEngineClosed after Close, and ErrQuarantined
 // (carrying a *BuildPanicError with the captured stack) for a function
 // whose build panicked and is quarantined until its next edit.
 func (e *Engine) Liveness(f *ir.Func) (*Liveness, error) {
-	return e.LivenessContext(context.Background(), f)
-}
-
-// LivenessContext is Liveness bounded by a context. Cancellation is
-// honored at every wait: a caller parked on another goroutine's in-flight
-// build wakes and returns ctx.Err() immediately, and a caller that is
-// itself running the build detaches — the build continues on its own,
-// completes, and publishes (or is discarded by the usual generation
-// rules), so a cancelled caller never leaves a half-done result behind
-// and never wastes the work for the next caller.
-func (e *Engine) LivenessContext(ctx context.Context, f *ir.Func) (*Liveness, error) {
 	h := e.lookup(f)
 	if h == nil {
 		return nil, errUnknownFunc(f.Name)
 	}
-	return e.liveness(ctx, h)
+	return e.liveness(h)
 }
 
-// liveness is LivenessContext after handle resolution.
-func (e *Engine) liveness(ctx context.Context, h *handle) (*Liveness, error) {
+// liveness is Liveness after handle resolution.
+func (e *Engine) liveness(h *handle) (*Liveness, error) {
 	s := h.shard
-	if ctx.Done() != nil {
-		// Wake this goroutine's cond.Wait when the context fires; the loop
-		// re-checks ctx.Err() on every iteration.
-		stop := context.AfterFunc(ctx, func() {
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		})
-		defer stop()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if e.closed.Load() {
 			return nil, fmt.Errorf("fastliveness: %w", ErrEngineClosed)
 		}
@@ -426,7 +379,7 @@ func (e *Engine) liveness(ctx context.Context, h *handle) (*Liveness, error) {
 				// Quarantined: fail fast while the retry budget is spent
 				// or the backoff has not elapsed; otherwise clear the
 				// sticky error (keeping the panic count) and retry.
-				if h.st.panics > e.config.buildRetries() || time.Now().Before(h.st.retryAt) {
+				if h.st.panics > e.buildRetries || time.Now().Before(h.st.retryAt) {
 					return nil, quarantineErr(h.f.Name, h.st.err)
 				}
 				h.st.err = nil
@@ -446,7 +399,7 @@ func (e *Engine) liveness(ctx context.Context, h *handle) (*Liveness, error) {
 			s.lru.MoveToFront(h.elem)
 			return h.live, nil
 		case !h.building:
-			return e.startBuild(ctx, h)
+			return e.startBuild(h)
 		}
 		s.cond.Wait()
 	}
@@ -465,70 +418,40 @@ func (e *Engine) drop(h *handle) {
 	h.live, h.elem = nil, nil
 }
 
-// startBuild analyzes h.f (which is neither resident nor building) and
-// publishes the result. Called — and returns — with h's shard mutex held.
-// It brings h's state record up to date, claims the build by setting
-// building (so concurrent requesters wait instead of duplicating it),
-// captures the generation, and runs the build with the shard unlocked.
-// It then relocks, releases the claim, wakes waiters and caches the
-// result only if the generation survived: Invalidate bumps it, and a
-// superseded result describes a CFG that may no longer exist, so it is
-// handed to this caller (whose view predates the invalidation) but not
-// cached.
-//
-// Without a cancellable context the build runs synchronously on this
-// goroutine. With one, the build runs detached on a new goroutine and
-// publishes on its own whether or not the initiating caller is still
-// waiting: cancellation abandons the wait, never the build, so an
-// in-flight build is always either fully published or discarded by the
-// generation rule — never half-cached, and never wasted for the waiters
-// it wakes.
-func (e *Engine) startBuild(ctx context.Context, h *handle) (*Liveness, error) {
+// startBuild analyzes h.f (which is neither resident nor building) on
+// the calling goroutine and publishes the result. Called — and returns —
+// with h's shard mutex held. It brings h's state record up to date,
+// claims the build by setting building (so concurrent requesters wait
+// instead of duplicating it), captures the generation, and runs the build
+// with the shard unlocked. It then relocks, releases the claim, wakes
+// waiters and caches the result only if the generation survived:
+// Invalidate bumps it, and a superseded result describes a CFG that may
+// no longer exist, so it is handed to this caller (whose view predates
+// the invalidation) but not cached.
+func (e *Engine) startBuild(h *handle) (*Liveness, error) {
 	s := h.shard
 	e.resetState(h, false)
 	h.building = true
 	gen := h.gen
-	var live *Liveness
-	var err error
-	// land runs the build unlocked and returns with the mutex held.
-	land := func() {
-		live, err = e.runBuild(h)
-		s.mu.Lock()
-		h.building = false
-		s.cond.Broadcast()
-		switch {
-		case h.gen != gen: // superseded: returned, not cached
-		case err != nil:
-			e.recordFailure(h, err)
-		default:
-			e.publish(h, live)
-		}
-		// Wrap panic-derived errors so errors.Is(err, ErrQuarantined)
-		// holds from the very first failing call, not only for the
-		// fail-fast ones.
-		var bp *BuildPanicError
-		if errors.As(err, &bp) {
-			err = quarantineErr(h.f.Name, err)
-		}
-	}
 	s.mu.Unlock()
-	if ctx.Done() == nil {
-		land()
-		return live, err
+	live, err := e.runBuild(h)
+	s.mu.Lock()
+	h.building = false
+	s.cond.Broadcast()
+	switch {
+	case h.gen != gen: // superseded: returned, not cached
+	case err != nil:
+		e.recordFailure(h, err)
+	default:
+		e.publish(h, live)
 	}
-	done := make(chan struct{})
-	go func() {
-		land()
-		s.mu.Unlock()
-		close(done)
-	}()
-	defer s.mu.Lock() // the caller's deferred unlock expects the lock held
-	select {
-	case <-done:
-		return live, err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	// Wrap panic-derived errors so errors.Is(err, ErrQuarantined) holds
+	// from the very first failing call, not only for the fail-fast ones.
+	var bp *BuildPanicError
+	if errors.As(err, &bp) {
+		err = quarantineErr(h.f.Name, err)
 	}
+	return live, err
 }
 
 // runBuild executes the analysis for h outside any shard lock, converting
@@ -706,12 +629,6 @@ func (e *Engine) Resident() int {
 	return int(e.resident.Load())
 }
 
-// Shards reports the engine's effective shard count (the configured value,
-// or the default when the config left it zero).
-func (e *Engine) Shards() int {
-	return len(e.shards)
-}
-
 // Rebuilds reports how many re-analyses stale results have forced on the
 // query path so far — first builds and refills after LRU eviction or
 // explicit Invalidate do not count. This is the measurable form of the
@@ -722,34 +639,6 @@ func (e *Engine) Shards() int {
 // exactly this per backend. The total is invariant under the shard count.
 // It is Metrics().Rebuilds, kept for callers that want the one number.
 func (e *Engine) Rebuilds() int { return int(e.met.rebuilds.Load()) }
-
-// BackendStats summarizes the resident analyses served by one backend.
-type BackendStats struct {
-	// Funcs counts resident analyses this backend produced.
-	Funcs int
-	// MemoryBytes sums their precomputed-set footprints.
-	MemoryBytes int
-}
-
-// Stats groups the resident analyses by the backend that produced them.
-// With Config.Backend "auto" the keys are the engines the selector
-// actually picked per function, which is how callers observe the
-// selection mix of a whole program.
-func (e *Engine) Stats() map[string]BackendStats {
-	out := make(map[string]BackendStats)
-	for _, s := range e.shards {
-		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			live := el.Value.(*handle).live
-			st := out[live.Backend()]
-			st.Funcs++
-			st.MemoryBytes += live.MemoryBytes()
-			out[live.Backend()] = st
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
 
 // MemoryBytes reports the total footprint of the resident precomputed
 // sets (§6.1, summed over all shards).
@@ -779,34 +668,21 @@ const batchParallelThreshold = 256
 // analysis lookup and the batch execution, so it never answers from an
 // analysis an edit has invalidated.
 func (e *Engine) BatchIsLiveIn(f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(context.Background(), f, queries, (*Liveness).IsLiveIn)
-}
-
-// BatchIsLiveInContext is BatchIsLiveIn bounded by a context: the
-// analysis fetch (and any rebuild it triggers) honors cancellation per
-// LivenessContext; the query execution itself is not interrupted once an
-// analysis is held.
-func (e *Engine) BatchIsLiveInContext(ctx context.Context, f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(ctx, f, queries, (*Liveness).IsLiveIn)
+	return e.batch(f, queries, (*Liveness).IsLiveIn)
 }
 
 // BatchIsLiveOut is BatchIsLiveIn for live-out queries.
 func (e *Engine) BatchIsLiveOut(f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(context.Background(), f, queries, (*Liveness).IsLiveOut)
+	return e.batch(f, queries, (*Liveness).IsLiveOut)
 }
 
-// BatchIsLiveOutContext is BatchIsLiveInContext for live-out queries.
-func (e *Engine) BatchIsLiveOutContext(ctx context.Context, f *ir.Func, queries []Query) ([]bool, error) {
-	return e.batch(ctx, f, queries, (*Liveness).IsLiveOut)
-}
-
-func (e *Engine) batch(ctx context.Context, f *ir.Func, queries []Query, ask func(*Liveness, *ir.Value, *ir.Block) bool) ([]bool, error) {
+func (e *Engine) batch(f *ir.Func, queries []Query, ask func(*Liveness, *ir.Value, *ir.Block) bool) ([]bool, error) {
 	h := e.lookup(f)
 	if h == nil {
 		return nil, errUnknownFunc(f.Name)
 	}
 	for {
-		live, err := e.liveness(ctx, h)
+		live, err := e.liveness(h)
 		if err != nil {
 			return nil, err
 		}
@@ -891,25 +767,18 @@ type Oracle struct {
 }
 
 // Oracle returns an auto-refreshing query handle for a registered
-// function, analyzing it first if needed. It is the one self-refreshing
+// function, analyzing it first if needed (with Liveness's errors). It is
+// the one self-refreshing
 // oracle for passes that edit while they query: EngineConfig.Config.Backend
 // picks the backend (a one-function engine suffices), and Rebuilds counts
 // the re-analyses the edits forced — zero under the checker for
 // instruction-only edits.
 func (e *Engine) Oracle(f *ir.Func) (*Oracle, error) {
-	return e.OracleContext(context.Background(), f)
-}
-
-// OracleContext is Oracle bounded by a context: the initial analysis
-// honors cancellation per LivenessContext. The returned Oracle is not
-// bound to ctx — its query methods re-fetch with a background context,
-// since they have no error channel to report cancellation through.
-func (e *Engine) OracleContext(ctx context.Context, f *ir.Func) (*Oracle, error) {
 	h := e.lookup(f)
 	if h == nil {
 		return nil, errUnknownFunc(f.Name)
 	}
-	live, err := e.liveness(ctx, h)
+	live, err := e.liveness(h)
 	if err != nil {
 		return nil, err
 	}
@@ -943,7 +812,7 @@ func (o *Oracle) query(ask func(*Liveness) bool) bool {
 			return v
 		}
 		o.h.irMu.RUnlock()
-		live, err := o.e.liveness(context.Background(), o.h)
+		live, err := o.e.liveness(o.h)
 		if err != nil {
 			panic(fmt.Sprintf("fastliveness: oracle re-analysis of %s after edit: %v", o.f.Name, err))
 		}

@@ -15,6 +15,7 @@ import (
 	"fastliveness/internal/backend"
 	"fastliveness/internal/faults"
 	"fastliveness/internal/ir"
+	"fastliveness/internal/retry"
 	"fastliveness/internal/snapshot"
 )
 
@@ -42,6 +43,16 @@ func armFaulty(t *testing.T, b *backend.Faulty, in *faults.Injector) {
 	t.Helper()
 	b.SetInjector(in)
 	t.Cleanup(func() { b.SetInjector(nil) })
+}
+
+// setBreaker swaps ss's circuit breaker for a closed one that opens after
+// failures consecutive errors and admits a probe after cooldown.
+func setBreaker(ss *SnapshotStore, failures int, cooldown time.Duration) {
+	ss.breaker = retry.NewBreaker(retry.BreakerConfig{
+		Failures:     failures,
+		Cooldown:     cooldown,
+		OnTransition: ss.onBreakerTransition,
+	})
 }
 
 // assertMatchesFresh validates every engine answer for f against a fresh
@@ -78,7 +89,8 @@ func TestEngineChaosPanicQuarantineIsolation(t *testing.T) {
 	armFaulty(t, faulty, in)
 
 	// No retries: the first panic quarantines for good (until an edit).
-	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, MaxBuildRetries: -1})
+	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}})
+	e.buildRetries = 0
 	e.Add(funcs...)
 	err := e.Precompute()
 	if err == nil {
@@ -133,7 +145,8 @@ func TestEngineChaosPanicRetryBackoffRecovers(t *testing.T) {
 	in.Add(faults.Rule{Site: site, Action: faults.ActionPanic, Times: 2})
 	armFaulty(t, faulty, in)
 
-	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, MaxBuildRetries: 3})
+	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}})
+	e.buildRetries = 3
 	e.Add(f)
 	if _, err := e.Liveness(f); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("first call: %v, want ErrQuarantined", err)
@@ -149,17 +162,61 @@ func TestEngineChaosPanicRetryBackoffRecovers(t *testing.T) {
 	assertMatchesFresh(t, e, f)
 }
 
+// The default quarantine budget: an always-panicking build runs exactly
+// 1 + defaultMaxBuildRetries times across backoff-paced requests, then
+// fails fast without re-running the analysis, and an edit clears it.
+func TestEngineChaosDefaultQuarantineBudget(t *testing.T) {
+	f := engineCorpus(t, 1, 209)[0]
+	site := backend.FaultSiteAnalyze + ":" + f.Name
+	in := faults.New(9)
+	in.Add(faults.Rule{Site: site, Action: faults.ActionPanic})
+	armFaulty(t, faulty, in)
+
+	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}})
+	defer e.Close()
+	e.Add(f)
+	budget := 1 + defaultMaxBuildRetries
+	request := func() {
+		t.Helper()
+		if _, err := e.Liveness(f); !errors.Is(err, ErrQuarantined) {
+			t.Fatalf("request on a panicking build: %v, want ErrQuarantined", err)
+		}
+	}
+	// Requests inside a backoff fail fast; the others run a retry.
+	waitFor(t, "the retry budget to be spent", func() bool {
+		request()
+		return in.Fired(site) >= budget
+	})
+	// Outlast the longest backoff: the spent budget still fails fast.
+	time.Sleep(2 * quarantineBackoffCap)
+	for i := 0; i < 5; i++ {
+		request()
+	}
+	if got := in.Fired(site); got != budget {
+		t.Fatalf("analysis ran %d times, want 1 + %d retries", got, defaultMaxBuildRetries)
+	}
+	if got := e.Metrics().Quarantined; got != 1 {
+		t.Fatalf("Quarantined = %d, want 1", got)
+	}
+
+	// An edit clears the quarantine: the next request builds again.
+	faulty.SetInjector(nil)
+	addSomeUse(t, f)
+	assertMatchesFresh(t, e, f)
+	if got := e.Metrics().Quarantined; got != 0 {
+		t.Fatalf("Quarantined = %d after the edit, want 0", got)
+	}
+}
+
 // A dead disk opens the snapshot breaker, after which builds stop
 // touching the store entirely — zero further disk I/O — and recompute
 // from IR with correct answers.
 func TestEngineChaosSnapshotBreakerOpensAndSkipsDisk(t *testing.T) {
-	ss, err := OpenSnapshotStoreOptions(t.TempDir(), SnapshotStoreOptions{
-		BreakerFailures: 3,
-		BreakerCooldown: time.Hour, // no half-open probes during this test
-	})
+	ss, err := OpenSnapshotStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBreaker(ss, 3, time.Hour) // no half-open probes during this test
 	in := faults.New(4)
 	in.Add(
 		faults.Rule{Site: snapshot.FaultSiteLoad, Action: faults.ActionError},
@@ -223,13 +280,11 @@ func TestEngineChaosSnapshotBreakerHalfOpenRestores(t *testing.T) {
 		t.Fatalf("warm-up stored %d snapshots, want 1", e1.SnapshotStats().Stores)
 	}
 
-	ss, err := OpenSnapshotStoreOptions(dir, SnapshotStoreOptions{
-		BreakerFailures: 1,
-		BreakerCooldown: time.Millisecond,
-	})
+	ss, err := OpenSnapshotStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBreaker(ss, 1, time.Millisecond)
 	in := faults.New(5)
 	in.Add(faults.Rule{Site: snapshot.FaultSiteLoad, Action: faults.ActionError, Times: 1})
 	ss.store.SetFaultInjector(in)
@@ -307,7 +362,8 @@ func TestEngineChaosStateResetRacesBuilds(t *testing.T) {
 		faults.Rule{Site: backend.FaultSiteAnalyze, Action: faults.ActionPanic, P: 0.3},
 	)
 	armFaulty(t, faulty, in)
-	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, MaxBuildRetries: 1})
+	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}})
+	e.buildRetries = 1
 	defer e.Close()
 	e.Add(funcs...)
 
@@ -355,13 +411,11 @@ func TestEngineChaosStateResetRacesBuilds(t *testing.T) {
 // across a corpus with concurrent queries must never change an answer —
 // sharded comparison against fresh dataflow recomputes.
 func TestEngineChaosSnapshotFaultStress(t *testing.T) {
-	ss, err := OpenSnapshotStoreOptions(t.TempDir(), SnapshotStoreOptions{
-		BreakerFailures: 4,
-		BreakerCooldown: time.Millisecond,
-	})
+	ss, err := OpenSnapshotStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBreaker(ss, 4, time.Millisecond)
 	in := faults.New(7)
 	in.Add(
 		faults.Rule{Site: snapshot.FaultSiteLoad, Action: faults.ActionDelay, Delay: 100 * time.Microsecond, P: 0.3},

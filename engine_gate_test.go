@@ -63,8 +63,7 @@ func (g *gateBackend) Arm() (started <-chan struct{}, release func()) {
 }
 
 // waitFor polls cond for up to 5s — the standard shape for asserting that
-// an asynchronous effect (a detached build publishing, a goroutine exit)
-// has landed.
+// a time-paced effect (a quarantine retry past its backoff) has landed.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

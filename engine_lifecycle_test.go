@@ -1,12 +1,10 @@
 package fastliveness
 
-// Context-cancellation and lifecycle tests: waiters parked on a build
-// wake promptly on cancellation or Close, a cancelled builder detaches
-// without ever half-caching its result, a superseded build is never
-// cached, and the error surface wraps the package sentinels.
+// Lifecycle tests: waiters parked on a build wake promptly on Close, a
+// superseded build is never cached, and the error surface wraps the
+// package sentinels.
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -21,106 +19,6 @@ func recvErr(t *testing.T, what string, ch <-chan error) error {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("timed out waiting for %s", what)
 		return nil
-	}
-}
-
-// A caller parked on another goroutine's in-flight build must wake and
-// return promptly when its context is cancelled, while the build itself
-// carries on and serves everyone else.
-func TestEngineContextCancelWaiter(t *testing.T) {
-	f := engineCorpus(t, 1, 301)[0]
-	e := NewEngine(EngineConfig{Config: Config{Backend: "gate"}})
-	e.Add(f)
-
-	started, release := gate.Arm()
-	builderErr := make(chan error, 1)
-	go func() {
-		_, err := e.Liveness(f)
-		builderErr <- err
-	}()
-	<-started // the builder is parked inside Analyze
-
-	ctx, cancel := context.WithCancel(context.Background())
-	waiterErr := make(chan error, 1)
-	go func() {
-		_, err := e.LivenessContext(ctx, f)
-		waiterErr <- err
-	}()
-	cancel()
-	if err := recvErr(t, "cancelled waiter to return", waiterErr); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
-	}
-
-	release()
-	if err := recvErr(t, "builder to finish", builderErr); err != nil {
-		t.Fatal(err)
-	}
-	// The engine is fully usable after the cancellation.
-	if _, err := e.Liveness(f); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A caller that is itself running the build must return promptly on
-// cancellation while the build detaches, completes, and publishes — never
-// a half-cached result, never wasted work.
-func TestEngineContextCancelBuilderDetaches(t *testing.T) {
-	f := engineCorpus(t, 1, 302)[0]
-	e := NewEngine(EngineConfig{Config: Config{Backend: "gate"}})
-	e.Add(f)
-
-	started, release := gate.Arm()
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := e.LivenessContext(ctx, f)
-		errCh <- err
-	}()
-	<-started // the detached build is parked inside Analyze
-	cancel()
-	// The initiating caller returns while the build is still blocked.
-	if err := recvErr(t, "cancelled builder to return", errCh); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled builder got %v, want context.Canceled", err)
-	}
-
-	// Releasing the gate lets the detached build publish on its own.
-	release()
-	waitFor(t, "detached build to publish", func() bool { return e.Resident() == 1 })
-	if _, err := e.Liveness(f); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// PrecomputeContext returns ctx.Err() promptly when cancelled mid-corpus
-// and leaves the engine fully usable: the remaining functions build on
-// demand or via a later Precompute.
-func TestEnginePrecomputeContextCancel(t *testing.T) {
-	funcs := engineCorpus(t, 6, 303)
-	e := NewEngine(EngineConfig{Config: Config{Backend: "gate"}, Parallelism: 2})
-	e.Add(funcs...)
-
-	started, release := gate.Arm()
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() { errCh <- e.PrecomputeContext(ctx) }()
-	<-started // one worker is parked inside a build
-	cancel()
-	if err := recvErr(t, "cancelled precompute to return", errCh); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PrecomputeContext returned %v, want context.Canceled", err)
-	}
-	release()
-
-	// A later full precompute finishes the job.
-	if err := e.Precompute(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Resident() != len(funcs) {
-		t.Fatalf("%d resident analyses after re-precompute, want %d", e.Resident(), len(funcs))
-	}
-	for _, f := range funcs {
-		if _, err := e.Liveness(f); err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
 	}
 }
 

@@ -111,9 +111,9 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 	}
 
 	m := e.Metrics()
-	if m.Funcs != len(funcs) || m.Resident != e.Resident() || m.Shards != e.Shards() {
+	if m.Funcs != len(funcs) || m.Resident != e.Resident() || m.Shards != defaultShards {
 		t.Fatalf("Funcs/Resident/Shards = %d/%d/%d, want %d/%d/%d",
-			m.Funcs, m.Resident, m.Shards, len(funcs), e.Resident(), e.Shards())
+			m.Funcs, m.Resident, m.Shards, len(funcs), e.Resident(), defaultShards)
 	}
 	if m.Rebuilds != e.Rebuilds() || m.Rebuilds != 2 {
 		t.Fatalf("Rebuilds = %d (accessor %d), want 2", m.Rebuilds, e.Rebuilds())
@@ -162,7 +162,8 @@ func TestEngineMetricsQuarantineGauge(t *testing.T) {
 	armFaulty(t, faulty, in)
 
 	tr := newRecordingTracer()
-	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, MaxBuildRetries: -1, Tracer: tr})
+	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, Tracer: tr})
+	e.buildRetries = 0
 	e.Add(funcs...)
 	if err := e.Precompute(); err == nil {
 		t.Fatal("Precompute succeeded despite the injected panic")
@@ -303,14 +304,12 @@ func TestEngineMetricsTracerSnapshotEvents(t *testing.T) {
 // TestEngineMetricsBreakerTransitions: breaker state changes reach the
 // engine's tracer while it is attached and stop after Close detaches it; the store-global transition counter keeps counting either way.
 func TestEngineMetricsBreakerTransitions(t *testing.T) {
-	ss, err := OpenSnapshotStoreOptions(t.TempDir(), SnapshotStoreOptions{
-		BreakerFailures: 1,
-		BreakerCooldown: time.Millisecond,
-		SaveRetries:     -1,
-	})
+	ss, err := OpenSnapshotStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBreaker(ss, 1, time.Millisecond)
+	ss.saveRetries = 0
 	in := faults.New(32)
 	in.Add(faults.Rule{Site: snapshot.FaultSiteLoad, Action: faults.ActionError})
 	ss.store.SetFaultInjector(in)

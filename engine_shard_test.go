@@ -1,6 +1,7 @@
 package fastliveness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -36,17 +37,27 @@ func addSomeUse(tb testing.TB, f *ir.Func) {
 	v.Block.NewValue(ir.OpNeg, v)
 }
 
+// invariantMetrics is m without what may differ across shard counts:
+// the shard-count echo and the latency samples (their counts stay).
+func invariantMetrics(m EngineMetrics) EngineMetrics {
+	m.Shards, m.SnapshotGCNs = 0, 0
+	for _, h := range []*HistogramSnapshot{&m.BuildNs, &m.BatchNs, &m.SnapshotLoadNs, &m.SnapshotSaveNs} {
+		*h = HistogramSnapshot{Count: h.Count}
+	}
+	return m
+}
+
 // TestEngineShardInvariance runs an identical corpus and an identical
 // serial edit+query script at shard counts 1, 4 and 16 and demands
-// byte-identical observable state: every query answer, Stats, Rebuilds
-// and Resident must match the unsharded engine exactly. Sharding is a
-// contention optimization, never a semantic one.
+// byte-identical observable state: every query answer, each function's
+// backend and footprint, Metrics and MemoryBytes must match the unsharded
+// engine exactly. Sharding is a contention optimization, never a semantic
+// one.
 func TestEngineShardInvariance(t *testing.T) {
 	type outcome struct {
 		fingerprint string
-		stats       map[string]BackendStats
-		rebuilds    int
-		resident    int
+		backends    string // per function: backend and MemoryBytes
+		metrics     EngineMetrics
 		memory      int
 	}
 	run := func(t *testing.T, shards int) outcome {
@@ -54,6 +65,9 @@ func TestEngineShardInvariance(t *testing.T) {
 		e, err := AnalyzeProgram(funcs, EngineConfig{Shards: shards, Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := e.Metrics().Shards; got != shards {
+			t.Fatalf("Metrics().Shards = %d, configured %d", got, shards)
 		}
 		fp := fingerprint(t, e, funcs)
 		// Deterministic edit script: every 3rd function takes a CFG edit
@@ -67,35 +81,39 @@ func TestEngineShardInvariance(t *testing.T) {
 			}
 		}
 		fp += fingerprint(t, e, funcs)
+		var backends string
+		for _, f := range funcs {
+			live, err := e.Liveness(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backends += fmt.Sprintf("%s:%s:%d ", f.Name, live.Backend(), live.MemoryBytes())
+		}
 		return outcome{
 			fingerprint: fp,
-			stats:       e.Stats(),
-			rebuilds:    e.Rebuilds(),
-			resident:    e.Resident(),
+			backends:    backends,
+			metrics:     invariantMetrics(e.Metrics()),
 			memory:      e.MemoryBytes(),
 		}
 	}
 
 	base := run(t, 1)
-	if base.rebuilds == 0 {
+	if base.metrics.Rebuilds == 0 {
 		t.Fatal("edit script should force rebuilds (CFG edits on a checker engine)")
 	}
-	if base.resident != 18 {
-		t.Fatalf("Resident = %d with unlimited cache, want 18", base.resident)
+	if base.metrics.Resident != 18 {
+		t.Fatalf("Resident = %d with unlimited cache, want 18", base.metrics.Resident)
 	}
 	for _, shards := range []int{4, 16} {
 		got := run(t, shards)
 		if got.fingerprint != base.fingerprint {
 			t.Errorf("shards=%d: query answers differ from the unsharded engine", shards)
 		}
-		if !reflect.DeepEqual(got.stats, base.stats) {
-			t.Errorf("shards=%d: Stats() = %v, unsharded %v", shards, got.stats, base.stats)
+		if got.backends != base.backends {
+			t.Errorf("shards=%d: per-function backends/footprints\n%s\nunsharded\n%s", shards, got.backends, base.backends)
 		}
-		if got.rebuilds != base.rebuilds {
-			t.Errorf("shards=%d: Rebuilds() = %d, unsharded %d", shards, got.rebuilds, base.rebuilds)
-		}
-		if got.resident != base.resident {
-			t.Errorf("shards=%d: Resident() = %d, unsharded %d", shards, got.resident, base.resident)
+		if !reflect.DeepEqual(got.metrics, base.metrics) {
+			t.Errorf("shards=%d: Metrics() = %+v, unsharded %+v", shards, got.metrics, base.metrics)
 		}
 		if got.memory != base.memory {
 			t.Errorf("shards=%d: MemoryBytes() = %d, unsharded %d", shards, got.memory, base.memory)

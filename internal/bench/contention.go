@@ -196,7 +196,7 @@ func contentionRow(master []*ir.Func, queriers, shards int, window time.Duration
 		QueriesPerSec: float64(nQueries.Load()) / elapsed.Seconds(),
 		Edits:         nEdits.Load(),
 		QueryRebuilds: e.Rebuilds(),
-	}, e.Shards()
+	}, e.Metrics().Shards
 }
 
 // lcg returns a tiny deterministic generator (64-bit LCG) — enough to

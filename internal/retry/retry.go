@@ -1,7 +1,7 @@
 // Package retry holds the failure-model primitives the engine and the
 // snapshot tier share: a decorrelated-jitter backoff (the retry pacing of
 // quarantined builds and transient snapshot saves) and a consecutive-
-// failure/latency circuit breaker (the degradation switch in front of the
+// failure circuit breaker (the degradation switch in front of the
 // snapshot disk tier).
 //
 // Both are deliberately tiny and dependency-free; policy — what counts as
@@ -104,16 +104,11 @@ func (s State) String() string {
 }
 
 // BreakerConfig tunes a Breaker. The zero value opens after
-// 4 consecutive failures, applies no latency ceiling, and cools down for
-// one second before probing.
+// 4 consecutive failures and cools down for one second before probing.
 type BreakerConfig struct {
 	// Failures is how many consecutive failures open the breaker.
 	// 0 means 4.
 	Failures int
-	// Latency, when positive, is the per-operation ceiling: a successful
-	// operation slower than this is recorded as a failure anyway — a disk
-	// that answers in seconds is as useless to a build as one that errors.
-	Latency time.Duration
 	// Cooldown is how long an open breaker waits before admitting a
 	// half-open probe. 0 means one second.
 	Cooldown time.Duration
@@ -150,8 +145,7 @@ func (c BreakerConfig) now() time.Time {
 	return time.Now()
 }
 
-// Breaker is a consecutive-failure circuit breaker with a latency
-// ceiling. Callers bracket the guarded operation with Allow (may I run?)
+// Breaker is a consecutive-failure circuit breaker. Callers bracket the guarded operation with Allow (may I run?)
 // and Record (how did it go?); when Allow returns false the caller takes
 // its degraded path — for the snapshot tier, "skip the disk, recompute
 // from IR". Safe for concurrent use.
@@ -213,14 +207,9 @@ func (b *Breaker) notify(from, to State) {
 }
 
 // Record reports an admitted operation's outcome: failed says whether it
-// errored, and d is how long it took (a successful operation slower than
-// the configured latency ceiling counts as a failure). In Closed state a
-// run of consecutive failures opens the breaker; in HalfOpen the probe's
-// outcome closes or re-opens it.
-func (b *Breaker) Record(d time.Duration, failed bool) {
-	if b.cfg.Latency > 0 && d > b.cfg.Latency {
-		failed = true
-	}
+// errored. In Closed state a run of consecutive failures opens the
+// breaker; in HalfOpen the probe's outcome closes or re-opens it.
+func (b *Breaker) Record(failed bool) {
 	b.mu.Lock()
 	from, to := b.state, b.state
 	switch b.state {

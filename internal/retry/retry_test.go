@@ -75,14 +75,14 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 		if !b.Allow() {
 			t.Fatalf("closed breaker refused call %d", i)
 		}
-		b.Record(0, true)
+		b.Record(true)
 	}
 	// A success resets the run.
 	b.Allow()
-	b.Record(0, false)
+	b.Record(false)
 	for i := 0; i < 3; i++ {
 		b.Allow()
-		b.Record(0, true)
+		b.Record(true)
 	}
 	if b.State() != Open {
 		t.Fatalf("state = %v after 3 consecutive failures, want open", b.State())
@@ -92,20 +92,11 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	}
 }
 
-func TestBreakerLatencyCeilingCountsAsFailure(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Failures: 2, Latency: 10 * time.Millisecond})
-	b.Record(20*time.Millisecond, false)
-	b.Record(20*time.Millisecond, false)
-	if b.State() != Open {
-		t.Fatalf("state = %v after 2 over-ceiling ops, want open", b.State())
-	}
-}
-
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Second, Now: clk.Now})
 	b.Allow()
-	b.Record(0, true)
+	b.Record(true)
 	if b.State() != Open {
 		t.Fatal("breaker did not open")
 	}
@@ -120,7 +111,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		t.Fatal("half-open breaker admitted a second call alongside the probe")
 	}
 	// Probe fails: back to open, new cooldown.
-	b.Record(0, true)
+	b.Record(true)
 	if b.State() != Open {
 		t.Fatalf("state = %v after failed probe, want open", b.State())
 	}
@@ -132,7 +123,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		t.Fatal("second probe refused")
 	}
 	// Probe succeeds: closed, counting from zero again.
-	b.Record(0, false)
+	b.Record(false)
 	if b.State() != Closed {
 		t.Fatalf("state = %v after successful probe, want closed", b.State())
 	}
@@ -144,9 +135,9 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 func TestBreakerStragglerRecordInOpenIsIgnored(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Hour})
 	b.Allow()
-	b.Record(0, true)
+	b.Record(true)
 	// A call admitted before the breaker opened reports now.
-	b.Record(0, false)
+	b.Record(false)
 	if b.State() != Open {
 		t.Fatalf("state = %v, want open (straggler must not half-close it)", b.State())
 	}
@@ -161,7 +152,7 @@ func TestBreakerConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				if b.Allow() {
-					b.Record(0, (i+g)%3 == 0)
+					b.Record((i+g)%3 == 0)
 				}
 				_ = b.State()
 			}
@@ -181,18 +172,18 @@ func TestBreakerOnTransition(t *testing.T) {
 	})
 	// Closed -> Open after two failures.
 	b.Allow()
-	b.Record(0, true)
+	b.Record(true)
 	b.Allow()
-	b.Record(0, true)
+	b.Record(true)
 	// Open -> HalfOpen via the cooled-down probe, then -> Open on probe
 	// failure.
 	clk.Advance(2 * time.Second)
 	b.Allow()
-	b.Record(0, true)
+	b.Record(true)
 	// Open -> HalfOpen -> Closed on probe success.
 	clk.Advance(2 * time.Second)
 	b.Allow()
-	b.Record(0, false)
+	b.Record(false)
 	want := "closed>open;open>half-open;half-open>open;open>half-open;half-open>closed"
 	if s := strings.Join(got, ";"); s != want {
 		t.Fatalf("transitions:\n got %s\nwant %s", s, want)
@@ -200,7 +191,7 @@ func TestBreakerOnTransition(t *testing.T) {
 	// The callback may call back into the breaker: no deadlock.
 	reentrant := NewBreaker(BreakerConfig{Failures: 1})
 	reentrant.cfg.OnTransition = func(from, to State) { _ = reentrant.State() }
-	reentrant.Record(0, true)
+	reentrant.Record(true)
 	if reentrant.State() != Open {
 		t.Fatal("reentrant callback broke the transition")
 	}

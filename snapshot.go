@@ -26,7 +26,7 @@ import (
 
 // Save-retry pacing for transient snapshot write failures (a full /tmp,
 // a hiccuping network filesystem): how many extra attempts a failed save
-// gets by default, and the backoff bounds between them.
+// gets, and the backoff bounds between them.
 const (
 	defaultSaveRetries = 2
 	saveBackoffBase    = time.Millisecond
@@ -41,22 +41,22 @@ var errSnapshotBreakerOpen = errors.New("snapshot store circuit breaker is open"
 
 // SnapshotStore is a handle on an on-disk snapshot directory, shareable
 // between engines and processes. Open one with OpenSnapshotStore (or
-// OpenSnapshotStoreOptions to tune the failure handling) and set it as
+// OpenSnapshotStoreOptions for the arena-integrity opt-in) and set it as
 // EngineConfig.SnapshotStore.
 //
-// All of the store's I/O sits behind a circuit breaker: a run of
-// consecutive load/save errors — or loads slower than the configured
-// latency ceiling — opens it, after which builds skip the disk entirely
-// and recompute from IR (counted in SnapshotStats.BreakerSkips). After a
-// cooldown the next load runs as a half-open probe; its success closes
-// the breaker again. Cache misses (no snapshot for the fingerprint) are
-// normal operation, never breaker failures. Transient save errors are
-// additionally retried a few times with jittered backoff before giving
-// up, since a lost save silently costs a future process its warm start.
+// All of the store's I/O sits behind a circuit breaker: a run of 4
+// consecutive load/save errors opens it, after which builds skip the disk
+// entirely and recompute from IR (counted in SnapshotStats.BreakerSkips).
+// After a one-second cooldown the next load runs as a half-open probe;
+// its success closes the breaker again. Cache misses (no snapshot for the
+// fingerprint) are normal operation, never breaker failures. Transient
+// save errors are additionally retried twice with jittered backoff before
+// giving up, since a lost save silently costs a future process its warm
+// start.
 type SnapshotStore struct {
 	store       *snapshot.Store
 	breaker     *retry.Breaker
-	saveRetries int
+	saveRetries int // extra attempts for a failed save: defaultSaveRetries
 
 	// Breaker-transition fan-out: the breaker's OnTransition bumps the
 	// store-global counter and forwards to every registered observer
@@ -77,26 +77,11 @@ type breakerObserver struct {
 }
 
 // SnapshotStoreOptions tunes OpenSnapshotStoreOptions. The zero value
-// matches OpenSnapshotStore: unbounded directory, breaker opening after
-// 4 consecutive failures with a one-second cooldown and no latency
-// ceiling, and 2 save retries.
+// matches OpenSnapshotStore with an unbounded directory.
 type SnapshotStoreOptions struct {
 	// MaxBytes bounds the directory's total size — least recently used
 	// snapshots are deleted when a save overflows it; <= 0 means unbounded.
 	MaxBytes int64
-	// BreakerFailures is how many consecutive I/O failures open the
-	// breaker. 0 means 4.
-	BreakerFailures int
-	// BreakerLatency, when positive, is the per-operation ceiling: an
-	// operation slower than this counts as a failure even when it
-	// succeeds. 0 disables the ceiling.
-	BreakerLatency time.Duration
-	// BreakerCooldown is how long an open breaker waits before admitting
-	// a half-open probe load. 0 means one second.
-	BreakerCooldown time.Duration
-	// SaveRetries is how many extra backoff-paced attempts a transiently
-	// failing save gets. 0 means 2; negative disables retries.
-	SaveRetries int
 	// VerifyArenas opts mmap-backed loads into eager checksum scans of
 	// the R/T arena sections (the banded R and the CSR T arena). By
 	// default the aliasing load path verifies the header and the
@@ -108,39 +93,23 @@ type SnapshotStoreOptions struct {
 	VerifyArenas bool
 }
 
-func (o SnapshotStoreOptions) saveRetries() int {
-	switch {
-	case o.SaveRetries > 0:
-		return o.SaveRetries
-	case o.SaveRetries < 0:
-		return 0
-	}
-	return defaultSaveRetries
-}
-
 // OpenSnapshotStore opens (creating if necessary) a snapshot directory.
 // maxBytes bounds the directory's total size — least recently used
 // snapshots are deleted when a save overflows it; <= 0 means unbounded.
-// Failure handling uses the defaults; see OpenSnapshotStoreOptions.
 func OpenSnapshotStore(dir string, maxBytes int64) (*SnapshotStore, error) {
 	return OpenSnapshotStoreOptions(dir, SnapshotStoreOptions{MaxBytes: maxBytes})
 }
 
-// OpenSnapshotStoreOptions is OpenSnapshotStore with the failure-model
-// knobs exposed.
+// OpenSnapshotStoreOptions is OpenSnapshotStore with the arena-integrity
+// opt-in exposed.
 func OpenSnapshotStoreOptions(dir string, opts SnapshotStoreOptions) (*SnapshotStore, error) {
 	st, err := snapshot.Open(dir, opts.MaxBytes)
 	if err != nil {
 		return nil, err
 	}
 	st.SetVerifyArenas(opts.VerifyArenas)
-	ss := &SnapshotStore{store: st, saveRetries: opts.saveRetries()}
-	ss.breaker = retry.NewBreaker(retry.BreakerConfig{
-		Failures:     opts.BreakerFailures,
-		Latency:      opts.BreakerLatency,
-		Cooldown:     opts.BreakerCooldown,
-		OnTransition: ss.onBreakerTransition,
-	})
+	ss := &SnapshotStore{store: st, saveRetries: defaultSaveRetries}
+	ss.breaker = retry.NewBreaker(retry.BreakerConfig{OnTransition: ss.onBreakerTransition})
 	return ss, nil
 }
 
@@ -204,10 +173,8 @@ func (s *SnapshotStore) load(fp uint64) (*snapshot.Snapshot, error) {
 	if !s.breaker.Allow() {
 		return nil, errSnapshotBreakerOpen
 	}
-	start := time.Now()
 	snap, err := s.store.Load(fp)
-	failed := err != nil && !errors.Is(err, snapshot.ErrNotFound)
-	s.breaker.Record(time.Since(start), failed)
+	s.breaker.Record(err != nil && !errors.Is(err, snapshot.ErrNotFound))
 	return snap, err
 }
 
@@ -223,10 +190,9 @@ func (s *SnapshotStore) save(snap *snapshot.Snapshot) error {
 		if s.breaker.State() != retry.Closed {
 			return errSnapshotBreakerOpen
 		}
-		start := time.Now()
 		err := s.store.Save(snap)
 		if s.breaker.State() == retry.Closed {
-			s.breaker.Record(time.Since(start), err != nil)
+			s.breaker.Record(err != nil)
 		}
 		if err == nil || attempt >= s.saveRetries {
 			return err
@@ -302,7 +268,7 @@ type snapshotCounters struct {
 
 // SnapshotStats reports the engine's snapshot-tier traffic so far. All
 // counters are zero except Computes when no SnapshotStore is configured.
-// Like Stats and Rebuilds, the values are invariant under the shard count.
+// Like Rebuilds, the values are invariant under the shard count.
 func (e *Engine) SnapshotStats() SnapshotStats {
 	st := SnapshotStats{
 		Hits:         e.snap.snapHits.Load(),
