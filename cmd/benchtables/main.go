@@ -10,8 +10,8 @@
 // The default limit of 120 yields stable shapes quickly. The engine table
 // uses its own whole-program corpus, sized by -funcs and spread over the
 // -workers counts; besides the precompute-scaling and batch-query tables
-// it runs the sharded-engine contention benchmark (concurrent querier
-// goroutines vs. a paced mutator, -shards setting the engine shape), and with -json emits that contention report in the
+// it runs the engine contention benchmark (concurrent querier goroutines
+// vs. a paced mutator), and with -json emits that contention report in the
 // BENCH_*.json format.
 //
 // -table backends runs every backend registered with internal/backend over
@@ -82,7 +82,6 @@ type benchOpts struct {
 	limit     *int
 	workers   *string
 	funcs     *int
-	shards    *int
 	jsonOut   *bool
 	regs      *int
 	editEvery *int
@@ -96,7 +95,6 @@ func registerFlags(fs *flag.FlagSet) *benchOpts {
 		limit:     fs.Int("limit", 120, "procedures per benchmark (0 = full corpus)"),
 		workers:   fs.String("workers", "1,2,4,8", "worker/querier counts for -table engine"),
 		funcs:     fs.Int("funcs", 128, "corpus size for -table engine"),
-		shards:    fs.Int("shards", 0, "engine shard count for -table engine (0 = default)"),
 		jsonOut:   fs.Bool("json", false, "emit -table engine|backends|regalloc|pipeline|warmstart|latency rows as JSON"),
 		regs:      fs.Int("regs", 8, "register budget for -table regalloc|pipeline"),
 		editEvery: fs.Int("editevery", 64, "benign instruction edit every N queries for -table latency (0 = no edits)"),
@@ -157,7 +155,7 @@ func main() {
 	case "scaling":
 		fmt.Println(bench.ScalingSeries([]int{64, 128, 256, 512, 1024, 2048, 4096}))
 	case "engine":
-		rep := bench.MeasureEngineContention(*opts.funcs, workerCounts, *opts.shards, 0)
+		rep := bench.MeasureEngineContention(*opts.funcs, workerCounts, 0)
 		if *opts.jsonOut {
 			out, err := bench.EngineContentionJSON(rep)
 			if err != nil {
@@ -261,7 +259,7 @@ func main() {
 		fmt.Println(bench.ScalingSeries([]int{64, 128, 256, 512, 1024, 2048}))
 		fmt.Println(bench.ProgramTable(*opts.funcs, workerCounts, 3))
 		fmt.Println(bench.EngineContentionSection(
-			bench.MeasureEngineContention(*opts.funcs, workerCounts, *opts.shards, 0)))
+			bench.MeasureEngineContention(*opts.funcs, workerCounts, 0)))
 		fmt.Println(bench.BackendTable(corpora))
 		fmt.Println(bench.RegallocTable(corpora, *opts.regs))
 		fmt.Println(bench.PipelineTable(*opts.limit, *opts.regs))
@@ -278,9 +276,9 @@ func main() {
 // flagTables maps each tunable flag to the tables that honor it; a flag
 // set on the command line for a table outside its list is silently
 // ignored by the measurement, which warnIgnoredFlags turns into an
-// explicit warning — a -shards 32 run of a table that never constructs an
-// engine should say so rather than let the user believe they measured a
-// 32-shard configuration. Flags absent here must appear in
+// explicit warning — a -workers 32 run of a table that never constructs an
+// engine should say so rather than let the user believe they measured 32
+// concurrent workers. Flags absent here must appear in
 // alwaysHonoredFlags instead (they are validated elsewhere or honored by
 // every table) — TestFlagTablesCoverRegisteredFlags enforces that every
 // registered flag lands in exactly one of the two.
@@ -288,7 +286,6 @@ var flagTables = map[string][]string{
 	"limit":     {"1", "2", "edges", "fullprecomp", "queries", "backends", "regalloc", "pipeline", "latency", "all"},
 	"workers":   {"engine", "all"},
 	"funcs":     {"engine", "all"},
-	"shards":    {"engine", "all"},
 	"regs":      {"regalloc", "pipeline", "all"},
 	"editevery": {"latency", "all"},
 }

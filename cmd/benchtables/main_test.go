@@ -31,11 +31,11 @@ func TestWarnIgnoredFlags(t *testing.T) {
 		{"scaling", nil, nil},
 		// A flag the table honors stays silent.
 		{"backends", []string{"-limit", "10"}, nil},
-		{"engine", []string{"-shards", "4", "-funcs", "64"}, nil},
+		{"engine", []string{"-workers", "4", "-funcs", "64"}, nil},
 		{"latency", []string{"-editevery", "16", "-limit", "10"}, nil},
-		// The classic trap: -shards on a table that never builds an engine.
-		{"backends", []string{"-shards", "32"},
-			[]string{"-shards is ignored by -table backends"}},
+		// The classic trap: -workers on a table that never builds an engine.
+		{"backends", []string{"-workers", "32"},
+			[]string{"-workers is ignored by -table backends"}},
 		{"scaling", []string{"-limit", "10"},
 			[]string{"-limit is ignored by -table scaling"}},
 		{"engine", []string{"-regs", "4"},
@@ -45,14 +45,14 @@ func TestWarnIgnoredFlags(t *testing.T) {
 		// Always-honored flags never warn.
 		{"scaling", []string{"-debug-addr", "localhost:0"}, nil},
 		// Several ignored flags warn once each, in flag-name order.
-		{"warmstart", []string{"-shards", "4", "-regs", "2", "-funcs", "9"},
+		{"warmstart", []string{"-workers", "4", "-regs", "2", "-funcs", "9"},
 			[]string{
 				"-funcs is ignored by -table warmstart",
 				"-regs is ignored by -table warmstart",
-				"-shards is ignored by -table warmstart",
+				"-workers is ignored by -table warmstart",
 			}},
 		// "all" honors everything.
-		{"all", []string{"-shards", "4", "-regs", "2", "-limit", "10", "-workers", "1"}, nil},
+		{"all", []string{"-funcs", "4", "-regs", "2", "-limit", "10", "-workers", "1"}, nil},
 	}
 	for _, c := range cases {
 		got := warnIgnoredFlags(c.table, benchFlags(t, c.args...))

@@ -124,7 +124,6 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "whole-program precompute workers (0 = GOMAXPROCS)")
 		regs      = flag.Int("regalloc", 0, "allocate that many registers and print the assignment (0 = off)")
 		pipe      = flag.Bool("pipeline", false, "run the full pass pipeline and print the per-pass report")
-		shards    = flag.Int("shards", 0, "engine shard count (0 = default); a contention knob, never changes answers")
 		snapDir   = flag.String("snapshot-dir", "", "persist checker precomputations under this directory and reuse them across runs")
 		failFast  = flag.Bool("fail-fast", false, "abort a whole-program run on the first failing function instead of collecting failures")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
@@ -154,9 +153,9 @@ func main() {
 	if err == nil {
 		switch {
 		case *pipe:
-			err = runPipeline(paths, *backendN, *verify, *regs, *shards)
+			err = runPipeline(paths, *backendN, *verify, *regs)
 		case program:
-			err = runProgram(paths, *construct, *backendN, *verify, *stat, *parallel, *regs, *shards, snap, queries, *failFast)
+			err = runProgram(paths, *construct, *backendN, *verify, *stat, *parallel, *regs, snap, queries, *failFast)
 		default:
 			err = run(flag.Arg(0), *construct, *backendN, *verify, *stat, *regs, snap, queries)
 		}
@@ -247,7 +246,7 @@ func failuresError(total int, failures []funcFailure) error {
 // so one broken input in a large directory costs one diagnostic, not the
 // whole batch. With zero failures the output is byte-identical to the
 // pre-collection behavior.
-func runProgram(paths []string, construct bool, backendName string, verify, stat bool, parallel, regs, shards int, snap *fastliveness.SnapshotStore, queries queryList, failFast bool) error {
+func runProgram(paths []string, construct bool, backendName string, verify, stat bool, parallel, regs int, snap *fastliveness.SnapshotStore, queries queryList, failFast bool) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no .ssair files found")
 	}
@@ -296,7 +295,6 @@ func runProgram(paths []string, construct bool, backendName string, verify, stat
 	eng, err := fastliveness.AnalyzeProgram(funcs, fastliveness.EngineConfig{
 		Config:        fastliveness.Config{Backend: backendName},
 		Parallelism:   parallel,
-		Shards:        shards,
 		SnapshotStore: snap,
 	})
 	if err != nil && failFast {
@@ -529,7 +527,7 @@ func run(path string, construct bool, backendName string, verify, stat bool, reg
 // liveness queries it issued. Inputs may be slot form — construction is
 // the first pass. Output is deterministic (no timings), so it doubles as
 // the golden-test surface.
-func runPipeline(paths []string, backendName string, verify bool, regs, shards int) error {
+func runPipeline(paths []string, backendName string, verify bool, regs int) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no .ssair files found")
 	}
@@ -543,7 +541,6 @@ func runPipeline(paths []string, backendName string, verify bool, regs, shards i
 	}
 	rep, err := pipeline.Run(funcs, pipeline.Config{
 		Backend: backendName, Regs: regs, Verify: verify,
-		Shards: shards,
 	})
 	if err != nil {
 		return err

@@ -225,7 +225,7 @@ func TestRunProgramCollectsFailures(t *testing.T) {
 	// Collection mode: the loops backend rejects @irr and the parser
 	// rejects garbage.ssair; @clamp and @loop still analyze.
 	out, err := captureErr(t, func() error {
-		return runProgram(paths, false, "loops", true, false, 2, 0, 0, nil, nil, false)
+		return runProgram(paths, false, "loops", true, false, 2, 0, nil, nil, false)
 	})
 	if err == nil {
 		t.Fatalf("run with broken inputs returned nil; output:\n%s", out)
@@ -249,7 +249,7 @@ func TestRunProgramCollectsFailures(t *testing.T) {
 
 	// -fail-fast: the first failure aborts, nothing is summarized.
 	out, err = captureErr(t, func() error {
-		return runProgram(paths, false, "loops", true, false, 2, 0, 0, nil, nil, true)
+		return runProgram(paths, false, "loops", true, false, 2, 0, nil, nil, true)
 	})
 	if err == nil {
 		t.Fatal("fail-fast run with broken inputs returned nil")
@@ -263,10 +263,10 @@ func TestRunProgramCollectsFailures(t *testing.T) {
 	cleanDir := writeProgram(t, map[string]string{"clamp.ssair": clampSrc, "loop.ssair": loopSrc})
 	cleanPaths, _, _ := programArgs([]string{cleanDir})
 	collected := capture(t, func() error {
-		return runProgram(cleanPaths, false, "checker", true, false, 2, 0, 0, nil, nil, false)
+		return runProgram(cleanPaths, false, "checker", true, false, 2, 0, nil, nil, false)
 	})
 	fastOut := capture(t, func() error {
-		return runProgram(cleanPaths, false, "checker", true, false, 2, 0, 0, nil, nil, true)
+		return runProgram(cleanPaths, false, "checker", true, false, 2, 0, nil, nil, true)
 	})
 	if collected != fastOut {
 		t.Errorf("clean-run output differs between modes:\ncollect:\n%s\nfail-fast:\n%s", collected, fastOut)
@@ -307,11 +307,11 @@ func TestProgramArgsExpandsDirectories(t *testing.T) {
 func TestRunProgramSummaryAndQueries(t *testing.T) {
 	dir := writeProgram(t, map[string]string{"loop.ssair": loopSrc, "clamp.ssair": clampSrc})
 	paths, _, _ := programArgs([]string{dir})
-	if err := runProgram(paths, false, "checker", true, true, 4, 0, 0, nil, nil, false); err != nil {
+	if err := runProgram(paths, false, "checker", true, true, 4, 0, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	qs := queryList{"%i@body@loop", "out:%x@entry@clamp", "in:%r@join@clamp"}
-	if err := runProgram(paths, false, "checker", true, false, 2, 0, 0, nil, qs, false); err != nil {
+	if err := runProgram(paths, false, "checker", true, false, 2, 0, nil, qs, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -329,7 +329,7 @@ func TestRunProgramSnapshotDoubleRun(t *testing.T) {
 	}
 	runOnce := func() string {
 		return capture(t, func() error {
-			return runProgram(paths, false, "checker", true, false, 2, 0, 0, snap, nil, false)
+			return runProgram(paths, false, "checker", true, false, 2, 0, snap, nil, false)
 		})
 	}
 	cold, warm := runOnce(), runOnce()
@@ -377,7 +377,7 @@ func TestRunProgramPerBackend(t *testing.T) {
 	qs := queryList{"out:%i@head@loop", "in:%r@join@clamp"}
 	var want string
 	for i, name := range fastliveness.Backends() {
-		got := capture(t, func() error { return runProgram(paths, false, name, true, false, 2, 0, 0, nil, qs, false) })
+		got := capture(t, func() error { return runProgram(paths, false, name, true, false, 2, 0, nil, qs, false) })
 		if i == 0 {
 			want = got
 			continue
@@ -402,25 +402,25 @@ func TestRunProgramErrors(t *testing.T) {
 		{nil, "frobnicate", "unknown backend"},
 	}
 	for _, c := range cases {
-		err := runProgram(paths, false, c.backend, true, false, 1, 0, 0, nil, c.queries, false)
+		err := runProgram(paths, false, c.backend, true, false, 1, 0, nil, c.queries, false)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("queries %v backend %s: err = %v, want %q", c.queries, c.backend, err, c.want)
 		}
 	}
-	if err := runProgram(nil, false, "checker", true, false, 1, 0, 0, nil, nil, false); err == nil {
+	if err := runProgram(nil, false, "checker", true, false, 1, 0, nil, nil, false); err == nil {
 		t.Error("empty program should error")
 	}
 	// Duplicate function names across files are rejected.
 	dup := writeProgram(t, map[string]string{"a.ssair": loopSrc, "b.ssair": loopSrc})
 	paths, _, _ = programArgs([]string{dup})
-	if err := runProgram(paths, false, "checker", true, false, 1, 0, 0, nil, nil, false); err == nil ||
+	if err := runProgram(paths, false, "checker", true, false, 1, 0, nil, nil, false); err == nil ||
 		!strings.Contains(err.Error(), "duplicate function name") {
 		t.Errorf("duplicate names: err = %v", err)
 	}
 	// Single-file program mode may omit the @func component.
 	single := writeProgram(t, map[string]string{"loop.ssair": loopSrc})
 	paths, _, _ = programArgs([]string{single})
-	if err := runProgram(paths, false, "checker", true, false, 1, 0, 0, nil, queryList{"out:%i@head"}, false); err != nil {
+	if err := runProgram(paths, false, "checker", true, false, 1, 0, nil, queryList{"out:%i@head"}, false); err != nil {
 		t.Errorf("single-function program without @func: %v", err)
 	}
 }
@@ -463,7 +463,7 @@ func TestRunRegallocGoldenPerBackend(t *testing.T) {
 // positive count for a set-producing backend on the same input.
 func TestRunPipelineReport(t *testing.T) {
 	p := writeTemp(t, loopSrc)
-	got := capture(t, func() error { return runPipeline([]string{p}, "checker", true, 0, 0) })
+	got := capture(t, func() error { return runPipeline([]string{p}, "checker", true, 0) })
 	for _, want := range []string{
 		"pipeline backend=checker: 1 funcs (0 skipped), k=8, 0 stale rebuilds",
 		"construct", "split-edges", "destruct", "regalloc",
@@ -477,7 +477,7 @@ func TestRunPipelineReport(t *testing.T) {
 	// insertion and the φ elimination each stale the sets once before the
 	// next query — exactly 2 rebuilds on this function.
 	p2 := writeTemp(t, loopSrc)
-	got2 := capture(t, func() error { return runPipeline([]string{p2}, "dataflow", true, 0, 0) })
+	got2 := capture(t, func() error { return runPipeline([]string{p2}, "dataflow", true, 0) })
 	if !strings.Contains(got2, "pipeline backend=dataflow: 1 funcs (0 skipped), k=8, 2 stale rebuilds") {
 		t.Fatalf("dataflow pipeline should report exactly 2 stale rebuilds:\n%s", got2)
 	}
@@ -499,7 +499,7 @@ b1:
 }
 `
 	p := writeTemp(t, slotSrc)
-	got := capture(t, func() error { return runPipeline([]string{p}, "checker", true, 0, 0) })
+	got := capture(t, func() error { return runPipeline([]string{p}, "checker", true, 0) })
 	if !strings.Contains(got, "pipeline backend=checker: 1 funcs (0 skipped)") {
 		t.Fatalf("slot-form pipeline failed:\n%s", got)
 	}
@@ -514,7 +514,7 @@ func TestRunProgramRegallocWithQueries(t *testing.T) {
 	dir := writeProgram(t, map[string]string{"loop.ssair": loopSrc, "clamp.ssair": clampSrc})
 	paths, _, _ := programArgs([]string{dir})
 	got := capture(t, func() error {
-		return runProgram(paths, false, "checker", true, false, 2, 4, 0, nil, queryList{"out:%i@head@loop"}, false)
+		return runProgram(paths, false, "checker", true, false, 2, 4, nil, queryList{"out:%i@head@loop"}, false)
 	})
 	for _, want := range []string{"live-out(%i, head) = true", "regalloc @clamp: k=4:", "regalloc @loop: k=4:"} {
 		if !strings.Contains(got, want) {
@@ -523,21 +523,16 @@ func TestRunProgramRegallocWithQueries(t *testing.T) {
 	}
 }
 
-// The engine-tuning flag -shards is a contention knob only: whole-program
-// and pipeline output must be byte-identical with it on.
+// The engine-tuning flag -parallel sets the precompute fan-out only:
+// whole-program output must be byte-identical at every worker count.
 func TestEngineTuningFlagsIdenticalOutput(t *testing.T) {
 	dir := writeProgram(t, map[string]string{"loop.ssair": loopSrc, "clamp.ssair": clampSrc})
 	paths, _, _ := programArgs([]string{dir})
 	qs := queryList{"out:%i@head@loop", "in:%r@join@clamp"}
-	plain := capture(t, func() error { return runProgram(paths, false, "checker", true, false, 2, 0, 0, nil, qs, false) })
-	tuned := capture(t, func() error { return runProgram(paths, false, "checker", true, false, 2, 0, 4, nil, qs, false) })
+	plain := capture(t, func() error { return runProgram(paths, false, "checker", true, false, 1, 0, nil, qs, false) })
+	tuned := capture(t, func() error { return runProgram(paths, false, "checker", true, false, 4, 0, nil, qs, false) })
 	if plain != tuned {
-		t.Errorf("-shards changed program output:\n%s\nwant:\n%s", tuned, plain)
-	}
-	plain = capture(t, func() error { return runPipeline(paths, "dataflow", true, 0, 0) })
-	tuned = capture(t, func() error { return runPipeline(paths, "dataflow", true, 0, 4) })
-	if plain != tuned {
-		t.Errorf("-shards changed pipeline output:\n%s\nwant:\n%s", tuned, plain)
+		t.Errorf("-parallel changed program output:\n%s\nwant:\n%s", tuned, plain)
 	}
 }
 
@@ -552,7 +547,7 @@ func TestRunProgramStatsEngineLine(t *testing.T) {
 
 	// Summary mode: no queries issued, everything else settled.
 	got := capture(t, func() error {
-		return runProgram(paths, false, "checker", true, true, 2, 0, 0, nil, nil, false)
+		return runProgram(paths, false, "checker", true, true, 2, 0, nil, nil, false)
 	})
 	want := "engine: funcs=2 resident=2 builds=2 computes=2 queries=0 batches=0 rebuilds=0 quarantined=0\n"
 	if !strings.Contains(got, want) {
@@ -562,7 +557,7 @@ func TestRunProgramStatsEngineLine(t *testing.T) {
 	// Query mode: each -q answer goes through an Oracle and is counted.
 	qs := queryList{"%i@body@loop", "out:%x@entry@clamp", "in:%r@join@clamp"}
 	got = capture(t, func() error {
-		return runProgram(paths, false, "checker", true, true, 2, 0, 0, nil, qs, false)
+		return runProgram(paths, false, "checker", true, true, 2, 0, nil, qs, false)
 	})
 	want = "engine: funcs=2 resident=2 builds=2 computes=2 queries=3 batches=0 rebuilds=0 quarantined=0\n"
 	if !strings.Contains(got, want) {
@@ -572,7 +567,7 @@ func TestRunProgramStatsEngineLine(t *testing.T) {
 	// Without -stats the line must not appear (the CI warm-start smoke
 	// diffs non-snapshot output across runs).
 	got = capture(t, func() error {
-		return runProgram(paths, false, "checker", true, false, 2, 0, 0, nil, nil, false)
+		return runProgram(paths, false, "checker", true, false, 2, 0, nil, nil, false)
 	})
 	if strings.Contains(got, "engine:") {
 		t.Errorf("engine metrics line printed without -stats:\n%s", got)

@@ -6,16 +6,16 @@
 // parallelism for a compiler server or JIT that must analyze a module, not
 // a procedure. Engine owns that axis: it registers many ir.Funcs,
 // precomputes their analyses across a bounded worker pool, keeps the
-// results behind sharded thread-safe LRU-cached handles, and batches
-// queries so callers amortize per-query overhead.
+// results behind thread-safe LRU-cached handles, and batches queries so
+// callers amortize per-query overhead.
 //
 // Concurrency layout:
 //
 //   - The function index is a lock-free sync.Map; looking up the handle
 //     for a function takes no lock at all.
-//   - Handles are partitioned across N shards, each with its own mutex,
-//     condition variable and LRU list. Queries on functions in different
-//     shards never contend; the old single engine mutex is gone.
+//   - One engine mutex guards the build bookkeeping: a condition variable
+//     build-waiters sleep on and one LRU list of resident analyses. A
+//     query takes it only to fetch an analysis, never to answer from one.
 //   - Per-function staleness is an epoch comparison against atomic
 //     counters (ir.Func.CFGEpoch/InstrEpoch) — no lock on that check.
 //   - There is one build path: the query path's single-flight startBuild.
@@ -41,11 +41,6 @@ import (
 	"fastliveness/internal/telemetry"
 )
 
-// defaultShards is the shard count when EngineConfig.Shards is zero: high
-// enough that independent query streams rarely share a shard mutex, low
-// enough that per-shard state stays negligible.
-const defaultShards = 16
-
 // Quarantine pacing: how many backoff-paced retries a panicking build
 // gets before the function fails fast until its next edit, and the
 // decorrelated-jitter backoff bounds between retries.
@@ -56,29 +51,18 @@ const (
 )
 
 // EngineConfig tunes a program-level Engine. The zero value analyzes with
-// the paper's per-function configuration, uses one worker per CPU, shards
-// the index defaultShards ways and caches every analysis.
+// the paper's per-function configuration, uses one worker per CPU and
+// caches every analysis.
 type EngineConfig struct {
 	// Config is the per-function analysis configuration.
 	Config Config
 	// Parallelism bounds the precompute worker pool and the fan-out of
 	// large batched queries. 0 means GOMAXPROCS.
 	Parallelism int
-	// MaxCached bounds how many per-function analyses stay resident
-	// across all shards; the least recently used are evicted and
-	// transparently rebuilt on the next request. The bound is global but
-	// enforced locally: the shard that overflows it evicts from its own
-	// LRU tail, so under concurrent inserts the victim is the least
-	// recently used handle of that shard, not necessarily of the whole
-	// engine. 0 means unlimited.
+	// MaxCached bounds how many per-function analyses stay resident; the
+	// least recently used are evicted and transparently rebuilt on the
+	// next request. 0 means unlimited.
 	MaxCached int
-	// Shards is the number of independent index partitions, each with its
-	// own mutex and LRU. Functions are assigned round-robin in
-	// registration order — deterministic, perfectly balanced, and
-	// equivalent to hashing the function pointer without depending on
-	// address-space layout. Query answers, Rebuilds and MemoryBytes are
-	// invariant under the shard count. 0 means defaultShards.
-	Shards int
 	// SnapshotStore adds a persistent disk tier under the LRU (see
 	// snapshot.go): analysis builds first try a fingerprint-matched
 	// snapshot load, and full precomputes are written back for future
@@ -106,13 +90,6 @@ func (c EngineConfig) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c EngineConfig) shardCount() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	return defaultShards
-}
-
 // Query is one liveness question: is V live (in or out, per the method
 // called) at block B. V and B must belong to the function the batch is
 // issued against.
@@ -121,23 +98,12 @@ type Query struct {
 	B *ir.Block
 }
 
-// shard is one partition of the engine's handle index: a mutex, the
-// condition variable build-waiters sleep on, and the partition's LRU list
-// of resident handles. Handles are assigned to shards at registration and
-// never migrate.
-type shard struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	lru  *list.List // resident handles of this shard, most recent first
-}
-
 // handle is the engine's per-function cache slot. The irMu field guards
 // the function's IR structure against Engine.Edit; every other field is
-// guarded by the owning shard's mutex, except that the single in-flight
-// builder (building set, see startBuild) owns st.verified.
+// guarded by the engine mutex, except that the single in-flight builder
+// (building set, see startBuild) owns st.verified.
 type handle struct {
-	f     *ir.Func
-	shard *shard
+	f *ir.Func
 
 	// irMu is the function-structure guard: Edit write-locks it around
 	// mutations; builds, batches and Oracle queries read-lock it around
@@ -198,12 +164,17 @@ type buildState struct {
 type Engine struct {
 	config EngineConfig
 
-	regMu  sync.Mutex // guards funcs and shard assignment
-	funcs  []*ir.Func // registration order: the deterministic program order
-	index  sync.Map   // map[*ir.Func]*handle; lock-free on the query path
-	shards []*shard
+	regMu sync.Mutex // guards funcs
+	funcs []*ir.Func // registration order: the deterministic program order
+	index sync.Map   // map[*ir.Func]*handle; lock-free on the query path
 
-	resident atomic.Int64 // resident analyses across all shards
+	// mu guards every handle's build bookkeeping and lru; cond is the
+	// condition variable build-waiters sleep on.
+	mu   sync.Mutex
+	cond *sync.Cond
+	lru  *list.List // resident handles, most recently used first
+
+	resident atomic.Int64 // resident analyses: lru.Len(), readable without mu
 	snap     snapshotCounters
 	closed   atomic.Bool // set by Close; engine methods then fail fast
 
@@ -222,15 +193,10 @@ type Engine struct {
 
 // NewEngine returns an empty engine; register functions with Add.
 func NewEngine(config EngineConfig) *Engine {
-	e := &Engine{config: config, tracer: config.Tracer, buildRetries: defaultMaxBuildRetries}
+	e := &Engine{config: config, lru: list.New(), tracer: config.Tracer, buildRetries: defaultMaxBuildRetries}
+	e.cond = sync.NewCond(&e.mu)
 	if e.tracer == nil {
 		e.tracer = telemetry.NopTracer{}
-	}
-	e.shards = make([]*shard, config.shardCount())
-	for i := range e.shards {
-		s := &shard{lru: list.New()}
-		s.cond = sync.NewCond(&s.mu)
-		e.shards[i] = s
 	}
 	if config.SnapshotStore != nil && config.Tracer != nil {
 		// Forward the (shared) store's breaker transitions to this engine's
@@ -259,9 +225,7 @@ func AnalyzeProgram(funcs []*ir.Func, config EngineConfig) (*Engine, error) {
 
 // Add registers functions with the engine. Registration is cheap — no
 // analysis runs until Precompute or the first query. Re-adding a
-// registered function is a no-op. Shards are assigned round-robin in
-// registration order, so a fixed registration sequence gets a fixed
-// (and balanced) shard layout at every shard count.
+// registered function is a no-op.
 func (e *Engine) Add(funcs ...*ir.Func) {
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
@@ -269,7 +233,7 @@ func (e *Engine) Add(funcs ...*ir.Func) {
 		if _, ok := e.index.Load(f); ok {
 			continue
 		}
-		h := &handle{f: f, shard: e.shards[len(e.funcs)%len(e.shards)]}
+		h := &handle{f: f}
 		e.funcs = append(e.funcs, f)
 		e.index.Store(f, h)
 	}
@@ -361,9 +325,8 @@ func (e *Engine) Liveness(f *ir.Func) (*Liveness, error) {
 
 // liveness is Liveness after handle resolution.
 func (e *Engine) liveness(h *handle) (*Liveness, error) {
-	s := h.shard
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for {
 		if e.closed.Load() {
 			return nil, fmt.Errorf("fastliveness: %w", ErrEngineClosed)
@@ -396,23 +359,23 @@ func (e *Engine) liveness(h *handle) (*Liveness, error) {
 				e.met.rebuilds.Inc()
 				continue
 			}
-			s.lru.MoveToFront(h.elem)
+			e.lru.MoveToFront(h.elem)
 			return h.live, nil
 		case !h.building:
 			return e.startBuild(h)
 		}
-		s.cond.Wait()
+		e.cond.Wait()
 	}
 }
 
 // drop removes h's cached analysis (if resident) and bumps its generation
 // so in-flight builds from before the drop are discarded instead of
-// cached. Called with h's shard mutex held. Used by staleness rebuilds,
+// cached. Called with the engine mutex held. Used by staleness rebuilds,
 // Invalidate, and LRU eviction.
 func (e *Engine) drop(h *handle) {
 	h.gen++
 	if h.elem != nil {
-		h.shard.lru.Remove(h.elem)
+		e.lru.Remove(h.elem)
 		e.resident.Add(-1)
 	}
 	h.live, h.elem = nil, nil
@@ -420,24 +383,23 @@ func (e *Engine) drop(h *handle) {
 
 // startBuild analyzes h.f (which is neither resident nor building) on
 // the calling goroutine and publishes the result. Called — and returns —
-// with h's shard mutex held. It brings h's state record up to date,
+// with the engine mutex held. It brings h's state record up to date,
 // claims the build by setting building (so concurrent requesters wait
 // instead of duplicating it), captures the generation, and runs the build
-// with the shard unlocked. It then relocks, releases the claim, wakes
+// with the engine unlocked. It then relocks, releases the claim, wakes
 // waiters and caches the result only if the generation survived:
 // Invalidate bumps it, and a superseded result describes a CFG that may
 // no longer exist, so it is handed to this caller (whose view predates
 // the invalidation) but not cached.
 func (e *Engine) startBuild(h *handle) (*Liveness, error) {
-	s := h.shard
 	e.resetState(h, false)
 	h.building = true
 	gen := h.gen
-	s.mu.Unlock()
+	e.mu.Unlock()
 	live, err := e.runBuild(h)
-	s.mu.Lock()
+	e.mu.Lock()
 	h.building = false
-	s.cond.Broadcast()
+	e.cond.Broadcast()
 	switch {
 	case h.gen != gen: // superseded: returned, not cached
 	case err != nil:
@@ -454,7 +416,7 @@ func (e *Engine) startBuild(h *handle) (*Liveness, error) {
 	return live, err
 }
 
-// runBuild executes the analysis for h outside any shard lock, converting
+// runBuild executes the analysis for h outside the engine mutex, converting
 // a backend panic into a *BuildPanicError instead of letting it unwind
 // into the requesting goroutine — this is the recover boundary of the
 // engine's failure model. The IR walk runs
@@ -478,19 +440,17 @@ func (e *Engine) runBuild(h *handle) (live *Liveness, err error) {
 }
 
 // publish caches a successful build — the one place an analysis enters
-// the LRU — and reports whether it is still resident after the cache
-// bound was enforced. Called with h's shard mutex held.
-func (e *Engine) publish(h *handle, live *Liveness) bool {
-	s := h.shard
+// the LRU — at the LRU's front, so enforcing the cache bound never evicts
+// it. Called with the engine mutex held.
+func (e *Engine) publish(h *handle, live *Liveness) {
 	h.live = live
 	e.clearQuarantine(h)
-	h.elem = s.lru.PushFront(h)
+	h.elem = e.lru.PushFront(h)
 	e.resident.Add(1)
-	e.enforceCacheBound(s)
-	return h.elem != nil
+	e.enforceCacheBound()
 }
 
-// recordFailure notes a failed build in h's state record under the shard
+// recordFailure notes a failed build in h's state record under the engine
 // mutex, with quarantine pacing when it was a panic.
 func (e *Engine) recordFailure(h *handle, err error) {
 	h.st.err = err
@@ -510,7 +470,7 @@ func (e *Engine) recordFailure(h *handle, err error) {
 }
 
 // clearQuarantine resets h's panic-retry state after a successful build
-// or a state reset. Called with the shard mutex held.
+// or a state reset. Called with the engine mutex held.
 func (e *Engine) clearQuarantine(h *handle) {
 	if h.st.panics > 0 {
 		e.met.quarantined.Add(-1)
@@ -524,7 +484,7 @@ func (e *Engine) clearQuarantine(h *handle) {
 
 // resetState clears h's state record and restamps it with the function's
 // current epochs — when those epochs moved past the record's stamp, or
-// unconditionally with force (Invalidate). Called with the shard mutex
+// unconditionally with force (Invalidate). Called with the engine mutex
 // held. While a build is in flight it clears the quarantine half alone:
 // the builder owns verified until it lands (if the epochs moved, the
 // first reset after that clears it too).
@@ -545,16 +505,16 @@ func (h *handle) stateCurrent() bool {
 	return h.st.at == backend.EpochsOf(h.f)
 }
 
-// enforceCacheBound evicts from s's LRU tail while the global resident
-// count exceeds MaxCached. Called with s's mutex held; only the local
-// shard is touched, so enforcement never takes a second lock.
-func (e *Engine) enforceCacheBound(s *shard) {
+// enforceCacheBound evicts from the LRU tail while more than MaxCached
+// analyses are resident, so the victims are the least recently used
+// functions engine-wide. Called with the engine mutex held.
+func (e *Engine) enforceCacheBound() {
 	max := e.config.MaxCached
 	if max <= 0 {
 		return
 	}
-	for e.resident.Load() > int64(max) && s.lru.Len() > 0 {
-		e.drop(s.lru.Back().Value.(*handle))
+	for e.lru.Len() > max {
+		e.drop(e.lru.Back().Value.(*handle))
 	}
 }
 
@@ -570,9 +530,8 @@ func (e *Engine) Invalidate(f *ir.Func) {
 	if h == nil {
 		return
 	}
-	s := h.shard
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.drop(h)
 	e.resetState(h, true)
 }
@@ -616,15 +575,12 @@ func (e *Engine) Close() {
 	if e.unobserve != nil {
 		e.unobserve()
 	}
-	for _, s := range e.shards {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
+	e.mu.Lock()
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
-// Resident reports how many per-function analyses are currently cached
-// across all shards.
+// Resident reports how many per-function analyses are currently cached.
 func (e *Engine) Resident() int {
 	return int(e.resident.Load())
 }
@@ -636,20 +592,18 @@ func (e *Engine) Resident() int {
 // the spill loop) a checker-backed engine reports 0 while set-producing
 // backends pay one
 // rebuild per edit-then-query; cmd/benchtables -table pipeline records
-// exactly this per backend. The total is invariant under the shard count.
-// It is Metrics().Rebuilds, kept for callers that want the one number.
+// exactly this per backend. It is Metrics().Rebuilds, kept for callers
+// that want the one number.
 func (e *Engine) Rebuilds() int { return int(e.met.rebuilds.Load()) }
 
 // MemoryBytes reports the total footprint of the resident precomputed
-// sets (§6.1, summed over all shards).
+// sets (§6.1).
 func (e *Engine) MemoryBytes() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	total := 0
-	for _, s := range e.shards {
-		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			total += el.Value.(*handle).live.MemoryBytes()
-		}
-		s.mu.Unlock()
+	for el := e.lru.Front(); el != nil; el = el.Next() {
+		total += el.Value.(*handle).live.MemoryBytes()
 	}
 	return total
 }

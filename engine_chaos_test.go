@@ -352,7 +352,7 @@ func TestEngineChaosSnapshotSaveRetriesTransientError(t *testing.T) {
 // reset by Invalidate and by edits while builds (some of them quarantine
 // retries) are in flight; the race detector holds the ownership rule (the
 // in-flight builder alone touches the verified bit, resets run
-// under the shard mutex), and once the faults are disarmed and every
+// under the engine mutex), and once the faults are disarmed and every
 // record is reset, the quarantine gauge must have balanced back to 0.
 func TestEngineChaosStateResetRacesBuilds(t *testing.T) {
 	funcs := engineCorpus(t, 6, 208)

@@ -111,9 +111,9 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 	}
 
 	m := e.Metrics()
-	if m.Funcs != len(funcs) || m.Resident != e.Resident() || m.Shards != defaultShards {
-		t.Fatalf("Funcs/Resident/Shards = %d/%d/%d, want %d/%d/%d",
-			m.Funcs, m.Resident, m.Shards, len(funcs), e.Resident(), defaultShards)
+	if m.Funcs != len(funcs) || m.Resident != e.Resident() {
+		t.Fatalf("Funcs/Resident = %d/%d, want %d/%d",
+			m.Funcs, m.Resident, len(funcs), e.Resident())
 	}
 	if m.Rebuilds != e.Rebuilds() || m.Rebuilds != 2 {
 		t.Fatalf("Rebuilds = %d (accessor %d), want 2", m.Rebuilds, e.Rebuilds())

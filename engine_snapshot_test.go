@@ -2,9 +2,8 @@ package fastliveness
 
 // Disk-tier tests: the snapshot store under the engine LRU must eliminate
 // precomputes on warm starts, serve eviction refills from disk, key on CFG
-// structure only (instruction edits keep hitting, CFG edits miss), stay
-// shard-invariant, and degrade a corrupt store to recomputation — never to
-// a wrong answer.
+// structure only (instruction edits keep hitting, CFG edits miss), and
+// degrade a corrupt store to recomputation — never to a wrong answer.
 
 import (
 	"fmt"
@@ -182,38 +181,6 @@ func TestEngineSnapshotEditClasses(t *testing.T) {
 	}
 	if fingerprint(t, e2, []*ir.Func{f2}) != fingerprint(t, e3, []*ir.Func{f3}) {
 		t.Fatal("snapshot-loaded answers differ from storeless engine after instruction edit")
-	}
-}
-
-// SnapshotStats and warm-start behavior must be invariant under the shard
-// count, like every other observable (engine_shard_test.go discipline).
-func TestEngineSnapshotShardInvariance(t *testing.T) {
-	type outcome struct {
-		cold, warm SnapshotStats
-		answers    string
-	}
-	run := func(t *testing.T, shards int) outcome {
-		ss := snapshotDir(t)
-		cold := engineCorpus(t, 14, 777)
-		e1, err := AnalyzeProgram(cold, EngineConfig{Parallelism: 1, Shards: shards, SnapshotStore: ss})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fingerprint(t, e1, cold)
-		warm := engineCorpus(t, 14, 777)
-		e2, err := AnalyzeProgram(warm, EngineConfig{Parallelism: 1, Shards: shards, SnapshotStore: ss})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{cold: e1.SnapshotStats(), warm: e2.SnapshotStats(), answers: fingerprint(t, e2, warm)}
-	}
-	base := run(t, 1)
-	for _, shards := range []int{4, 16} {
-		got := run(t, shards)
-		if got != base {
-			t.Fatalf("snapshot behavior differs between 1 and %d shards:\n1: %+v\n%d: %+v",
-				shards, base, shards, got)
-		}
 	}
 }
 

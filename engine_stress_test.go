@@ -1,6 +1,6 @@
 package fastliveness
 
-// The concurrency battery for the sharded engine: K goroutines mutate
+// The concurrency battery for the engine: K goroutines mutate
 // functions through Engine.Edit while M goroutines issue batch and Oracle
 // queries, and every answer is validated against a fresh dataflow
 // recompute of the function pinned by a per-function RWMutex. The
@@ -8,7 +8,7 @@ package fastliveness
 // φ-safe const insert, edge split, dead-value removal), so every
 // intermediate program stays verifiable strict SSA. Run in CI under
 // -race: the point is as much the absence of data races in the engine's
-// shard/rebuild machinery as the correctness of the answers.
+// index/rebuild machinery as the correctness of the answers.
 
 import (
 	"fmt"
@@ -68,7 +68,7 @@ func mutateFunc(f *ir.Func, rng *rand.Rand) {
 // per-function test lock), queriers pin it shared (read side), issue
 // BatchIsLiveIn/Out and Oracle queries through the engine, and compare
 // every answer against a fresh dataflow recompute. The engine runs with
-// shards and a bounded cache, so eviction and staleness rebuild races
+// a bounded cache, so eviction and staleness rebuild races
 // are both in play.
 func TestEngineConcurrentEditQueryStress(t *testing.T) {
 	const nFuncs = 12
@@ -79,7 +79,6 @@ func TestEngineConcurrentEditQueryStress(t *testing.T) {
 	funcs := engineCorpus(t, nFuncs, 1234)
 	e := NewEngine(EngineConfig{
 		Parallelism: 2,
-		Shards:      4,
 		MaxCached:   nFuncs - 2, // keep eviction in play
 	})
 	defer e.Close()

@@ -2,6 +2,7 @@ package fastliveness
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -52,19 +53,110 @@ func fingerprint(tb testing.TB, e *Engine, funcs []*ir.Func) string {
 	return sb.String()
 }
 
+// splitSomeEdge performs a deterministic CFG edit on f: the first block in
+// program order that has a successor gets its 0th out-edge split.
+func splitSomeEdge(tb testing.TB, f *ir.Func) {
+	tb.Helper()
+	for _, b := range f.Blocks {
+		if len(b.Succs) > 0 {
+			b.SplitEdge(0)
+			return
+		}
+	}
+	tb.Fatalf("%s: no block with a successor", f.Name)
+}
+
+// addSomeUse performs a deterministic instruction edit on f: the first
+// result-producing value gains a fresh use in its own block.
+func addSomeUse(tb testing.TB, f *ir.Func) {
+	tb.Helper()
+	var v *ir.Value
+	f.Values(func(x *ir.Value) {
+		if v == nil && x.Op.HasResult() {
+			v = x
+		}
+	})
+	if v == nil {
+		tb.Fatalf("%s: no result-producing value", f.Name)
+	}
+	v.Block.NewValue(ir.OpNeg, v)
+}
+
+// invariantMetrics is m without what may differ between identical runs:
+// the latency samples (their counts stay).
+func invariantMetrics(m EngineMetrics) EngineMetrics {
+	m.SnapshotGCNs = 0
+	for _, h := range []*HistogramSnapshot{&m.BuildNs, &m.BatchNs, &m.SnapshotLoadNs, &m.SnapshotSaveNs} {
+		*h = HistogramSnapshot{Count: h.Count}
+	}
+	return m
+}
+
+// TestEngineDeterministicAcrossParallelism runs an identical corpus and an
+// identical serial edit+query script at worker counts 1, 4 and 16 and
+// demands byte-identical observable state: every query answer, each
+// function's backend and footprint, Metrics and MemoryBytes.
 func TestEngineDeterministicAcrossParallelism(t *testing.T) {
-	funcs := engineCorpus(t, 24, 1)
-	var prints []string
-	for _, workers := range []int{1, 4, 16} {
+	type outcome struct {
+		fingerprint string
+		backends    string // per function: backend and MemoryBytes
+		metrics     EngineMetrics
+		memory      int
+	}
+	run := func(t *testing.T, workers int) outcome {
+		funcs := engineCorpus(t, 24, 1)
 		e, err := AnalyzeProgram(funcs, EngineConfig{Parallelism: workers})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", workers, err)
 		}
-		prints = append(prints, fingerprint(t, e, funcs))
+		fp := fingerprint(t, e, funcs)
+		// Deterministic edit script: every 3rd function takes a CFG edit
+		// (stales the checker), every 2nd an instruction edit (does not).
+		for i, f := range funcs {
+			if i%3 == 0 {
+				splitSomeEdge(t, f)
+			}
+			if i%2 == 0 {
+				addSomeUse(t, f)
+			}
+		}
+		fp += fingerprint(t, e, funcs)
+		var backends string
+		for _, f := range funcs {
+			live, err := e.Liveness(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backends += fmt.Sprintf("%s:%s:%d ", f.Name, live.Backend(), live.MemoryBytes())
+		}
+		return outcome{
+			fingerprint: fp,
+			backends:    backends,
+			metrics:     invariantMetrics(e.Metrics()),
+			memory:      e.MemoryBytes(),
+		}
 	}
-	for i := 1; i < len(prints); i++ {
-		if prints[i] != prints[0] {
-			t.Fatalf("results differ between parallelism 1 and %d", []int{1, 4, 16}[i])
+
+	base := run(t, 1)
+	if base.metrics.Rebuilds == 0 {
+		t.Fatal("edit script should force rebuilds (CFG edits on a checker engine)")
+	}
+	if base.metrics.Resident != 24 {
+		t.Fatalf("Resident = %d with unlimited cache, want 24", base.metrics.Resident)
+	}
+	for _, workers := range []int{4, 16} {
+		got := run(t, workers)
+		if got.fingerprint != base.fingerprint {
+			t.Errorf("parallelism %d: query answers differ from parallelism 1", workers)
+		}
+		if got.backends != base.backends {
+			t.Errorf("parallelism %d: per-function backends/footprints\n%s\nparallelism 1\n%s", workers, got.backends, base.backends)
+		}
+		if !reflect.DeepEqual(got.metrics, base.metrics) {
+			t.Errorf("parallelism %d: Metrics() = %+v, parallelism 1 %+v", workers, got.metrics, base.metrics)
+		}
+		if got.memory != base.memory {
+			t.Errorf("parallelism %d: MemoryBytes() = %d, parallelism 1 %d", workers, got.memory, base.memory)
 		}
 	}
 }
@@ -150,6 +242,38 @@ func TestEngineEvictionRebuilds(t *testing.T) {
 	}
 	if e.MemoryBytes() <= 0 {
 		t.Fatal("MemoryBytes should be positive with resident analyses")
+	}
+}
+
+// MaxCached is an exact bound in true LRU order: after f0, f1, f0, f2 with
+// room for two, the victim is f1 (least recently used engine-wide), and
+// f0 and f2 stay resident, so repeat requests for either are hits.
+func TestEngineEvictionExactLRU(t *testing.T) {
+	funcs := engineCorpus(t, 3, 29)
+	f0, f1, f2 := funcs[0], funcs[1], funcs[2]
+	e := NewEngine(EngineConfig{MaxCached: 2})
+	defer e.Close()
+	e.Add(funcs...)
+	request := func(fs ...*ir.Func) {
+		t.Helper()
+		for _, f := range fs {
+			if _, err := e.Liveness(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	request(f0, f1, f0, f2, f2, f2, f2, f2, f2)
+	if m := e.Metrics(); m.Builds != 3 || e.Resident() != 2 {
+		t.Fatalf("Builds = %d, Resident = %d; want 3 builds (repeats are hits) and 2 resident", m.Builds, e.Resident())
+	}
+	// f0 and f2 are hits; f1 was the victim and rebuilds.
+	request(f0, f2)
+	if got := e.Metrics().Builds; got != 3 {
+		t.Fatalf("Builds = %d after requesting f0 and f2, want 3: one of them was evicted", got)
+	}
+	request(f1)
+	if got := e.Metrics().Builds; got != 4 {
+		t.Fatalf("Builds = %d after requesting f1, want 4: f1 should have been evicted", got)
 	}
 }
 

@@ -140,7 +140,7 @@ func (l *Liveness) IsLiveOut(v *ir.Value, b *ir.Block) bool { return l.res.IsLiv
 
 // sets returns the set-producing result behind LiveIn/LiveOut: the
 // analysis itself when it already materializes sets (and is still fresh),
-// else the cheapest set-producing backend for this CFG (loop-forest where
+// else backend.AnalyzeSets's pick for this CFG (loop-forest where
 // reducible, iterative data-flow otherwise), built once and cached until
 // the function's epochs say it is stale — enumeration after an
 // instruction edit transparently re-analyzes.

@@ -301,9 +301,10 @@ func (autoBackend) AnalyzeWithPrep(f *ir.Func, p *Prep) (Result, error) {
 	return checkerBackend{}.AnalyzeWithPrep(f, p)
 }
 
-// AnalyzeSets picks the cheapest set-producing backend for callers that
-// will enumerate full live-in/live-out sets: the loop-forest engine on
-// reducible CFGs, the iterative data-flow solver otherwise. This is what
+// AnalyzeSets picks a set-producing backend for callers that will
+// enumerate full live-in/live-out sets by one fixed rule: the loop-forest
+// engine on reducible CFGs, the iterative data-flow solver otherwise. The
+// rule is not a measured cost ranking. This is what
 // fastliveness.Liveness delegates LiveIn/LiveOut enumeration to, instead
 // of issuing one checker query per value.
 func AnalyzeSets(f *ir.Func, p *Prep) (Result, error) {

@@ -16,8 +16,8 @@ import (
 // The engine contention benchmark: a mutating whole-program corpus is
 // hammered by W querier goroutines issuing per-function query batches
 // while one mutator goroutine edits random functions through Engine.Edit
-// at a fixed pace. Per-function sharding means queriers on different
-// functions never contend on a cache mutex, and a querier that finds a
+// at a fixed pace. Queriers take the engine mutex only to fetch an
+// analysis, never to answer from one, and a querier that finds a
 // function stale after a CFG edit rebuilds it on the query path — the
 // scaling of batch-query throughput with W is the number this table
 // reports.
@@ -57,7 +57,6 @@ type EngineRow struct {
 type EngineContention struct {
 	Funcs      int         `json:"funcs"`
 	Blocks     int         `json:"blocks"`
-	Shards     int         `json:"shards"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
 	Note       string      `json:"note"`
 	Rows       []EngineRow `json:"rows"`
@@ -65,10 +64,10 @@ type EngineContention struct {
 
 // MeasureEngineContention runs the contention benchmark: for each entry
 // in queriers it builds a fresh clone of the n-function corpus, stands up
-// a sharded engine, precomputes, then runs
+// an engine, precomputes, then runs
 // that many querier goroutines against one paced mutator for the window
 // and reports batch-query throughput. window <= 0 selects a default.
-func MeasureEngineContention(nFuncs int, queriers []int, shards int, window time.Duration) *EngineContention {
+func MeasureEngineContention(nFuncs int, queriers []int, window time.Duration) *EngineContention {
 	if window <= 0 {
 		window = 300 * time.Millisecond
 	}
@@ -85,9 +84,7 @@ func MeasureEngineContention(nFuncs int, queriers []int, shards int, window time
 			runtime.GOMAXPROCS(0)),
 	}
 	for _, w := range queriers {
-		row, effectiveShards := contentionRow(master, w, shards, window)
-		rep.Shards = effectiveShards
-		rep.Rows = append(rep.Rows, row)
+		rep.Rows = append(rep.Rows, contentionRow(master, w, window))
 	}
 	for i := range rep.Rows {
 		rep.Rows[i].Speedup = rep.Rows[i].QueriesPerSec / rep.Rows[0].QueriesPerSec
@@ -96,14 +93,13 @@ func MeasureEngineContention(nFuncs int, queriers []int, shards int, window time
 }
 
 // contentionRow measures one querier count over a fresh clone of the
-// corpus, so earlier rows' mutations never skew later ones. The second
-// return is the engine's effective shard count (resolving a zero config).
-func contentionRow(master []*ir.Func, queriers, shards int, window time.Duration) (EngineRow, int) {
+// corpus, so earlier rows' mutations never skew later ones.
+func contentionRow(master []*ir.Func, queriers int, window time.Duration) EngineRow {
 	funcs := make([]*ir.Func, len(master))
 	for i, f := range master {
 		funcs[i] = ir.Clone(f)
 	}
-	e, err := fastliveness.AnalyzeProgram(funcs, fastliveness.EngineConfig{Shards: shards})
+	e, err := fastliveness.AnalyzeProgram(funcs, fastliveness.EngineConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -196,7 +192,7 @@ func contentionRow(master []*ir.Func, queriers, shards int, window time.Duration
 		QueriesPerSec: float64(nQueries.Load()) / elapsed.Seconds(),
 		Edits:         nEdits.Load(),
 		QueryRebuilds: e.Rebuilds(),
-	}, e.Metrics().Shards
+	}
 }
 
 // lcg returns a tiny deterministic generator (64-bit LCG) — enough to
@@ -213,10 +209,10 @@ func lcg(seed uint64) func() uint64 {
 // to -table engine output.
 func EngineContentionSection(rep *EngineContention) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Sharded-engine contention: %d queriers vs. one mutator over %d functions (%d blocks)\n",
+	fmt.Fprintf(&sb, "Engine contention: %d queriers vs. one mutator over %d functions (%d blocks)\n",
 		len(rep.Rows), rep.Funcs, rep.Blocks)
-	fmt.Fprintf(&sb, "shards=%d GOMAXPROCS=%d; %s.\n\n",
-		rep.Shards, rep.GOMAXPROCS,
+	fmt.Fprintf(&sb, "GOMAXPROCS=%d; %s.\n\n",
+		rep.GOMAXPROCS,
 		"batch-query throughput by concurrent querier count")
 	fmt.Fprintf(&sb, "%9s %12s %14s %9s %7s %9s\n",
 		"queriers", "batches", "queries/sec", "speedup", "edits", "q-rebuild")

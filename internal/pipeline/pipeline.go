@@ -53,10 +53,6 @@ type Config struct {
 	// structural check only, since strict-SSA verification rejects slot
 	// ops by design).
 	Verify bool
-	// Shards sets the engine's shard count (0 = the engine default). A
-	// contention knob only: per-pass counters and answers are
-	// shard-invariant.
-	Shards int
 }
 
 // Context is the state a Pass runs against: one function, the shared
@@ -237,7 +233,6 @@ func Run(funcs []*ir.Func, cfg Config) (*Report, error) {
 func RunPasses(funcs []*ir.Func, passes []Pass, cfg Config) (*Report, error) {
 	eng := fastliveness.NewEngine(fastliveness.EngineConfig{
 		Config: fastliveness.Config{Backend: cfg.Backend},
-		Shards: cfg.Shards,
 	})
 	defer eng.Close()
 	eng.Add(funcs...)

@@ -2,7 +2,6 @@ package pipeline_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"fastliveness/internal/gen"
@@ -139,47 +138,5 @@ func TestPipelineSkipsIrreducibleForLoops(t *testing.T) {
 	}
 	if rep.Funcs == 0 {
 		t.Fatal("reducible functions should complete")
-	}
-}
-
-// Driving the pipeline through a sharded engine must not change a single
-// report counter or output program: the shard count is a contention knob
-// only. Wall-time fields are the only legitimate difference and are
-// normalized away.
-func TestPipelineShardedEngineEquivalence(t *testing.T) {
-	protos := slotCorpus(t, 8, 42, true)
-	run := func(cfg pipeline.Config) (*pipeline.Report, []string) {
-		funcs := make([]*ir.Func, len(protos))
-		for i, p := range protos {
-			funcs[i] = ir.Clone(p)
-		}
-		rep, err := pipeline.Run(funcs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Passes = append([]pipeline.PassStats(nil), rep.Passes...)
-		for i := range rep.Passes {
-			rep.Passes[i].Ns = 0
-		}
-		out := make([]string, len(funcs))
-		for i, f := range funcs {
-			out[i] = ir.Print(f)
-		}
-		return rep, out
-	}
-	// dataflow, so every edit stales the analysis and the rebuild counts
-	// are nonzero.
-	base := pipeline.Config{Backend: "dataflow", Regs: 4, Verify: true}
-	wantRep, wantOut := run(base)
-	sharded := base
-	sharded.Shards = 4
-	gotRep, gotOut := run(sharded)
-	if !reflect.DeepEqual(gotRep, wantRep) {
-		t.Fatalf("sharded engine changed the report:\ndefault shards %+v\n4 shards       %+v", wantRep, gotRep)
-	}
-	for i := range wantOut {
-		if gotOut[i] != wantOut[i] {
-			t.Fatalf("sharded engine changed the output program for %s", protos[i].Name)
-		}
 	}
 }

@@ -232,7 +232,7 @@ func (s HistogramSnapshot) Mean() float64 {
 // the engine and its snapshot tier emit. Callbacks run synchronously on
 // the emitting goroutine — often inside the engine's hot paths — so
 // implementations must be fast, must not block, and must not call back
-// into the engine (shard locks may be held by the caller's frame). All callbacks may be invoked concurrently.
+// into the engine (the engine mutex may be held by the caller's frame). All callbacks may be invoked concurrently.
 //
 // Embed NopTracer to implement only the events of interest and stay
 // source-compatible when new callbacks are added.

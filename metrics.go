@@ -2,11 +2,6 @@
 // engine counter (Rebuilds and SnapshotStats remain as single-number
 // accessors reading the same instruments), and the Prometheus text
 // exporter behind the /metrics debug endpoint.
-//
-// Shard invariance: like query answers, every field of EngineMetrics is
-// invariant under EngineConfig.Shards — sharding is a lock-contention
-// layout, not an observable behavior. Each field's comment states the
-// stronger per-field guarantee where one exists.
 package fastliveness
 
 import (
@@ -32,7 +27,7 @@ type HistogramSnapshot = telemetry.HistogramSnapshot
 
 // engineMetrics is the engine's atomic instrument block. Everything here
 // is written with lock-free atomic operations from the hot paths and read
-// by Metrics()/WriteMetrics; none of it takes a shard lock.
+// by Metrics()/WriteMetrics; none of it takes the engine mutex.
 type engineMetrics struct {
 	// builds counts runBuild executions: first builds, eviction refills,
 	// staleness rebuilds — every analysis execution, successful or not
@@ -64,16 +59,12 @@ type engineMetrics struct {
 // engine counts: the struct behind livecheck -stats, and the data the /metrics endpoint
 // renders. Counters are read atomically; fields sourced from different
 // instruments may be skewed by in-flight operations (this is a health
-// summary, not a transaction log). Every field is invariant under the
-// shard count.
+// summary, not a transaction log).
 type EngineMetrics struct {
 	// Funcs is the number of registered functions; Resident of them have
 	// a cached analysis right now. Exact at the moment of the snapshot.
 	Funcs    int
 	Resident int
-	// Shards is the effective shard count — configuration echo, the one
-	// field that names the sharding without being affected by it.
-	Shards int
 
 	// Builds counts analysis executions engine-wide (every build path;
 	// see BuildNs for their latency). Queries counts individual liveness
@@ -119,7 +110,6 @@ type EngineMetrics struct {
 func (e *Engine) Metrics() EngineMetrics {
 	m := EngineMetrics{
 		Resident: int(e.resident.Load()),
-		Shards:   len(e.shards),
 
 		Builds:  e.met.builds.Load(),
 		Queries: e.met.queries.Load(),
@@ -181,7 +171,6 @@ func WriteEngineMetrics(w io.Writer, m EngineMetrics) {
 	}
 	g("funcs", "registered functions", int64(m.Funcs))
 	g("resident", "functions with a cached analysis", int64(m.Resident))
-	g("shards", "index shard count", int64(m.Shards))
 	c("builds_total", "analysis builds executed", m.Builds)
 	c("queries_total", "individual liveness queries answered", m.Queries)
 	c("batches_total", "batched query executions", m.Batches)

@@ -268,7 +268,6 @@ type snapshotCounters struct {
 
 // SnapshotStats reports the engine's snapshot-tier traffic so far. All
 // counters are zero except Computes when no SnapshotStore is configured.
-// Like Rebuilds, the values are invariant under the shard count.
 func (e *Engine) SnapshotStats() SnapshotStats {
 	st := SnapshotStats{
 		Hits:         e.snap.snapHits.Load(),
