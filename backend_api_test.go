@@ -2,10 +2,12 @@ package fastliveness
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"fastliveness/internal/dataflow"
 	"fastliveness/internal/ir"
 )
 
@@ -76,28 +78,74 @@ func TestConfigBackendSelection(t *testing.T) {
 	}
 }
 
-// On irreducible CFGs the loops backend fails loudly while auto silently
-// falls back to the checker.
+// Every backend analyzes irreducible CFGs and answers there exactly as the
+// default checker does; Reducible reports the CFG class whatever backend
+// serves the handle.
 func TestConfigBackendIrreducible(t *testing.T) {
 	f := ir.MustParse(backendIrrSrc)
-	if _, err := Analyze(f, Config{Backend: "loops"}); err == nil {
-		t.Fatal("loops backend should reject an irreducible CFG")
-	}
-	live, err := Analyze(f, Config{Backend: "auto"})
+	ref, err := Analyze(f, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.Backend() != "checker" {
-		t.Fatalf("auto on irreducible CFG picked %q, want checker", live.Backend())
-	}
-	if live.Reducible() {
-		t.Fatal("Reducible() should be false for the irreducible test program")
+	for _, name := range []string{"checker", "dataflow", "lao", "pervar"} {
+		live, err := Analyze(f, Config{Backend: name})
+		if err != nil {
+			t.Fatalf("backend %s on an irreducible CFG: %v", name, err)
+		}
+		if live.Backend() != name {
+			t.Fatalf("Config.Backend %q served by %q", name, live.Backend())
+		}
+		if live.Reducible() {
+			t.Fatalf("backend %s: Reducible() should be false for the irreducible test program", name)
+		}
+		f.Values(func(v *ir.Value) {
+			if !v.Op.HasResult() {
+				return
+			}
+			for _, b := range f.Blocks {
+				if live.IsLiveIn(v, b) != ref.IsLiveIn(v, b) ||
+					live.IsLiveOut(v, b) != ref.IsLiveOut(v, b) {
+					t.Fatalf("backend %s disagrees with checker at (%s, %s)", name, v, b)
+				}
+			}
+		})
 	}
 }
 
-// LiveIn/LiveOut enumeration delegates to a set-producing backend; the
+// checkEnumeration asserts that LiveIn/LiveOut hold exactly the values the
+// per-value queries accept, and exactly the values a fresh data-flow
+// analysis of the current program finds live, at every block.
+func checkEnumeration(t *testing.T, f *ir.Func, live *Liveness) {
+	t.Helper()
+	truth := dataflow.Analyze(f)
+	for _, b := range f.Blocks {
+		in := make(map[*ir.Value]bool)
+		for _, v := range live.LiveIn(b) {
+			in[v] = true
+		}
+		out := make(map[*ir.Value]bool)
+		for _, v := range live.LiveOut(b) {
+			out[v] = true
+		}
+		f.Values(func(v *ir.Value) {
+			if !v.Op.HasResult() {
+				return
+			}
+			if in[v] != live.IsLiveIn(v, b) || in[v] != truth.IsLiveIn(v, b) {
+				t.Fatalf("%s: LiveIn(%s) has %s = %v; IsLiveIn says %v, dataflow %v",
+					f.Name, b, v, in[v], live.IsLiveIn(v, b), truth.IsLiveIn(v, b))
+			}
+			if out[v] != live.IsLiveOut(v, b) || out[v] != truth.IsLiveOut(v, b) {
+				t.Fatalf("%s: LiveOut(%s) has %s = %v; IsLiveOut says %v, dataflow %v",
+					f.Name, b, v, out[v], live.IsLiveOut(v, b), truth.IsLiveOut(v, b))
+			}
+		})
+	}
+}
+
+// LiveIn/LiveOut enumeration delegates to the per-variable set engine; the
 // result must hold exactly the values the per-value queries accept, on
-// reducible (loop-forest sets) and irreducible (data-flow sets) CFGs alike.
+// reducible and irreducible CFGs alike.
 func TestEnumerationMatchesQueries(t *testing.T) {
 	for _, src := range []string{backendLoopSrc, backendIrrSrc} {
 		f := ir.MustParse(src)
@@ -105,107 +153,84 @@ func TestEnumerationMatchesQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range f.Blocks {
-			in := make(map[*ir.Value]bool)
-			for _, v := range live.LiveIn(b) {
-				in[v] = true
-			}
-			out := make(map[*ir.Value]bool)
-			for _, v := range live.LiveOut(b) {
-				out[v] = true
-			}
-			f.Values(func(v *ir.Value) {
-				if !v.Op.HasResult() {
-					return
-				}
-				if in[v] != live.IsLiveIn(v, b) {
-					t.Fatalf("%s: LiveIn(%s) and IsLiveIn(%s) disagree", f.Name, b, v)
-				}
-				if out[v] != live.IsLiveOut(v, b) {
-					t.Fatalf("%s: LiveOut(%s) and IsLiveOut(%s) disagree", f.Name, b, v)
-				}
-			})
-		}
+		checkEnumeration(t, f, live)
 	}
 }
 
 // The enumeration sets are cached, but keyed by the function's edit
 // epochs: after an instruction edit the next LiveIn/LiveOut call must
 // rebuild them transparently, while checker queries track the edit with
-// no rebuild at all.
+// no rebuild at all — on reducible and irreducible CFGs alike. Each case
+// names a value that is not live-in at exit until the edit adds a use of
+// it there.
 func TestEnumerationTracksInstructionEdits(t *testing.T) {
-	f := ir.MustParse(backendLoopSrc)
-	live, err := Analyze(f, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := f.ValueByName("one")
-	exit := f.BlockByName("exit")
-	inExit := func(vs []*ir.Value) bool {
-		for _, v := range vs {
-			if v == one {
-				return true
-			}
+	for _, tc := range []struct{ src, value string }{
+		{backendLoopSrc, "one"},
+		{backendIrrSrc, "c"},
+	} {
+		f := ir.MustParse(tc.src)
+		live, err := Analyze(f, Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return false
-	}
-	if inExit(live.LiveIn(exit)) {
-		t.Fatal("the constant one should not be live-in at exit before the edit")
-	}
-	// Instruction-only edit: a new use of %one inside exit. The checker's
-	// precomputation survives it (the paper's headline property)...
-	added := exit.NewValue(ir.OpAdd, one, one)
-	if live.Stale() {
-		t.Fatal("an instruction edit must not stale the checker analysis")
-	}
-	if !live.IsLiveIn(one, exit) {
-		t.Fatal("checker query should see the new use without re-analyzing")
-	}
-	// ...and the enumeration cache notices the epoch moved and rebuilds on
-	// its own.
-	if !inExit(live.LiveIn(exit)) {
-		t.Fatal("enumeration should track the instruction edit automatically")
-	}
-	// Reverting the edit moves the epoch again; enumeration follows.
-	exit.RemoveValue(added)
-	if inExit(live.LiveIn(exit)) {
-		t.Fatal("enumeration should track the reverting edit too")
+		v := f.ValueByName(tc.value)
+		exit := f.BlockByName("exit")
+		inExit := func() bool { return slices.Contains(live.LiveIn(exit), v) }
+		if inExit() {
+			t.Fatalf("%s: %s should not be live-in at exit before the edit", f.Name, v)
+		}
+		checkEnumeration(t, f, live)
+		// Instruction-only edit: a new use of v inside exit. The checker's
+		// precomputation survives it (the paper's headline property)...
+		added := exit.NewValue(ir.OpAdd, v, v)
+		if live.Stale() {
+			t.Fatalf("%s: an instruction edit must not stale the checker analysis", f.Name)
+		}
+		if !live.IsLiveIn(v, exit) {
+			t.Fatalf("%s: checker query should see the new use without re-analyzing", f.Name)
+		}
+		// ...and the enumeration cache notices the epoch moved and rebuilds
+		// on its own.
+		if !inExit() {
+			t.Fatalf("%s: enumeration should track the instruction edit automatically", f.Name)
+		}
+		checkEnumeration(t, f, live)
+		// Reverting the edit moves the epoch again; enumeration follows.
+		exit.RemoveValue(added)
+		if inExit() {
+			t.Fatalf("%s: enumeration should track the reverting edit too", f.Name)
+		}
+		checkEnumeration(t, f, live)
 	}
 }
 
 // Automatic rebuild must also fire when the primary backend itself
-// materializes sets (loops/dataflow/...): there the enumeration is served
-// by the analysis result, and only a fresh set analysis can track an
-// edit. The primary query path of such a backend is stale after the edit
-// — Stale must say so.
+// materializes sets (dataflow, lao, pervar): there the enumeration is
+// served by the analysis result, and only a fresh set analysis can track
+// an edit. The primary query path of such a backend is stale after the
+// edit — Stale must say so.
 func TestEnumerationTracksEditsWithSetProducingBackend(t *testing.T) {
-	f := ir.MustParse(backendLoopSrc)
-	live, err := Analyze(f, Config{Backend: "loops"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := f.ValueByName("one")
-	exit := f.BlockByName("exit")
-	inExit := func(vs []*ir.Value) bool {
-		for _, v := range vs {
-			if v == one {
-				return true
-			}
+	for _, name := range []string{"dataflow", "lao", "pervar"} {
+		f := ir.MustParse(backendLoopSrc)
+		live, err := Analyze(f, Config{Backend: name})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return false
-	}
-	if inExit(live.LiveIn(exit)) {
-		t.Fatal("the constant one should not be live-in at exit before the edit")
-	}
-	if live.Stale() {
-		t.Fatal("freshly analyzed handle should not be stale")
-	}
-	exit.NewValue(ir.OpAdd, one, one)
-	if !live.Stale() {
-		t.Fatal("an instruction edit must stale a set-producing analysis")
-	}
-	if !inExit(live.LiveIn(exit)) {
-		t.Fatal("enumeration should rebuild against the edited program automatically")
+		one := f.ValueByName("one")
+		exit := f.BlockByName("exit")
+		if slices.Contains(live.LiveIn(exit), one) {
+			t.Fatalf("%s: the constant one should not be live-in at exit before the edit", name)
+		}
+		if live.Stale() {
+			t.Fatalf("%s: freshly analyzed handle should not be stale", name)
+		}
+		exit.NewValue(ir.OpAdd, one, one)
+		if !live.Stale() {
+			t.Fatalf("%s: an instruction edit must stale a set-producing analysis", name)
+		}
+		if !slices.Contains(live.LiveIn(exit), one) {
+			t.Fatalf("%s: enumeration should rebuild against the edited program automatically", name)
+		}
 	}
 }
 
@@ -306,29 +331,13 @@ func TestEngineMemoryConcurrentWithEnumeration(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// The engine's handles must report the per-backend selection mix: with
-// "auto", a program mixing reducible and irreducible functions lands on
-// both the loops and checker engines.
-func TestEngineStatsReportsSelectionMix(t *testing.T) {
-	funcs := []*ir.Func{ir.MustParse(backendLoopSrc), ir.MustParse(backendIrrSrc)}
-	eng, err := AnalyzeProgram(funcs, EngineConfig{Config: Config{Backend: "auto"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := make(map[string]int)
 	for _, f := range funcs {
 		live, err := eng.Liveness(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix[live.Backend()]++
 		if live.MemoryBytes() <= 0 {
 			t.Errorf("%s (backend %s) reports %d memory bytes", f.Name, live.Backend(), live.MemoryBytes())
 		}
-	}
-	if mix["loops"] != 1 || mix["checker"] != 1 {
-		t.Fatalf("selection mix %v, want one loops and one checker analysis", mix)
 	}
 }

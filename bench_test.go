@@ -27,7 +27,6 @@ import (
 	"fastliveness/internal/graphgen"
 	"fastliveness/internal/ir"
 	"fastliveness/internal/lao"
-	"fastliveness/internal/loops"
 	"fastliveness/internal/ssa"
 
 	"math/rand"
@@ -374,14 +373,6 @@ func BenchmarkLiveSets(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			lao.Analyze(f, lao.Options{})
-		}
-	})
-	b.Run("loopforest", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := loops.Liveness(f); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

@@ -23,8 +23,7 @@
 //
 //	-construct    run SSA construction first (for slot-form inputs)
 //	-backend      liveness backend: checker (default) | dataflow | lao |
-//	              pervar | loops | auto — any name in the internal/backend
-//	              registry. Every backend answers queries identically (the
+//	              pervar — any name in the internal/backend registry. Every backend answers queries identically (the
 //	              differential suite proves it), so changing the flag never
 //	              changes query answers or set dumps, only the engine that
 //	              computes them — -stats output (backend names, set bytes)
@@ -55,10 +54,10 @@
 //	              form; the pipeline constructs SSA itself.
 //	-fail-fast    abort a whole-program run on the first failing function.
 //	              By default a failing file (parse error, broken SSA, a
-//	              backend limit like irreducible CFGs under -backend loops)
-//	              is reported as FAILED in place, every other function is
-//	              still analyzed, and the run exits non-zero at the end
-//	              with a summary of the failures.
+//	              block unreachable from the entry) is reported as FAILED
+//	              in place, every other function is still analyzed, and
+//	              the run exits non-zero at the end with a summary of the
+//	              failures.
 //	-snapshot-dir persist checker precomputations to (and load them from)
 //	              this directory, keyed by CFG structure: a second run over
 //	              the same program skips every per-function precompute. The
@@ -218,7 +217,7 @@ func parseFile(p string) (*ir.Func, error) {
 
 // funcFailure is one file a whole-program run could not analyze: parse or
 // verification failure, or a per-function engine error (a quarantined
-// function, a backend limit like irreducible CFGs under -backend loops).
+// function, a block unreachable from the entry).
 type funcFailure struct {
 	path string
 	err  error
@@ -545,8 +544,8 @@ func runPipeline(paths []string, backendName string, verify bool, regs int) erro
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "pipeline backend=%s: %d funcs (%d skipped), k=%d, %d stale rebuilds, %d queries\n",
-		rep.Backend, rep.Funcs, rep.Skipped, rep.Regs, rep.Rebuilds, rep.Queries)
+	fmt.Fprintf(stdout, "pipeline backend=%s: %d funcs, k=%d, %d stale rebuilds, %d queries\n",
+		rep.Backend, rep.Funcs, rep.Regs, rep.Rebuilds, rep.Queries)
 	fmt.Fprintf(stdout, "  %-12s %6s %7s %9s %9s\n", "pass", "dcfg", "dinstr", "rebuilds", "queries")
 	for _, ps := range rep.Passes {
 		fmt.Fprintf(stdout, "  %-12s %6d %7d %9d %9d\n",

@@ -180,20 +180,14 @@ join:
 }
 `
 
-// irrSrc is an irreducible function (the {left,right} loop has two
-// entries), which the loops backend rejects — a per-function analysis
-// failure the collection tests exercise.
-const irrSrc = `
-func @irr(%p) {
+// deadSrc parses but has a block unreachable from the entry, which every
+// backend rejects — a per-function analysis failure the collection tests
+// exercise.
+const deadSrc = `
+func @dead(%p) {
 entry:
-  %one = const 1
-  %c = cmplt %p, %one
-  if %c -> left, right
-left:
-  br right
-right:
-  if %c -> left, exit
-exit:
+  ret %p
+dead:
   ret %p
 }
 `
@@ -216,27 +210,27 @@ func captureErr(t *testing.T, fn func() error) (string, error) {
 func TestRunProgramCollectsFailures(t *testing.T) {
 	dir := writeProgram(t, map[string]string{
 		"clamp.ssair":   clampSrc,
+		"dead.ssair":    deadSrc,
 		"garbage.ssair": "this is not ssair\n",
-		"irr.ssair":     irrSrc,
 		"loop.ssair":    loopSrc,
 	})
 	paths, _, _ := programArgs([]string{dir})
 
-	// Collection mode: the loops backend rejects @irr and the parser
+	// Collection mode: @dead has an unreachable block and the parser
 	// rejects garbage.ssair; @clamp and @loop still analyze.
 	out, err := captureErr(t, func() error {
-		return runProgram(paths, false, "loops", true, false, 2, 0, nil, nil, false)
+		return runProgram(paths, false, "checker", true, false, 2, 0, nil, nil, false)
 	})
 	if err == nil {
 		t.Fatalf("run with broken inputs returned nil; output:\n%s", out)
 	}
 	if !strings.Contains(err.Error(), "2 of 4 functions failed:") ||
-		!strings.Contains(err.Error(), "irr.ssair") || !strings.Contains(err.Error(), "garbage.ssair") {
+		!strings.Contains(err.Error(), "dead.ssair") || !strings.Contains(err.Error(), "garbage.ssair") {
 		t.Errorf("error lists the wrong failures:\n%v", err)
 	}
 	for _, want := range []string{
 		"garbage.ssair: FAILED:",
-		"irr.ssair: FAILED:",
+		"dead.ssair: FAILED:",
 		"2 functions analyzed",
 	} {
 		if !strings.Contains(out, want) {
@@ -249,7 +243,7 @@ func TestRunProgramCollectsFailures(t *testing.T) {
 
 	// -fail-fast: the first failure aborts, nothing is summarized.
 	out, err = captureErr(t, func() error {
-		return runProgram(paths, false, "loops", true, false, 2, 0, nil, nil, true)
+		return runProgram(paths, false, "checker", true, false, 2, 0, nil, nil, true)
 	})
 	if err == nil {
 		t.Fatal("fail-fast run with broken inputs returned nil")
@@ -465,7 +459,7 @@ func TestRunPipelineReport(t *testing.T) {
 	p := writeTemp(t, loopSrc)
 	got := capture(t, func() error { return runPipeline([]string{p}, "checker", true, 0) })
 	for _, want := range []string{
-		"pipeline backend=checker: 1 funcs (0 skipped), k=8, 0 stale rebuilds",
+		"pipeline backend=checker: 1 funcs, k=8, 0 stale rebuilds",
 		"construct", "split-edges", "destruct", "regalloc",
 		"1 phis eliminated, 1 copies, 0 spills",
 	} {
@@ -478,7 +472,7 @@ func TestRunPipelineReport(t *testing.T) {
 	// next query — exactly 2 rebuilds on this function.
 	p2 := writeTemp(t, loopSrc)
 	got2 := capture(t, func() error { return runPipeline([]string{p2}, "dataflow", true, 0) })
-	if !strings.Contains(got2, "pipeline backend=dataflow: 1 funcs (0 skipped), k=8, 2 stale rebuilds") {
+	if !strings.Contains(got2, "pipeline backend=dataflow: 1 funcs, k=8, 2 stale rebuilds") {
 		t.Fatalf("dataflow pipeline should report exactly 2 stale rebuilds:\n%s", got2)
 	}
 }
@@ -500,7 +494,7 @@ b1:
 `
 	p := writeTemp(t, slotSrc)
 	got := capture(t, func() error { return runPipeline([]string{p}, "checker", true, 0) })
-	if !strings.Contains(got, "pipeline backend=checker: 1 funcs (0 skipped)") {
+	if !strings.Contains(got, "pipeline backend=checker: 1 funcs,") {
 		t.Fatalf("slot-form pipeline failed:\n%s", got)
 	}
 	if !strings.Contains(got, "0 stale rebuilds") {

@@ -152,9 +152,8 @@ type buildState struct {
 // invalidation class. With the default checker that means rebuilds happen
 // only after CFG edits — instruction-only edits (spill code, copy
 // insertion, φ elimination) are served by the existing precomputation, the
-// paper's §4 property. With a set-producing backend ("dataflow", "lao",
-// "pervar", "loops", or "auto" when it picks one) any edit triggers a
-// rebuild on the next request. Rebuilds reports how many staleness-forced
+// paper's §4 property. With a set-producing backend ("dataflow", "lao" or
+// "pervar") any edit triggers a rebuild on the next request. Rebuilds reports how many staleness-forced
 // re-analyses that has cost.
 //
 // The one hazard left with the caller is handle lifetime: a *Liveness
@@ -746,12 +745,11 @@ func (e *Engine) Oracle(f *ir.Func) (*Oracle, error) {
 //
 // The re-fetch runs without the read lock (the build path read-locks
 // around its own IR walk). Re-analysis can fail — an edit broke the
-// function structurally, or a CFG edit made it irreducible under the
-// loops backend — and the query methods have no error channel, so the
-// oracle fails closed with a panic rather than answering from a dead
-// analysis. Callers that edit CFGs under a reducibility-limited backend
-// must re-request oracles through Engine.Oracle, where the error is
-// returnable.
+// function structurally, or left a block unreachable from the entry — and
+// the query methods have no error channel, so the oracle fails closed with
+// a panic rather than answering from a dead analysis. Callers whose edits
+// may do that must re-request oracles through Engine.Oracle, where the
+// error is returnable.
 func (o *Oracle) query(ask func(*Liveness) bool) bool {
 	for {
 		o.h.irMu.RLock()

@@ -40,7 +40,7 @@ var gate = func() *gateBackend {
 
 func (g *gateBackend) Name() string { return "gate" }
 
-func (g *gateBackend) Analyze(f *ir.Func) (backend.Result, error) {
+func (g *gateBackend) Analyze(f *ir.Func, p *backend.Prep) (backend.Result, error) {
 	g.mu.Lock()
 	started, release := g.started, g.release
 	g.started, g.release = nil, nil
@@ -49,7 +49,7 @@ func (g *gateBackend) Analyze(f *ir.Func) (backend.Result, error) {
 		close(started)
 		<-release
 	}
-	return g.inner.Analyze(f)
+	return g.inner.Analyze(f, p)
 }
 
 // Arm makes the next Analyze call block. It returns a channel that closes

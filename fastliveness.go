@@ -15,11 +15,10 @@
 // critical edges once up front, analyzes, and then queries freely while it
 // rewrites the program.
 //
-// The checker is one of five interchangeable engines behind the
+// The checker is one of four interchangeable engines behind the
 // internal/backend registry (the others are the baselines of the paper's
-// evaluation: iterative data-flow, the LAO-style native solver, the
-// per-variable walker and the loop-forest engine). Config.Backend selects
-// one by name; "auto" picks per function.
+// evaluation: iterative data-flow, the LAO-style native solver and the
+// per-variable walker). Config.Backend selects one by name.
 //
 // A query writes nothing but LiveIn/LiveOut's lazily built sets, which a
 // mutex guards, so every Liveness is safe for concurrent queries under any
@@ -59,8 +58,7 @@ type Config struct {
 	Strategy Strategy
 	// Backend names the liveness engine serving the queries: one of
 	// Backends() — "checker" (the paper's R/T checker, the default),
-	// "dataflow", "lao", "pervar", "loops", or "auto" (per-function
-	// adaptive selection). The empty string means "checker".
+	// "dataflow", "lao" or "pervar". The empty string means "checker".
 	//
 	// Every backend answers queries identically (the differential suite
 	// proves it); they differ in precompute cost, memory, and what
@@ -122,7 +120,7 @@ func Analyze(f *ir.Func, config Config) (*Liveness, error) {
 		if err != nil {
 			return nil, err
 		}
-		if res, err = backend.AnalyzeWith(b, f, prep); err != nil {
+		if res, err = b.Analyze(f, prep); err != nil {
 			return nil, err
 		}
 	}
@@ -140,9 +138,8 @@ func (l *Liveness) IsLiveOut(v *ir.Value, b *ir.Block) bool { return l.res.IsLiv
 
 // sets returns the set-producing result behind LiveIn/LiveOut: the
 // analysis itself when it already materializes sets (and is still fresh),
-// else backend.AnalyzeSets's pick for this CFG (loop-forest where
-// reducible, iterative data-flow otherwise), built once and cached until
-// the function's epochs say it is stale — enumeration after an
+// else backend.AnalyzeSets's per-variable sets, built once and cached
+// until the function's epochs say it is stale — enumeration after an
 // instruction edit transparently re-analyzes.
 func (l *Liveness) sets() backend.Result {
 	l.enumMu.Lock()
@@ -168,13 +165,7 @@ func (l *Liveness) sets() backend.Result {
 	if l.res.Invalidation() == backend.InvalidatedByAnyEdit && !backend.Stale(l.res, l.f) {
 		enum = l.res
 	} else {
-		e, err := backend.AnalyzeSets(l.f, l.prep)
-		if err != nil {
-			// The prep is already built and verified; set engines cannot
-			// fail on it.
-			panic("fastliveness: set enumeration backend: " + err.Error())
-		}
-		enum = e
+		enum = backend.AnalyzeSets(l.f)
 	}
 	l.enumMu.Lock()
 	if l.enum == nil {
@@ -276,8 +267,7 @@ func (l *Liveness) MemoryBytes() int {
 	return total
 }
 
-// Backend names the backend serving this handle's queries. With
-// Config.Backend "auto" this is the engine the selector picked.
+// Backend names the backend serving this handle's queries.
 func (l *Liveness) Backend() string { return l.res.Backend() }
 
 // Func returns the analyzed function.

@@ -11,13 +11,12 @@ import (
 	"fastliveness/internal/gen"
 	"fastliveness/internal/ir"
 	"fastliveness/internal/lao"
-	"fastliveness/internal/loops"
 	"fastliveness/internal/pervar"
 	"fastliveness/internal/snapshot"
 	"fastliveness/internal/ssa"
 )
 
-// engine is the common query surface all five liveness implementations
+// engine is the common query surface all four liveness implementations
 // share for the agreement tests.
 type engine struct {
 	name    string
@@ -51,21 +50,14 @@ func buildEngines(t *testing.T, f *ir.Func) []engine {
 
 	pv := pervar.Analyze(f)
 	engines = append(engines, engine{"pervar", pv.IsLiveIn, pv.IsLiveOut})
-
-	if lf, err := loops.Liveness(f); err == nil {
-		engines = append(engines, engine{"loopforest", lf.IsLiveIn, lf.IsLiveOut})
-	} else if err != loops.ErrIrreducible {
-		t.Fatalf("loop liveness: %v", err)
-	}
 	return engines
 }
 
 // TestAllEnginesAgree is the repository's flagship invariant: the paper's
-// checker (in four configurations), the bit-vector data-flow baseline, the
-// LAO-style native baseline, the Appel–Palsberg per-variable engine and the
-// loop-forest engine answer every (variable, block) liveness question
-// identically, on hundreds of generated SSA programs including irreducible
-// ones.
+// checker (in two configurations), the bit-vector data-flow baseline, the
+// LAO-style native baseline and the Appel–Palsberg per-variable engine
+// answer every (variable, block) liveness question identically, on
+// hundreds of generated SSA programs including irreducible ones.
 func TestAllEnginesAgree(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		c := gen.Default(int64(trial)*913 + 7)
@@ -174,7 +166,7 @@ func TestPrecomputationSurvivesProgramEdits(t *testing.T) {
 }
 
 // Goroutines share one Liveness per backend — the checker, a checker
-// restored from a warm snapshot store, dataflow and auto — and every
+// restored from a warm snapshot store, dataflow and pervar — and every
 // IsLiveIn, IsLiveOut, Interfere and LiveIn answer must match one computed
 // up front. A query writes nothing shared (LiveIn's lazily built sets sit
 // behind a mutex), which the race detector checks in CI.
@@ -228,7 +220,7 @@ func TestConcurrentQueriers(t *testing.T) {
 		{"checker", analyzed("checker")},
 		{"checker/snapshot", restored},
 		{"dataflow", analyzed("dataflow")},
-		{"auto", analyzed("auto")},
+		{"pervar", analyzed("pervar")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, live := tc.open(t)

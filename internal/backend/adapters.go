@@ -5,7 +5,6 @@ import (
 	"fastliveness/internal/dataflow"
 	"fastliveness/internal/ir"
 	"fastliveness/internal/lao"
-	"fastliveness/internal/loops"
 	"fastliveness/internal/pervar"
 )
 
@@ -14,8 +13,6 @@ func init() {
 	Register(dataflowBackend{})
 	Register(laoBackend{})
 	Register(pervarBackend{})
-	Register(loopsBackend{})
-	Register(autoBackend{})
 }
 
 // ---- checker: the paper's R/T liveness checker (internal/core) ----
@@ -24,15 +21,7 @@ type checkerBackend struct{}
 
 func (checkerBackend) Name() string { return "checker" }
 
-func (b checkerBackend) Analyze(f *ir.Func) (Result, error) {
-	p, err := Prepare(f)
-	if err != nil {
-		return nil, err
-	}
-	return b.AnalyzeWithPrep(f, p)
-}
-
-func (checkerBackend) AnalyzeWithPrep(f *ir.Func, p *Prep) (Result, error) {
+func (checkerBackend) Analyze(f *ir.Func, p *Prep) (Result, error) {
 	return NewCheckerResult(p, core.Options{}), nil
 }
 
@@ -207,7 +196,7 @@ type dataflowBackend struct{}
 
 func (dataflowBackend) Name() string { return "dataflow" }
 
-func (dataflowBackend) Analyze(f *ir.Func) (Result, error) {
+func (dataflowBackend) Analyze(f *ir.Func, _ *Prep) (Result, error) {
 	df := dataflow.Analyze(f)
 	r := newSetsResult("dataflow", f)
 	r.isLiveIn, r.isLiveOut = df.IsLiveIn, df.IsLiveOut
@@ -222,7 +211,7 @@ type laoBackend struct{}
 
 func (laoBackend) Name() string { return "lao" }
 
-func (laoBackend) Analyze(f *ir.Func) (Result, error) {
+func (laoBackend) Analyze(f *ir.Func, _ *Prep) (Result, error) {
 	la := lao.Analyze(f, lao.Options{})
 	r := newSetsResult("lao", f)
 	r.isLiveIn, r.isLiveOut = la.IsLiveIn, la.IsLiveOut
@@ -230,92 +219,24 @@ func (laoBackend) Analyze(f *ir.Func) (Result, error) {
 	return r, nil
 }
 
-// ---- pervar: Appel–Palsberg per-variable backward walks ----
+// ---- pervar: per-variable backward walks, the set engine ----
 
 type pervarBackend struct{}
 
 func (pervarBackend) Name() string { return "pervar" }
 
-func (pervarBackend) Analyze(f *ir.Func) (Result, error) {
+func (pervarBackend) Analyze(f *ir.Func, _ *Prep) (Result, error) { return AnalyzeSets(f), nil }
+
+// AnalyzeSets builds the explicit live sets that callers enumerating full
+// live-in/live-out sets read — fastliveness.Liveness's LiveIn/LiveOut,
+// instead of one checker query per value. It runs the per-variable walk on
+// every CFG: the walk needs no loop forest and no reducibility, touches
+// only the blocks where each value is live, and cannot fail.
+func AnalyzeSets(f *ir.Func) Result {
 	pv := pervar.Analyze(f)
 	r := newSetsResult("pervar", f)
 	r.isLiveIn, r.isLiveOut = pv.IsLiveIn, pv.IsLiveOut
 	r.liveInIDs, r.liveOutIDs = pv.LiveInIDs, pv.LiveOutIDs
 	r.memoryBytes = pv.MemoryBytes()
-	return r, nil
-}
-
-// ---- loops: the §8 loop-nesting-forest engine (reducible CFGs only) ----
-
-type loopsBackend struct{}
-
-func (loopsBackend) Name() string { return "loops" }
-
-func (b loopsBackend) Analyze(f *ir.Func) (Result, error) {
-	p, err := Prepare(f)
-	if err != nil {
-		return nil, err
-	}
-	return b.AnalyzeWithPrep(f, p)
-}
-
-// AnalyzeWithPrep returns loops.ErrIrreducible (wrapped) on irreducible
-// control flow; callers that must not fail use the auto backend, which
-// falls back to the checker there.
-func (loopsBackend) AnalyzeWithPrep(f *ir.Func, p *Prep) (Result, error) {
-	lf, err := loops.LivenessFrom(f, p.Graph, p.DFS, p.Tree)
-	if err != nil {
-		return nil, err
-	}
-	r := newSetsResult("loops", f)
-	r.isLiveIn, r.isLiveOut = lf.IsLiveIn, lf.IsLiveOut
-	r.liveInIDs, r.liveOutIDs = lf.LiveInIDs, lf.LiveOutIDs
-	r.memoryBytes = lf.MemoryBytes()
-	return r, nil
-}
-
-// ---- auto: adaptive per-function selection ----
-
-// autoBackend picks an engine per function: the loop-forest engine on
-// reducible CFGs (two passes, no fixed point, explicit sets for free) and
-// the R/T checker on irreducible ones (where the loop-forest algorithm
-// does not apply but checker queries remain exact). The returned Result
-// reports the chosen engine's name via Backend(), which is how per-backend
-// stats see through the selection.
-type autoBackend struct{}
-
-func (autoBackend) Name() string { return AutoName }
-
-func (b autoBackend) Analyze(f *ir.Func) (Result, error) {
-	p, err := Prepare(f)
-	if err != nil {
-		return nil, err
-	}
-	return b.AnalyzeWithPrep(f, p)
-}
-
-func (autoBackend) AnalyzeWithPrep(f *ir.Func, p *Prep) (Result, error) {
-	if p.Reducible() {
-		return loopsBackend{}.AnalyzeWithPrep(f, p)
-	}
-	return checkerBackend{}.AnalyzeWithPrep(f, p)
-}
-
-// AnalyzeSets picks a set-producing backend for callers that will
-// enumerate full live-in/live-out sets by one fixed rule: the loop-forest
-// engine on reducible CFGs, the iterative data-flow solver otherwise. The
-// rule is not a measured cost ranking. This is what
-// fastliveness.Liveness delegates LiveIn/LiveOut enumeration to, instead
-// of issuing one checker query per value.
-func AnalyzeSets(f *ir.Func, p *Prep) (Result, error) {
-	if p == nil {
-		var err error
-		if p, err = Prepare(f); err != nil {
-			return nil, err
-		}
-	}
-	if p.Reducible() {
-		return loopsBackend{}.AnalyzeWithPrep(f, p)
-	}
-	return dataflowBackend{}.Analyze(f)
+	return r
 }

@@ -1,22 +1,25 @@
-// Package backend unifies the repository's five liveness engines — the
-// paper's R/T checker (internal/core), the bit-vector data-flow baseline
-// (internal/dataflow), the LAO-style native solver (internal/lao), the
-// Appel–Palsberg per-variable walker (internal/pervar) and the loop-forest
-// engine (internal/loops) — behind one interface, so that consumers
-// (the public fastliveness API, the CLIs, the benchmark harness and the
-// differential tests) select an engine by name instead of hard-wiring one.
+// Package backend unifies the repository's four liveness engines behind one
+// interface, so that consumers (the public fastliveness API, the CLIs, the
+// benchmark harness and the differential tests) select an engine by name
+// instead of hard-wiring one. Each has one job:
+//
+//   - checker: the paper's R/T checker (internal/core);
+//   - dataflow: the bit-vector data-flow ground truth (internal/dataflow);
+//   - lao: the LAO-style native solver, Table 2's baseline (internal/lao);
+//   - pervar: the per-variable walker (internal/pervar), the one engine
+//     that enumerates live sets (AnalyzeSets).
 //
 // The paper's evaluation (§6.2, Tables 1–2) is exactly such a comparison of
 // engines answering the same queries; the registry here is what lets every
 // comparison iterate over Names() instead of re-wiring each engine by hand.
 //
 // Contract: Analyze requires a structurally valid function (ir.Verify) in
-// strict SSA with every block reachable from the entry. Backends built on
-// Prepare enforce reachability themselves; the set-based baselines assume
-// it. All backends answer queries under the paper's Definition 1 φ
-// convention and agree answer-for-answer — internal/backend/difftest
-// cross-validates every registered backend against the data-flow ground
-// truth on random reducible and irreducible programs.
+// strict SSA with every block reachable from the entry, and its Prepare
+// result; Prepare enforces reachability. All backends answer queries under
+// the paper's Definition 1 φ convention and agree answer-for-answer on any
+// CFG, reducible or not — internal/backend/difftest cross-validates every
+// registered backend against the data-flow ground truth on random
+// reducible and irreducible programs.
 package backend
 
 import (
@@ -76,8 +79,7 @@ type Result interface {
 	// at; Stale compares them against the live function under the
 	// result's Invalidation class.
 	Epochs() Epochs
-	// Backend names the backend that produced this result. For the
-	// adaptive backend this is the name of the engine it selected.
+	// Backend names the backend that produced this result.
 	Backend() string
 }
 
@@ -85,34 +87,14 @@ type Result interface {
 type Backend interface {
 	// Name is the registry key.
 	Name() string
-	// Analyze runs the engine on f.
-	Analyze(f *ir.Func) (Result, error)
-}
-
-// PrepBackend is implemented by backends that consume the shared CFG
-// preparation (graph, DFS, dominator tree) instead of rebuilding it.
-type PrepBackend interface {
-	Backend
-	// AnalyzeWithPrep analyzes f against an existing Prepare result for f.
-	AnalyzeWithPrep(f *ir.Func, p *Prep) (Result, error)
-}
-
-// AnalyzeWith runs b on f, routing through AnalyzeWithPrep when b supports
-// it (sharing p) and falling back to plain Analyze otherwise. p may be nil,
-// in which case prep-consuming backends prepare on their own.
-func AnalyzeWith(b Backend, f *ir.Func, p *Prep) (Result, error) {
-	if pb, ok := b.(PrepBackend); ok && p != nil {
-		return pb.AnalyzeWithPrep(f, p)
-	}
-	return b.Analyze(f)
+	// Analyze runs the engine on f. p is the Prepare result for f: the
+	// checker builds on it, the set engines ignore it.
+	Analyze(f *ir.Func, p *Prep) (Result, error)
 }
 
 // DefaultName is the backend used when a Config leaves the name empty: the
 // paper's R/T checker.
 const DefaultName = "checker"
-
-// AutoName is the adaptive per-function selector.
-const AutoName = "auto"
 
 var registry = struct {
 	sync.RWMutex

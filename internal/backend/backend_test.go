@@ -1,12 +1,10 @@
 package backend
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
 	"fastliveness/internal/ir"
-	"fastliveness/internal/loops"
 )
 
 const reducibleSrc = `
@@ -44,8 +42,8 @@ exit:
 }
 `
 
-func TestRegistryHoldsAllFiveEnginesPlusAuto(t *testing.T) {
-	want := []string{"auto", "checker", "dataflow", "lao", "loops", "pervar"}
+func TestRegistryHoldsFourEngines(t *testing.T) {
+	want := []string{"checker", "dataflow", "lao", "pervar"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -75,8 +73,8 @@ func TestGetEmptyResolvesToDefault(t *testing.T) {
 
 type dummyBackend struct{ name string }
 
-func (d dummyBackend) Name() string                   { return d.name }
-func (dummyBackend) Analyze(*ir.Func) (Result, error) { return nil, nil }
+func (d dummyBackend) Name() string                          { return d.name }
+func (dummyBackend) Analyze(*ir.Func, *Prep) (Result, error) { return nil, nil }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
@@ -87,9 +85,8 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	Register(dummyBackend{name: DefaultName})
 }
 
-// The loops backend must reject irreducible control flow with the loops
-// package's sentinel error, visible through the registry; the adaptive
-// backend must not fail there but fall back to the R/T checker.
+// Every backend analyzes irreducible control flow, and each reports its
+// own name and invalidation class there exactly as on reducible CFGs.
 func TestIrreducibleParity(t *testing.T) {
 	f := ir.MustParse(irreducibleSrc)
 	p, err := Prepare(f)
@@ -99,73 +96,42 @@ func TestIrreducibleParity(t *testing.T) {
 	if p.Reducible() {
 		t.Fatal("test program should be irreducible")
 	}
-
-	lb, err := Get("loops")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lb.Analyze(f); !errors.Is(err, loops.ErrIrreducible) {
-		t.Fatalf("loops backend on irreducible CFG: err = %v, want loops.ErrIrreducible", err)
-	}
-
-	ab, err := Get(AutoName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ab.Analyze(f)
-	if err != nil {
-		t.Fatalf("auto backend must not fail on irreducible CFGs: %v", err)
-	}
-	if res.Backend() != "checker" {
-		t.Fatalf("auto picked %q on irreducible CFG, want checker", res.Backend())
-	}
-	if res.Invalidation() != InvalidatedByCFGChanges {
-		t.Fatalf("checker result invalidation = %v, want %v",
-			res.Invalidation(), InvalidatedByCFGChanges)
+	for _, name := range Names() {
+		b, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.Analyze(f, p)
+		if err != nil {
+			t.Fatalf("%s on irreducible CFG: %v", name, err)
+		}
+		if res.Backend() != name {
+			t.Fatalf("%s result names itself %q", name, res.Backend())
+		}
+		want := InvalidatedByAnyEdit
+		if name == DefaultName {
+			want = InvalidatedByCFGChanges
+		}
+		if res.Invalidation() != want {
+			t.Fatalf("%s result invalidation = %v, want %v", name, res.Invalidation(), want)
+		}
 	}
 }
 
-func TestAutoPicksLoopsOnReducible(t *testing.T) {
-	f := ir.MustParse(reducibleSrc)
-	ab, err := Get(AutoName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ab.Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend() != "loops" {
-		t.Fatalf("auto picked %q on reducible CFG, want loops", res.Backend())
-	}
-	if res.Invalidation() != InvalidatedByAnyEdit {
-		t.Fatalf("loops result invalidation = %v, want %v",
-			res.Invalidation(), InvalidatedByAnyEdit)
-	}
-}
-
+// AnalyzeSets runs the per-variable walk on every CFG, with no
+// reducibility branch.
 func TestAnalyzeSetsSelection(t *testing.T) {
-	red := ir.MustParse(reducibleSrc)
-	res, err := AnalyzeSets(red, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend() != "loops" {
-		t.Fatalf("AnalyzeSets on reducible CFG used %q, want loops", res.Backend())
-	}
-	irr := ir.MustParse(irreducibleSrc)
-	res, err = AnalyzeSets(irr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend() != "dataflow" {
-		t.Fatalf("AnalyzeSets on irreducible CFG used %q, want dataflow", res.Backend())
+	for _, src := range []string{reducibleSrc, irreducibleSrc} {
+		f := ir.MustParse(src)
+		if res := AnalyzeSets(f); res.Backend() != "pervar" {
+			t.Fatalf("AnalyzeSets on %s used %q, want pervar", f.Name, res.Backend())
+		}
 	}
 }
 
-// AnalyzeWith must share one Prep with prep-aware backends instead of
-// rebuilding the CFG analyses.
-func TestAnalyzeWithSharesPrep(t *testing.T) {
+// The checker builds on the Prep it is given instead of rebuilding the
+// CFG analyses.
+func TestAnalyzeSharesPrep(t *testing.T) {
 	f := ir.MustParse(reducibleSrc)
 	p, err := Prepare(f)
 	if err != nil {
@@ -175,7 +141,7 @@ func TestAnalyzeWithSharesPrep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzeWith(b, f, p)
+	res, err := b.Analyze(f, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +150,7 @@ func TestAnalyzeWithSharesPrep(t *testing.T) {
 		t.Fatalf("checker backend returned %T", res)
 	}
 	if cr.Prep() != p {
-		t.Fatal("AnalyzeWith rebuilt the prep instead of sharing it")
+		t.Fatal("Analyze rebuilt the prep instead of sharing it")
 	}
 }
 

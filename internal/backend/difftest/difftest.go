@@ -17,7 +17,6 @@
 package difftest
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -31,7 +30,6 @@ import (
 	"fastliveness/internal/gen"
 	"fastliveness/internal/graphgen"
 	"fastliveness/internal/ir"
-	"fastliveness/internal/loops"
 	"fastliveness/internal/regalloc"
 	"fastliveness/internal/ssa"
 )
@@ -152,29 +150,42 @@ func (m *Mismatch) Error() string {
 
 // Validate runs every registered backend on f and checks every
 // IsLiveIn/IsLiveOut answer, every enumerated live set, and the Interfere
-// relation of the public API against the data-flow ground truth. The
-// loops backend is allowed — required — to fail with loops.ErrIrreducible
-// on irreducible control flow; any other analysis failure, and any answer
-// disagreement, is returned as an error.
+// relation of the public API against the data-flow ground truth. Every
+// backend must analyze every CFG, reducible or not; any analysis failure,
+// and any answer disagreement, is returned as an error.
 func Validate(f *ir.Func) error {
 	truth := dataflow.Analyze(f)
-	for _, name := range backend.Names() {
-		b, err := backend.Get(name)
-		if err != nil {
-			return err
-		}
-		res, err := b.Analyze(f)
-		if err != nil {
-			if name == "loops" && errors.Is(err, loops.ErrIrreducible) {
-				continue
-			}
-			return fmt.Errorf("difftest: backend %s on %s: %w", name, f.Name, err)
-		}
-		if err := compare(name, f, res, truth); err != nil {
+	results, err := analyzeAll(f)
+	if err != nil {
+		return err
+	}
+	for i, name := range backend.Names() {
+		if err := compare(name, f, results[i], truth); err != nil {
 			return err
 		}
 	}
 	return compareInterfere(f)
+}
+
+// analyzeAll runs every registered backend on f, in Names order.
+func analyzeAll(f *ir.Func) ([]backend.Result, error) {
+	p, err := backend.Prepare(f)
+	if err != nil {
+		return nil, fmt.Errorf("difftest: %s: %w", f.Name, err)
+	}
+	var out []backend.Result
+	for _, name := range backend.Names() {
+		b, err := backend.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		res, err := b.Analyze(f, p)
+		if err != nil {
+			return nil, fmt.Errorf("difftest: backend %s on %s: %w", name, f.Name, err)
+		}
+		out = append(out, res)
+	}
+	return out, nil
 }
 
 // interferePairCap bounds the quadratic pair walk of compareInterfere; on
@@ -320,18 +331,12 @@ func ValidateCheckerStorage(f *ir.Func) error {
 func ValidatePressure(f *ir.Func) error {
 	truth := dataflow.Analyze(f)
 	want := regalloc.MeasurePressure(f, truth)
-	for _, name := range backend.Names() {
-		b, err := backend.Get(name)
-		if err != nil {
-			return err
-		}
-		res, err := b.Analyze(f)
-		if err != nil {
-			if name == "loops" && errors.Is(err, loops.ErrIrreducible) {
-				continue
-			}
-			return fmt.Errorf("difftest: backend %s on %s: %w", name, f.Name, err)
-		}
+	results, err := analyzeAll(f)
+	if err != nil {
+		return err
+	}
+	for i, name := range backend.Names() {
+		res := results[i]
 		if res.Invalidation() == backend.InvalidatedByAnyEdit {
 			for i, blk := range f.Blocks {
 				if got, wantN := len(res.LiveInSet(blk)), truth.LiveIn[i].Count(); got != wantN {

@@ -113,7 +113,11 @@ func TestCompareCatchesDisagreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Analyze(f)
+	p, err := backend.Prepare(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Analyze(f, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func (b *Faulty) Name() string { return b.name }
 // Analyze fires the armed injector — injected errors surface as analysis
 // errors, injected panics unwind exactly like a backend bug — and then
 // delegates to the wrapped backend.
-func (b *Faulty) Analyze(f *ir.Func) (Result, error) {
+func (b *Faulty) Analyze(f *ir.Func, p *Prep) (Result, error) {
 	in := b.injector.Load()
 	if err := in.Fire(FaultSiteAnalyze + ":" + f.Name); err != nil {
 		return nil, err
@@ -51,5 +51,5 @@ func (b *Faulty) Analyze(f *ir.Func) (Result, error) {
 	if err := in.Fire(FaultSiteAnalyze); err != nil {
 		return nil, err
 	}
-	return b.inner.Analyze(f)
+	return b.inner.Analyze(f, p)
 }

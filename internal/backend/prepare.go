@@ -8,11 +8,9 @@ import (
 	"fastliveness/internal/ir"
 )
 
-// Prep is the CFG-level preparation every graph-based engine starts from:
-// the extracted graph, its DFS and its dominator tree. It used to be
-// rebuilt inside fastliveness.Analyze and again inside each engine; one
-// Prepare call now serves the checker, the loop-forest engine, the
-// adaptive selector and the public Liveness handle alike.
+// Prep is the CFG-level preparation the checker starts from: the extracted
+// graph, its DFS and its dominator tree. One Prepare call serves the
+// checker and the public Liveness handle alike.
 type Prep struct {
 	F *ir.Func
 	// Graph is the extracted CFG; node i corresponds to F.Blocks[i].

@@ -25,21 +25,30 @@ exit:
 }
 `
 
-// analyzeAll runs every registered backend on f, skipping none (the test
-// program is reducible, so the loops engine applies too).
+// analyze runs the named backend on f.
+func analyze(t *testing.T, name string, f *ir.Func) Result {
+	t.Helper()
+	b, err := Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Analyze(f, p)
+	if err != nil {
+		t.Fatalf("backend %s: %v", name, err)
+	}
+	return res
+}
+
+// analyzeAll runs every registered backend on f.
 func analyzeAll(t *testing.T, f *ir.Func) map[string]Result {
 	t.Helper()
 	out := map[string]Result{}
 	for _, name := range Names() {
-		b, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := b.Analyze(f)
-		if err != nil {
-			t.Fatalf("backend %s: %v", name, err)
-		}
-		out[name] = res
+		out[name] = analyze(t, name, f)
 	}
 	return out
 }
@@ -85,14 +94,7 @@ func TestCheckedFailsClosed(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			f := ir.MustParse(stalenessSrc)
-			b, err := Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := b.Analyze(f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := analyze(t, name, f)
 			checked := Checked(res, f)
 			one, exit := f.ValueByName("one"), f.BlockByName("exit")
 			if checked.IsLiveIn(one, exit) {

@@ -2,13 +2,10 @@ package bench
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"fastliveness/internal/backend"
-	"fastliveness/internal/loops"
 )
 
 // BackendRow is one backend's measurement over a corpus: the paper-style
@@ -21,22 +18,18 @@ import (
 type BackendRow struct {
 	Name    string  `json:"name"`
 	Procs   int     `json:"procs"`
-	Skipped int     `json:"skipped"` // irreducible procedures (loops backend)
 	PreNs   float64 `json:"ns_per_op"`
 	Queries int     `json:"queries"`
 	QueryNs float64 `json:"query_ns_per_op"`
 	Bytes   int     `json:"bytes"`
 	// Invalidation reports what edits invalidate this backend's results:
-	// "cfg-changes" for the checker, "any-edit" for the set engines, and
-	// the "+"-joined union for the adaptive backend when its per-function
-	// choices mix kinds.
+	// "cfg-changes" for the checker, "any-edit" for the set engines.
 	Invalidation string `json:"invalidation"`
 }
 
 // MeasureBackends times every registered backend over the corpora:
 // analysis per procedure, the recorded destruction query stream, and set
-// memory. Backends that reject a procedure (the loops backend on
-// irreducible CFGs) skip it and report the count. The per-procedure setup
+// memory. The per-procedure setup
 // — CFG preparation and the destruction query recording — runs once per
 // procedure and is shared by every backend, both to keep the measurement
 // fair (each row times exactly the engine, never the prep) and to keep the
@@ -47,7 +40,6 @@ func MeasureBackends(corpora []*Corpus) ([]BackendRow, error) {
 		b              backend.Backend
 		preNs, queryNs float64
 		bytes          int
-		kinds          map[string]bool
 	}
 	accs := make([]*acc, 0, len(backend.Names()))
 	for _, name := range backend.Names() {
@@ -55,7 +47,7 @@ func MeasureBackends(corpora []*Corpus) ([]BackendRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		accs = append(accs, &acc{row: BackendRow{Name: name}, b: b, kinds: map[string]bool{}})
+		accs = append(accs, &acc{row: BackendRow{Name: name}, b: b})
 	}
 	for _, c := range corpora {
 		for _, p := range c.Procs {
@@ -66,19 +58,15 @@ func MeasureBackends(corpora []*Corpus) ([]BackendRow, error) {
 			}
 			queries := RecordQueries(p)
 			for _, a := range accs {
-				res, err := backend.AnalyzeWith(a.b, f, prep)
+				res, err := a.b.Analyze(f, prep)
 				if err != nil {
-					if errors.Is(err, loops.ErrIrreducible) {
-						a.row.Skipped++
-						continue
-					}
 					return nil, fmt.Errorf("backend %s on %s: %w", a.row.Name, f.Name, err)
 				}
 				a.row.Procs++
 				a.bytes += res.MemoryBytes()
-				a.kinds[res.Invalidation().String()] = true
+				a.row.Invalidation = res.Invalidation().String()
 				a.preNs += timeOp(perProcBudget, func() {
-					if _, err := backend.AnalyzeWith(a.b, f, prep); err != nil {
+					if _, err := a.b.Analyze(f, prep); err != nil {
 						panic(err)
 					}
 				})
@@ -104,12 +92,6 @@ func MeasureBackends(corpora []*Corpus) ([]BackendRow, error) {
 		if a.row.Queries > 0 {
 			a.row.QueryNs = a.queryNs / float64(a.row.Queries)
 		}
-		ks := make([]string, 0, len(a.kinds))
-		for k := range a.kinds {
-			ks = append(ks, k)
-		}
-		sort.Strings(ks)
-		a.row.Invalidation = strings.Join(ks, "+")
 		rows = append(rows, a.row)
 	}
 	return rows, nil
@@ -126,15 +108,14 @@ func BackendTable(corpora []*Corpus) string {
 	var sb strings.Builder
 	sb.WriteString("Per-backend comparison over the corpus (§6.2 generalized to the registry)\n")
 	sb.WriteString("PreNs = analysis per procedure, shared CFG prep excluded for all backends;\n")
-	sb.WriteString("QueryNs = per destruction query; Bytes = materialized sets per procedure;\n")
-	sb.WriteString("Skip = irreducible rejections.\n\n")
-	fmt.Fprintf(&sb, "%-10s %7s %6s | %12s %10s %9s | %10s %-12s\n",
-		"Backend", "#Proc", "Skip", "PreNs", "#Queries", "QueryNs", "Bytes", "Invalidated")
-	sb.WriteString(strings.Repeat("-", 96))
+	sb.WriteString("QueryNs = per destruction query; Bytes = materialized sets per procedure.\n\n")
+	fmt.Fprintf(&sb, "%-10s %7s | %12s %10s %9s | %10s %-12s\n",
+		"Backend", "#Proc", "PreNs", "#Queries", "QueryNs", "Bytes", "Invalidated")
+	sb.WriteString(strings.Repeat("-", 89))
 	sb.WriteByte('\n')
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %7d %6d | %12.1f %10d %9.1f | %10d %-12s\n",
-			r.Name, r.Procs, r.Skipped, r.PreNs, r.Queries, r.QueryNs, r.Bytes, r.Invalidation)
+		fmt.Fprintf(&sb, "%-10s %7d | %12.1f %10d %9.1f | %10d %-12s\n",
+			r.Name, r.Procs, r.PreNs, r.Queries, r.QueryNs, r.Bytes, r.Invalidation)
 	}
 	return sb.String()
 }

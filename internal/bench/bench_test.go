@@ -168,7 +168,7 @@ func TestMeasureRegalloc(t *testing.T) {
 	names := map[string]bool{}
 	for _, r := range rows {
 		names[r.Name] = true
-		if r.Procs == 0 && r.Skipped == 0 {
+		if r.Procs == 0 {
 			t.Fatalf("backend %s measured nothing", r.Name)
 		}
 		if r.Procs > 0 && (r.AllocNs <= 0 || r.Queries == 0 || r.QueryNs <= 0) {
@@ -177,11 +177,11 @@ func TestMeasureRegalloc(t *testing.T) {
 		if r.Invalidation == "cfg-changes" && r.Refreshes != 0 {
 			t.Fatalf("backend %s survives instruction edits but refreshed %d times", r.Name, r.Refreshes)
 		}
-		if r.Invalidation == "any-edit" && wl.Spills > 0 && r.Skipped == 0 && r.Refreshes == 0 {
+		if r.Invalidation == "any-edit" && wl.Spills > 0 && r.Refreshes == 0 {
 			t.Fatalf("backend %s is edit-invalidated and the workload spilled, but never refreshed", r.Name)
 		}
 	}
-	for _, want := range []string{"checker", "dataflow", "auto"} {
+	for _, want := range []string{"checker", "dataflow", "pervar"} {
 		if !names[want] {
 			t.Fatalf("rows missing backend %s: %v", want, names)
 		}
@@ -219,7 +219,7 @@ func TestMeasurePipelineShape(t *testing.T) {
 	names := map[string]PipelineRow{}
 	for _, r := range rows {
 		names[r.Name] = r
-		if r.Procs == 0 && r.Skipped == 0 {
+		if r.Procs == 0 {
 			t.Fatalf("backend %s measured nothing", r.Name)
 		}
 		if r.Procs > 0 && (r.NsPerProc <= 0 || r.Queries == 0) {

@@ -25,7 +25,6 @@ import (
 type LatencyRow struct {
 	Name     string  `json:"name"`
 	Procs    int     `json:"procs"`
-	Skipped  int     `json:"skipped"`
 	Queries  int     `json:"queries"`
 	Edits    int     `json:"edits"`
 	Rebuilds int     `json:"rebuilds"`
@@ -92,8 +91,7 @@ func MeasureLatency(corpora []*Corpus, editEvery int) ([]LatencyRow, error) {
 			e.Add(f)
 			o, err := e.Oracle(f)
 			if err != nil {
-				row.Skipped++ // e.g. the loops backend on irreducible CFGs
-				continue
+				return nil, fmt.Errorf("backend %s on %s: %w", name, f.Name, err)
 			}
 			row.Procs++
 			editV := valByID[it.qs[0].V.ID]
@@ -150,14 +148,14 @@ func LatencyTable(corpora []*Corpus, editEvery int) string {
 	fmt.Fprintf(&sb, "one engine per backend, benign instruction edit every %d queries.\n", editEvery)
 	sb.WriteString("An instruction edit leaves the checker's CFG-only precomputation valid but\n")
 	sb.WriteString("stales the set backends, whose inline re-analysis shows up at the tail (p99).\n\n")
-	fmt.Fprintf(&sb, "%-10s %6s %5s | %9s %7s %8s | %10s %8s %8s %8s %9s\n",
-		"Backend", "#Proc", "Skip", "#Queries", "Edits", "Rebuild",
+	fmt.Fprintf(&sb, "%-10s %6s | %9s %7s %8s | %10s %8s %8s %8s %9s\n",
+		"Backend", "#Proc", "#Queries", "Edits", "Rebuild",
 		"MeanNs", "p50", "p90", "p99", "p99.9")
-	sb.WriteString(strings.Repeat("-", 110))
+	sb.WriteString(strings.Repeat("-", 104))
 	sb.WriteByte('\n')
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %6d %5d | %9d %7d %8d | %10.1f %8d %8d %8d %9d\n",
-			r.Name, r.Procs, r.Skipped, r.Queries, r.Edits, r.Rebuilds,
+		fmt.Fprintf(&sb, "%-10s %6d | %9d %7d %8d | %10.1f %8d %8d %8d %9d\n",
+			r.Name, r.Procs, r.Queries, r.Edits, r.Rebuilds,
 			r.MeanNs, r.P50Ns, r.P90Ns, r.P99Ns, r.P999Ns)
 	}
 	return sb.String()

@@ -22,7 +22,6 @@ import (
 type PipelineRow struct {
 	Name       string               `json:"name"`
 	Procs      int                  `json:"procs"`
-	Skipped    int                  `json:"skipped"`
 	NsPerProc  float64              `json:"ns_per_op"`
 	Rebuilds   int                  `json:"rebuilds"`
 	Queries    int                  `json:"queries"`
@@ -72,7 +71,6 @@ func MeasurePipeline(limit, k int) ([]PipelineRow, error) {
 		row := PipelineRow{
 			Name:     name,
 			Procs:    rep.Funcs,
-			Skipped:  rep.Skipped,
 			Rebuilds: rep.Rebuilds,
 			Queries:  rep.Queries,
 			Spills:   rep.Spills,
@@ -106,13 +104,13 @@ func PipelineTable(limit, k int) string {
 	sb.WriteString("the pipeline's only CFG edit and runs before any analysis, so the checker's\n")
 	sb.WriteString("CFG-only precomputation serves destruction and the whole spill loop with 0\n")
 	sb.WriteString("rebuilds; set-producing backends re-analyze per edit-then-query.\n\n")
-	fmt.Fprintf(&sb, "%-10s %7s %6s | %12s %8s | %10s | %6s %8s | %7s %7s\n",
-		"Backend", "#Proc", "Skip", "Ns/proc", "Rebuild", "#Queries", "dCFG", "dInstr", "Copies", "Spills")
-	sb.WriteString(strings.Repeat("-", 104))
+	fmt.Fprintf(&sb, "%-10s %7s | %12s %8s | %10s | %6s %8s | %7s %7s\n",
+		"Backend", "#Proc", "Ns/proc", "Rebuild", "#Queries", "dCFG", "dInstr", "Copies", "Spills")
+	sb.WriteString(strings.Repeat("-", 97))
 	sb.WriteByte('\n')
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %7d %6d | %12.1f %8d | %10d | %6d %8d | %7d %7d\n",
-			r.Name, r.Procs, r.Skipped, r.NsPerProc, r.Rebuilds, r.Queries,
+		fmt.Fprintf(&sb, "%-10s %7d | %12.1f %8d | %10d | %6d %8d | %7d %7d\n",
+			r.Name, r.Procs, r.NsPerProc, r.Rebuilds, r.Queries,
 			r.CFGEdits, r.InstrEdits, r.Copies, r.Spills)
 	}
 	sb.WriteString("\nPer-pass rebuild/query breakdown:\n")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"fastliveness/internal/backend"
 	"fastliveness/internal/dataflow"
 	"fastliveness/internal/ir"
-	"fastliveness/internal/loops"
 	"fastliveness/internal/regalloc"
 )
 
@@ -46,7 +44,6 @@ type RegallocWorkload struct {
 type RegallocRow struct {
 	Name         string  `json:"name"`
 	Procs        int     `json:"procs"`
-	Skipped      int     `json:"skipped"`
 	AllocNs      float64 `json:"ns_per_op"`
 	Queries      int     `json:"queries"`
 	QueryNs      float64 `json:"query_ns_per_op"`
@@ -147,7 +144,6 @@ func MeasureRegalloc(corpora []*Corpus, k int) ([]RegallocRow, RegallocWorkload,
 		allocNs   float64
 		queryNs   float64
 		refreshes int
-		kinds     map[string]bool
 	}
 	accs := make([]*acc, 0, len(backend.Names()))
 	for _, name := range backend.Names() {
@@ -155,7 +151,7 @@ func MeasureRegalloc(corpora []*Corpus, k int) ([]RegallocRow, RegallocWorkload,
 		if err != nil {
 			return nil, RegallocWorkload{}, err
 		}
-		accs = append(accs, &acc{row: RegallocRow{Name: name}, b: b, kinds: map[string]bool{}})
+		accs = append(accs, &acc{row: RegallocRow{Name: name}, b: b})
 	}
 	var wl RegallocWorkload
 	wl.K = k
@@ -180,16 +176,12 @@ func MeasureRegalloc(corpora []*Corpus, k int) ([]RegallocRow, RegallocWorkload,
 			pressureSum += regalloc.MeasurePressure(f, dataflow.Analyze(f)).Max
 
 			for _, a := range accs {
-				res, err := backend.AnalyzeWith(a.b, f, prep)
+				res, err := a.b.Analyze(f, prep)
 				if err != nil {
-					if errors.Is(err, loops.ErrIrreducible) {
-						a.row.Skipped++
-						continue
-					}
 					return nil, wl, fmt.Errorf("backend %s on %s: %w", a.row.Name, f.Name, err)
 				}
 				a.row.Procs++
-				a.kinds[res.Invalidation().String()] = true
+				a.row.Invalidation = res.Invalidation().String()
 
 				// End-to-end allocator run against this backend. Run
 				// mutates its input, so it gets a fresh clone outside the
@@ -239,12 +231,6 @@ func MeasureRegalloc(corpora []*Corpus, k int) ([]RegallocRow, RegallocWorkload,
 			a.row.QueryNs = a.queryNs / float64(a.row.Queries)
 		}
 		a.row.Refreshes = a.refreshes
-		ks := make([]string, 0, len(a.kinds))
-		for kind := range a.kinds {
-			ks = append(ks, kind)
-		}
-		sort.Strings(ks)
-		a.row.Invalidation = strings.Join(ks, "+")
 		rows = append(rows, a.row)
 	}
 	return rows, wl, nil
@@ -267,13 +253,13 @@ func RegallocTable(corpora []*Corpus, k int) string {
 	sb.WriteString("AllocNs = analyze + allocate per procedure, including the automatic\n")
 	sb.WriteString("epoch-driven re-analyses (Refresh column) the spill edits force on\n")
 	sb.WriteString("set-producing backends; QueryNs = recorded-stream replay per query.\n\n")
-	fmt.Fprintf(&sb, "%-10s %7s %6s | %12s %8s | %10s %9s | %-12s\n",
-		"Backend", "#Proc", "Skip", "AllocNs", "Refresh", "#Queries", "QueryNs", "Invalidated")
-	sb.WriteString(strings.Repeat("-", 96))
+	fmt.Fprintf(&sb, "%-10s %7s | %12s %8s | %10s %9s | %-12s\n",
+		"Backend", "#Proc", "AllocNs", "Refresh", "#Queries", "QueryNs", "Invalidated")
+	sb.WriteString(strings.Repeat("-", 89))
 	sb.WriteByte('\n')
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %7d %6d | %12.1f %8d | %10d %9.1f | %-12s\n",
-			r.Name, r.Procs, r.Skipped, r.AllocNs, r.Refreshes, r.Queries, r.QueryNs, r.Invalidation)
+		fmt.Fprintf(&sb, "%-10s %7d | %12.1f %8d | %10d %9.1f | %-12s\n",
+			r.Name, r.Procs, r.AllocNs, r.Refreshes, r.Queries, r.QueryNs, r.Invalidation)
 	}
 	return sb.String()
 }

@@ -50,7 +50,7 @@ func Analyze(f *ir.Func) *Result {
 		r.blockPos[b] = i
 	}
 
-	FillLocalSets(f, r.UEVar, r.Defs, r.blockPos)
+	fillLocalSets(f, r.UEVar, r.Defs, r.blockPos)
 
 	// Stack worklist seeded so blocks pop in postorder: liveness flows
 	// backward, so processing a block after its successors converges
@@ -92,12 +92,11 @@ func Analyze(f *ir.Func) *Result {
 	return r
 }
 
-// FillLocalSets computes the block-local inputs of the analysis: ueVar[i]
+// fillLocalSets computes the block-local inputs of the analysis: ueVar[i]
 // receives the upward-exposed uses of block i (with φ arguments attributed
 // to predecessors per paper Definition 1) and defs[i] the values defined in
-// it. Shared with the loop-forest liveness engine, which starts from the
-// same local sets.
-func FillLocalSets(f *ir.Func, ueVar, defs []*bitset.Set, blockPos map[*ir.Block]int) {
+// it.
+func fillLocalSets(f *ir.Func, ueVar, defs []*bitset.Set, blockPos map[*ir.Block]int) {
 	for i, b := range f.Blocks {
 		for _, v := range b.Values {
 			if v.Op.HasResult() {
@@ -125,15 +124,10 @@ func FillLocalSets(f *ir.Func, ueVar, defs []*bitset.Set, blockPos map[*ir.Block
 	}
 }
 
-// NewSets allocates n bitsets over the given universe, arena-backed: the
+// newSets allocates n bitsets over the given universe, arena-backed: the
 // returned sets are row views into one contiguous bitset.Matrix, so a
 // whole per-block vector family (live-in, live-out, UEVar, defs) costs a
-// constant number of allocations and iterates cache-contiguously. Shared
-// with the loop-forest liveness engine.
-func NewSets(n, universe int) []*bitset.Set {
-	return newSets(n, universe)
-}
-
+// constant number of allocations and iterates cache-contiguously.
 func newSets(n, universe int) []*bitset.Set {
 	return bitset.NewMatrix(n, universe).Views()
 }

@@ -29,7 +29,6 @@ import (
 	"fastliveness"
 	"fastliveness/internal/destruct"
 	"fastliveness/internal/ir"
-	"fastliveness/internal/loops"
 	"fastliveness/internal/regalloc"
 	"fastliveness/internal/ssa"
 )
@@ -93,9 +92,7 @@ func (co countingOracle) IsLiveOut(v *ir.Value, b *ir.Block) bool {
 }
 
 // Oracle returns an auto-refreshing oracle for the context's function,
-// analyzing it with the configured backend on first use. The error is
-// typically loops.ErrIrreducible when the loops backend meets irreducible
-// control flow; Run skips such functions.
+// analyzing it with the configured backend on first use.
 func (c *Context) Oracle() (countingOracle, error) {
 	o, err := c.Engine.Oracle(c.F)
 	if err != nil {
@@ -198,12 +195,8 @@ type Report struct {
 	// Backend is the engine configuration the run used ("checker" for
 	// the empty name).
 	Backend string `json:"backend"`
-	// Funcs counts functions that completed the whole chain; Skipped
-	// those aborted because the configured backend cannot analyze them
-	// (the loops engine on irreducible control flow). Skipped functions
-	// contribute to no other counter.
-	Funcs   int `json:"funcs"`
-	Skipped int `json:"skipped"`
+	// Funcs counts functions that completed the whole chain.
+	Funcs int `json:"funcs"`
 	// Regs is the base register budget; MaxRegs the widest budget the
 	// doubling retry needed.
 	Regs    int `json:"regs"`
@@ -222,9 +215,7 @@ type Report struct {
 }
 
 // Run drives every function through the default pass chain with a fresh
-// engine. Functions the configured backend cannot analyze (irreducible
-// CFGs under "loops") are skipped and counted; any other pass failure
-// aborts the run.
+// engine. Any pass failure aborts the run.
 func Run(funcs []*ir.Func, cfg Config) (*Report, error) {
 	return RunPasses(funcs, DefaultPasses(), cfg)
 }
@@ -250,24 +241,14 @@ func RunPasses(funcs []*ir.Func, passes []Pass, cfg Config) (*Report, error) {
 		report.Passes[i].Pass = p.Name
 	}
 
-	perPass := make([]PassStats, len(passes))
 	for _, f := range funcs {
-		for i := range perPass {
-			perPass[i] = PassStats{}
-		}
 		totals := funcTotals{}
-		skipped := false
 		for i, p := range passes {
 			ctx := &Context{Engine: eng, F: f, Config: cfg, perFunc: &totals}
 			cfgBefore, instrBefore := f.CFGEpoch(), f.InstrEpoch()
 			rebuildsBefore := eng.Rebuilds()
 			start := time.Now()
-			err := p.Run(ctx)
-			if err != nil {
-				if errors.Is(err, loops.ErrIrreducible) {
-					skipped = true
-					break
-				}
+			if err := p.Run(ctx); err != nil {
 				return nil, fmt.Errorf("pipeline: pass %s on %s: %w", p.Name, f.Name, err)
 			}
 			if cfg.Verify {
@@ -279,15 +260,15 @@ func RunPasses(funcs []*ir.Func, passes []Pass, cfg Config) (*Report, error) {
 					return nil, fmt.Errorf("pipeline: pass %s broke %s: %w", p.Name, f.Name, verr)
 				}
 			}
-			perPass[i].CFGEdits = f.CFGEpoch() - cfgBefore
-			perPass[i].InstrEdits = f.InstrEpoch() - instrBefore
-			perPass[i].Rebuilds = eng.Rebuilds() - rebuildsBefore
-			perPass[i].Queries = ctx.queries
-			perPass[i].Ns = time.Since(start).Nanoseconds()
-		}
-		if skipped {
-			report.Skipped++
-			continue
+			ps := &report.Passes[i]
+			ps.CFGEdits += f.CFGEpoch() - cfgBefore
+			ps.InstrEdits += f.InstrEpoch() - instrBefore
+			rebuilds := eng.Rebuilds() - rebuildsBefore
+			ps.Rebuilds += rebuilds
+			ps.Queries += ctx.queries
+			ps.Ns += time.Since(start).Nanoseconds()
+			report.Rebuilds += rebuilds
+			report.Queries += ctx.queries
 		}
 		report.Funcs++
 		report.Phis += totals.phis
@@ -295,15 +276,6 @@ func RunPasses(funcs []*ir.Func, passes []Pass, cfg Config) (*Report, error) {
 		report.Spills += totals.spills
 		if totals.maxK > report.MaxRegs {
 			report.MaxRegs = totals.maxK
-		}
-		for i := range passes {
-			report.Passes[i].CFGEdits += perPass[i].CFGEdits
-			report.Passes[i].InstrEdits += perPass[i].InstrEdits
-			report.Passes[i].Rebuilds += perPass[i].Rebuilds
-			report.Passes[i].Queries += perPass[i].Queries
-			report.Passes[i].Ns += perPass[i].Ns
-			report.Rebuilds += perPass[i].Rebuilds
-			report.Queries += perPass[i].Queries
 		}
 	}
 	return report, nil

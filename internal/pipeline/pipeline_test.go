@@ -36,8 +36,8 @@ func TestCheckerPipelineZeroRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Funcs != len(funcs) || rep.Skipped != 0 {
-		t.Fatalf("completed %d funcs (%d skipped), want all %d", rep.Funcs, rep.Skipped, len(funcs))
+	if rep.Funcs != len(funcs) {
+		t.Fatalf("completed %d funcs, want all %d", rep.Funcs, len(funcs))
 	}
 	if rep.Rebuilds != 0 {
 		t.Fatalf("checker pipeline forced %d rebuilds, want 0", rep.Rebuilds)
@@ -88,12 +88,13 @@ func TestSetBackendPipelineRebuilds(t *testing.T) {
 
 // Every backend must drive the pipeline to the *identical* output
 // program: pass decisions are pure functions of liveness answers, and all
-// backends answer identically. This is the differential suite's
-// query-equivalence property lifted to whole-pass equivalence.
+// backends answer identically, on reducible and irreducible CFGs. This is
+// the differential suite's query-equivalence property lifted to
+// whole-pass equivalence.
 func TestPipelineOutputsAgreeAcrossBackends(t *testing.T) {
-	protos := slotCorpus(t, 6, 7, false) // reducible so the loops engine applies
+	protos := slotCorpus(t, 6, 7, true)
 	var want []string
-	for _, name := range []string{"checker", "dataflow", "loops", "pervar", "lao", "auto"} {
+	for _, name := range []string{"checker", "dataflow", "pervar", "lao"} {
 		funcs := make([]*ir.Func, len(protos))
 		for i, p := range protos {
 			funcs[i] = ir.Clone(p)
@@ -102,8 +103,8 @@ func TestPipelineOutputsAgreeAcrossBackends(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backend %s: %v", name, err)
 		}
-		if rep.Skipped != 0 {
-			t.Fatalf("backend %s skipped %d reducible funcs", name, rep.Skipped)
+		if rep.Funcs != len(funcs) {
+			t.Fatalf("backend %s completed %d of %d funcs", name, rep.Funcs, len(funcs))
 		}
 		got := make([]string, len(funcs))
 		for i, f := range funcs {
@@ -119,24 +120,5 @@ func TestPipelineOutputsAgreeAcrossBackends(t *testing.T) {
 					name, protos[i].Name, want[i], name, got[i])
 			}
 		}
-	}
-}
-
-// The loops backend cannot analyze irreducible control flow: such
-// functions are skipped and counted, everything else completes.
-func TestPipelineSkipsIrreducibleForLoops(t *testing.T) {
-	funcs := slotCorpus(t, 6, 42, true)
-	rep, err := pipeline.Run(funcs, pipeline.Config{Backend: "loops", Regs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Skipped == 0 {
-		t.Fatal("corpus contains irreducible functions; loops should skip some")
-	}
-	if rep.Funcs+rep.Skipped != len(funcs) {
-		t.Fatalf("funcs %d + skipped %d != corpus %d", rep.Funcs, rep.Skipped, len(funcs))
-	}
-	if rep.Funcs == 0 {
-		t.Fatal("reducible functions should complete")
 	}
 }
