@@ -23,7 +23,8 @@
 //
 //	-construct    run SSA construction first (for slot-form inputs)
 //	-backend      liveness backend: checker (default) | dataflow | lao |
-//	              pervar — any name in the internal/backend registry. Every backend answers queries identically (the
+//	              pervar — any name in the internal/backend registry.
+//	              Every backend answers queries identically (the
 //	              differential suite proves it), so changing the flag never
 //	              changes query answers or set dumps, only the engine that
 //	              computes them — -stats output (backend names, set bytes)

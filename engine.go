@@ -153,8 +153,8 @@ type buildState struct {
 // only after CFG edits — instruction-only edits (spill code, copy
 // insertion, φ elimination) are served by the existing precomputation, the
 // paper's §4 property. With a set-producing backend ("dataflow", "lao" or
-// "pervar") any edit triggers a rebuild on the next request. Rebuilds reports how many staleness-forced
-// re-analyses that has cost.
+// "pervar") any edit triggers a rebuild on the next request. Rebuilds
+// reports how many staleness-forced re-analyses that has cost.
 //
 // The one hazard left with the caller is handle lifetime: a *Liveness
 // obtained before an edit keeps answering against the pre-edit program.

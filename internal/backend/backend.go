@@ -65,8 +65,9 @@ type Result interface {
 	// IsLiveOut reports whether v is live-out at b (paper Definition 3).
 	IsLiveOut(v *ir.Value, b *ir.Block) bool
 	// LiveInSet enumerates the values live-in at b, in a deterministic
-	// per-backend order (ascending value ID for the set engines, program
-	// order for the checker); callers needing a specific order sort.
+	// per-backend order (ascending value ID for dataflow and pervar,
+	// program order for the checker and lao); callers needing a specific
+	// order sort.
 	LiveInSet(b *ir.Block) []*ir.Value
 	// LiveOutSet enumerates the values live-out at b; see LiveInSet.
 	LiveOutSet(b *ir.Block) []*ir.Value

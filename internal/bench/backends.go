@@ -29,11 +29,11 @@ type BackendRow struct {
 
 // MeasureBackends times every registered backend over the corpora:
 // analysis per procedure, the recorded destruction query stream, and set
-// memory. The per-procedure setup
-// — CFG preparation and the destruction query recording — runs once per
-// procedure and is shared by every backend, both to keep the measurement
-// fair (each row times exactly the engine, never the prep) and to keep the
-// full-corpus run from repeating the expensive recording per backend.
+// memory. The per-procedure setup — CFG preparation and the destruction
+// query recording — runs once per procedure and is shared by every
+// backend, both to keep the measurement fair (each row times exactly the
+// engine, never the prep) and to keep the full-corpus run from repeating
+// the expensive recording per backend.
 func MeasureBackends(corpora []*Corpus) ([]BackendRow, error) {
 	type acc struct {
 		row            BackendRow
