@@ -37,17 +37,7 @@ import (
 
 	"fastliveness/internal/backend"
 	"fastliveness/internal/ir"
-	"fastliveness/internal/retry"
 	"fastliveness/internal/telemetry"
-)
-
-// Quarantine pacing: how many backoff-paced retries a panicking build
-// gets before the function fails fast until its next edit, and the
-// decorrelated-jitter backoff bounds between retries.
-const (
-	defaultMaxBuildRetries = 2
-	quarantineBackoffBase  = 2 * time.Millisecond
-	quarantineBackoffCap   = 250 * time.Millisecond
 )
 
 // EngineConfig tunes a program-level Engine. The zero value analyzes with
@@ -69,14 +59,15 @@ type EngineConfig struct {
 	// processes; each write-back is on disk when the build that produced it
 	// returns. Nil disables the tier. Only the checker backend (the
 	// default) uses it; its precomputation is the CFG-only one that stays
-	// valid across instruction edits and hence across runs. The store's
-	// I/O sits behind a circuit breaker: a failing or slow disk degrades
-	// builds to recomputation, never to an error or a wrong answer.
+	// valid across instruction edits and hence across runs. A snapshot I/O
+	// error is a miss and a failed save is dropped, so a failing disk
+	// degrades builds to recomputation, never to an error or a wrong
+	// answer.
 	SnapshotStore *SnapshotStore
 	// Tracer receives the engine's lifecycle events (build start/end,
-	// query batches, snapshot loads/saves, quarantine enter/clear,
-	// breaker transitions). Callbacks run
-	// synchronously on the emitting goroutine, sometimes under engine
+	// query batches, snapshot loads/saves, quarantine enter/clear).
+	// Callbacks run synchronously on the emitting goroutine, sometimes
+	// under engine
 	// locks — they must be fast, must not block, and must not call back
 	// into the engine. Nil means no tracing (zero overhead beyond the
 	// always-on atomic counters behind Metrics).
@@ -123,14 +114,10 @@ type handle struct {
 // resetState clears it when the epochs move or on Invalidate.
 type buildState struct {
 	at backend.Epochs
-	// err is the last build's failure. When it is a *BuildPanicError the
-	// function is quarantined: panics counts the consecutive panicking
-	// builds, retryAt gates the next backoff-paced retry, and backoff
-	// produces the decorrelated-jitter delays.
-	err     error
-	panics  int
-	retryAt time.Time
-	backoff *retry.Backoff
+	// err is the build's failure, reported to every request until the
+	// record is reset: the same IR would fail the same way. When it is a
+	// *BuildPanicError the function is quarantined.
+	err error
 	// verified records that ir.Verify passed, so rebuilds, eviction
 	// refills and snapshot restores of unchanged IR skip the verifier's
 	// full IR walk.
@@ -177,34 +164,18 @@ type Engine struct {
 	snap     snapshotCounters
 	closed   atomic.Bool // set by Close; engine methods then fail fast
 
-	// buildRetries is the quarantine's retry budget: defaultMaxBuildRetries.
-	buildRetries int
-
 	// tracer is config.Tracer or NopTracer, so emit sites never nil-check;
 	// met is the atomic instrument block behind Metrics()/WriteMetrics.
-	// unobserve detaches the engine's breaker-transition observer (set only
-	// for a traced engine with a store) from the (possibly shared)
-	// SnapshotStore at Close.
-	tracer    telemetry.Tracer
-	met       engineMetrics
-	unobserve func()
+	tracer telemetry.Tracer
+	met    engineMetrics
 }
 
 // NewEngine returns an empty engine; register functions with Add.
 func NewEngine(config EngineConfig) *Engine {
-	e := &Engine{config: config, lru: list.New(), tracer: config.Tracer, buildRetries: defaultMaxBuildRetries}
+	e := &Engine{config: config, lru: list.New(), tracer: config.Tracer}
 	e.cond = sync.NewCond(&e.mu)
 	if e.tracer == nil {
 		e.tracer = telemetry.NopTracer{}
-	}
-	if config.SnapshotStore != nil && config.Tracer != nil {
-		// Forward the (shared) store's breaker transitions to this engine's
-		// tracer; Close detaches. The closure holds the tracer, never the
-		// engine, so the store never keeps an engine reachable.
-		tr := config.Tracer
-		e.unobserve = config.SnapshotStore.observeBreaker(func(from, to retry.State) {
-			tr.BreakerTransition(from.String(), to.String())
-		})
 	}
 	return e
 }
@@ -313,7 +284,8 @@ func (e *Engine) Precompute() error {
 // Errors wrap the package sentinels: ErrUnknownFunc for a function never
 // registered with Add, ErrEngineClosed after Close, and ErrQuarantined
 // (carrying a *BuildPanicError with the captured stack) for a function
-// whose build panicked and is quarantined until its next edit.
+// whose build panicked. A failed build is not re-run until the function's
+// next edit or Invalidate: every request in between gets its error.
 func (e *Engine) Liveness(f *ir.Func) (*Liveness, error) {
 	h := e.lookup(f)
 	if h == nil {
@@ -331,21 +303,13 @@ func (e *Engine) liveness(h *handle) (*Liveness, error) {
 			return nil, fmt.Errorf("fastliveness: %w", ErrEngineClosed)
 		}
 		// A recorded failure describes the function as of the record's
-		// epochs; once it is edited again, retry instead of reporting a
+		// epochs; once it is edited again, rebuild instead of reporting a
 		// verdict about a program that no longer exists.
 		e.resetState(h, false)
 		switch {
 		case h.st.err != nil:
-			var bp *BuildPanicError
-			if errors.As(h.st.err, &bp) {
-				// Quarantined: fail fast while the retry budget is spent
-				// or the backoff has not elapsed; otherwise clear the
-				// sticky error (keeping the panic count) and retry.
-				if h.st.panics > e.buildRetries || time.Now().Before(h.st.retryAt) {
-					return nil, quarantineErr(h.f.Name, h.st.err)
-				}
-				h.st.err = nil
-				continue
+			if isBuildPanic(h.st.err) {
+				return nil, quarantineErr(h.f.Name, h.st.err)
 			}
 			return nil, h.st.err
 		case h.live != nil:
@@ -408,8 +372,7 @@ func (e *Engine) startBuild(h *handle) (*Liveness, error) {
 	}
 	// Wrap panic-derived errors so errors.Is(err, ErrQuarantined) holds
 	// from the very first failing call, not only for the fail-fast ones.
-	var bp *BuildPanicError
-	if errors.As(err, &bp) {
+	if isBuildPanic(err) {
 		err = quarantineErr(h.f.Name, err)
 	}
 	return live, err
@@ -443,58 +406,50 @@ func (e *Engine) runBuild(h *handle) (live *Liveness, err error) {
 // it. Called with the engine mutex held.
 func (e *Engine) publish(h *handle, live *Liveness) {
 	h.live = live
-	e.clearQuarantine(h)
 	h.elem = e.lru.PushFront(h)
 	e.resident.Add(1)
 	e.enforceCacheBound()
 }
 
+// isBuildPanic reports whether err carries a *BuildPanicError.
+func isBuildPanic(err error) bool {
+	var bp *BuildPanicError
+	return errors.As(err, &bp)
+}
+
 // recordFailure notes a failed build in h's state record under the engine
-// mutex, with quarantine pacing when it was a panic.
+// mutex; a panic quarantines the function.
 func (e *Engine) recordFailure(h *handle, err error) {
 	h.st.err = err
-	var bp *BuildPanicError
-	if !errors.As(err, &bp) {
-		return
-	}
-	h.st.panics++
-	if h.st.panics == 1 {
+	if isBuildPanic(err) {
 		e.met.quarantined.Add(1)
 		e.tracer.QuarantineEnter(h.f.Name)
 	}
-	if h.st.backoff == nil {
-		h.st.backoff = retry.NewBackoff(quarantineBackoffBase, quarantineBackoffCap, 0)
-	}
-	h.st.retryAt = time.Now().Add(h.st.backoff.Next())
 }
 
-// clearQuarantine resets h's panic-retry state after a successful build
-// or a state reset. Called with the engine mutex held.
+// clearQuarantine drops h's recorded failure, ending its quarantine if it
+// was a panic. Called with the engine mutex held.
 func (e *Engine) clearQuarantine(h *handle) {
-	if h.st.panics > 0 {
+	if isBuildPanic(h.st.err) {
 		e.met.quarantined.Add(-1)
 		e.tracer.QuarantineClear(h.f.Name)
 	}
-	h.st.panics, h.st.retryAt = 0, time.Time{}
-	if h.st.backoff != nil {
-		h.st.backoff.Reset()
-	}
+	h.st.err = nil
 }
 
 // resetState clears h's state record and restamps it with the function's
 // current epochs — when those epochs moved past the record's stamp, or
 // unconditionally with force (Invalidate). Called with the engine mutex
-// held. While a build is in flight it clears the quarantine half alone:
-// the builder owns verified until it lands (if the epochs moved, the
-// first reset after that clears it too).
+// held. While a build is in flight the record is the builder's: a build
+// starts only with no failure recorded, and the builder owns verified
+// until it lands (if the epochs moved, the first reset after that clears
+// the record).
 func (e *Engine) resetState(h *handle, force bool) {
-	if !force && h.stateCurrent() {
+	if h.building || (!force && h.stateCurrent()) {
 		return
 	}
 	e.clearQuarantine(h)
-	if !h.building {
-		h.st = buildState{at: backend.EpochsOf(h.f), backoff: h.st.backoff}
-	}
+	h.st = buildState{at: backend.EpochsOf(h.f)}
 }
 
 // stateCurrent reports whether h's state record describes the function's
@@ -522,7 +477,8 @@ func (e *Engine) enforceCacheBound() {
 // the next build re-verifies. Since the engine detects stale analyses
 // from the function's edit epochs and rebuilds on its own, Invalidate is
 // never required for correctness — it releases memory for a function that
-// will not be queried again soon, or retries a failed build at once.
+// will not be queried again soon, or lets the next request re-run a failed
+// build without an edit.
 // Analyses already handed out keep answering against the old program.
 func (e *Engine) Invalidate(f *ir.Func) {
 	h := e.lookup(f)
@@ -559,20 +515,16 @@ func (e *Engine) Edit(f *ir.Func, edit func()) {
 }
 
 // Close stops the engine for good: every later analysis, Oracle or batch
-// request fails fast with an error wrapping ErrEngineClosed, callers
-// parked on an in-flight build wake and fail the same way, and a traced
-// engine detaches its breaker observer from the (possibly shared)
-// snapshot store. Snapshot write-backs run inline in the build that
-// produced them, so there is nothing left to flush. Close is idempotent.
+// request fails fast with an error wrapping ErrEngineClosed, and callers
+// parked on an in-flight build wake and fail the same way. Snapshot
+// write-backs run inline in the build that produced them, so there is
+// nothing left to flush. Close is idempotent.
 // Analyses and Oracles already handed out keep answering — they own their
 // precomputed sets and never call back into the engine until a staleness
 // re-fetch. Metrics and WriteMetrics keep working.
 func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
-	}
-	if e.unobserve != nil {
-		e.unobserve()
 	}
 	e.mu.Lock()
 	e.cond.Broadcast()

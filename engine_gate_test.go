@@ -8,10 +8,7 @@ package fastliveness
 // invalidation or Close against it.
 
 import (
-	"runtime"
 	"sync"
-	"testing"
-	"time"
 
 	"fastliveness/internal/backend"
 	"fastliveness/internal/ir"
@@ -60,19 +57,4 @@ func (g *gateBackend) Arm() (started <-chan struct{}, release func()) {
 	s, r := make(chan struct{}), make(chan struct{})
 	g.started, g.release = s, r
 	return s, func() { close(r) }
-}
-
-// waitFor polls cond for up to 5s — the standard shape for asserting that
-// a time-paced effect (a quarantine retry past its backoff) has landed.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }

@@ -2,8 +2,8 @@ package fastliveness
 
 // Tests for the consolidated observability surface: Metrics() agreeing
 // with the legacy accessors it superseded, the quarantine gauge, the
-// Tracer event stream, breaker-transition forwarding, and /metrics
-// scrapes racing live queriers and editors.
+// Tracer event stream, and /metrics scrapes racing live queriers and
+// editors.
 
 import (
 	"bytes"
@@ -16,7 +16,6 @@ import (
 
 	"fastliveness/internal/backend"
 	"fastliveness/internal/faults"
-	"fastliveness/internal/snapshot"
 	"fastliveness/internal/telemetry"
 )
 
@@ -71,7 +70,6 @@ func (r *recordingTracer) SnapshotLoad(fn string, hit bool, d time.Duration) {
 func (r *recordingTracer) SnapshotSave(ok bool, d time.Duration) { r.hit("SnapshotSave", "") }
 func (r *recordingTracer) QuarantineEnter(fn string)             { r.hit("QuarantineEnter", fn) }
 func (r *recordingTracer) QuarantineClear(fn string)             { r.hit("QuarantineClear", fn) }
-func (r *recordingTracer) BreakerTransition(from, to string)     { r.hit("Breaker:"+from+">"+to, "") }
 
 // TestEngineMetricsConsolidation: Metrics() must agree with every legacy
 // accessor it consolidates, and the instruments this layer added must
@@ -146,9 +144,6 @@ func TestEngineMetricsConsolidation(t *testing.T) {
 	if m.Snapshot.Hits+m.Snapshot.Misses != int64(m.Builds) {
 		t.Fatalf("Hits+Misses = %d, want Builds = %d", m.Snapshot.Hits+m.Snapshot.Misses, m.Builds)
 	}
-	if m.BreakerState != "closed" || m.BreakerTransitions != 0 {
-		t.Fatalf("BreakerState/Transitions = %q/%d, want closed/0", m.BreakerState, m.BreakerTransitions)
-	}
 }
 
 // TestEngineMetricsQuarantineGauge: a panicking build raises the gauge
@@ -163,7 +158,6 @@ func TestEngineMetricsQuarantineGauge(t *testing.T) {
 
 	tr := newRecordingTracer()
 	e := NewEngine(EngineConfig{Config: Config{Backend: "faulty"}, Tracer: tr})
-	e.buildRetries = 0
 	e.Add(funcs...)
 	if err := e.Precompute(); err == nil {
 		t.Fatal("Precompute succeeded despite the injected panic")
@@ -190,9 +184,9 @@ func TestEngineMetricsQuarantineGauge(t *testing.T) {
 
 	// Invalidate resets the whole state record, as an edit does: after a
 	// fresh panic, Invalidate alone (no edit) lowers the gauge, fires
-	// QuarantineClear and resets the panic count — so the next request
+	// QuarantineClear and drops the recorded failure — so the next request
 	// builds (and, still faulty, enters quarantine anew) instead of
-	// failing fast on the spent retry budget.
+	// failing fast.
 	faulty.SetInjector(in)
 	splitSomeEdge(t, victim) // stales the resident analysis: rebuild
 	if _, err := e.Liveness(victim); !errors.Is(err, ErrQuarantined) {
@@ -213,10 +207,10 @@ func TestEngineMetricsQuarantineGauge(t *testing.T) {
 		t.Fatalf("build after Invalidate: err = %v, want ErrQuarantined", err)
 	}
 	if got := in.Fired(backend.FaultSiteAnalyze + ":" + victim.Name); got != fired+1 {
-		t.Fatalf("injected panics = %d after Invalidate, want %d (a retry, not a fail-fast)", got, fired+1)
+		t.Fatalf("injected panics = %d after Invalidate, want %d (a build, not a fail-fast)", got, fired+1)
 	}
 	if tr.count("QuarantineEnter") != 3 {
-		t.Fatalf("QuarantineEnter events = %d, want 3 (the panic count restarted at 0)", tr.count("QuarantineEnter"))
+		t.Fatalf("QuarantineEnter events = %d, want 3 (one per recorded panic)", tr.count("QuarantineEnter"))
 	}
 	faulty.SetInjector(nil)
 	e.Invalidate(victim)
@@ -301,54 +295,9 @@ func TestEngineMetricsTracerSnapshotEvents(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsBreakerTransitions: breaker state changes reach the
-// engine's tracer while it is attached and stop after Close detaches it; the store-global transition counter keeps counting either way.
-func TestEngineMetricsBreakerTransitions(t *testing.T) {
-	ss, err := OpenSnapshotStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setBreaker(ss, 1, time.Millisecond)
-	ss.saveRetries = 0
-	in := faults.New(32)
-	in.Add(faults.Rule{Site: snapshot.FaultSiteLoad, Action: faults.ActionError})
-	ss.store.SetFaultInjector(in)
-
-	tr := newRecordingTracer()
-	funcs := engineCorpus(t, 1, 313)
-	e := NewEngine(EngineConfig{SnapshotStore: ss, Tracer: tr})
-	e.Add(funcs...)
-	if err := e.Precompute(); err != nil {
-		t.Fatalf("a failing disk must degrade, not error: %v", err)
-	}
-	if got := tr.count("Breaker:closed>open"); got != 1 {
-		t.Fatalf("closed>open transitions traced = %d, want 1", got)
-	}
-	m := e.Metrics()
-	if m.BreakerTransitions != 1 || m.BreakerState != "open" {
-		t.Fatalf("BreakerTransitions/State = %d/%q, want 1/open", m.BreakerTransitions, m.BreakerState)
-	}
-
-	// Close unregisters the observer: the next transition (cooldown
-	// elapsed, Allow admits a half-open probe) bumps the store-global
-	// counter but no longer reaches the detached tracer.
-	e.Close()
-	time.Sleep(5 * time.Millisecond)
-	if !ss.breaker.Allow() {
-		t.Fatal("cooled-down breaker refused the probe")
-	}
-	if got := ss.BreakerTransitions(); got != 2 {
-		t.Fatalf("store BreakerTransitions = %d, want 2", got)
-	}
-	if got := tr.count("Breaker:open>half-open"); got != 0 {
-		t.Fatalf("detached tracer still received %d transition(s)", got)
-	}
-}
-
 // TestEngineClosedEngineNotPinnedByStore: a shared SnapshotStore must not
-// keep Closed engines — and every analysis they hold — reachable. Untraced
-// engines register no breaker observer; a traced engine's observer holds
-// only the tracer, and Close unregisters it.
+// keep Closed engines — and every analysis they hold — reachable, traced
+// or not.
 func TestEngineClosedEngineNotPinnedByStore(t *testing.T) {
 	ss, err := OpenSnapshotStore(t.TempDir(), 0)
 	if err != nil {
@@ -380,9 +329,6 @@ func TestEngineClosedEngineNotPinnedByStore(t *testing.T) {
 	}
 	if reachable != 0 {
 		t.Errorf("%d of %d Closed engines still reachable from the shared store", reachable, engines)
-	}
-	if obs := ss.obs.Load(); obs != nil && len(*obs) != 0 {
-		t.Errorf("store has %d breaker observers after every engine Closed, want 0", len(*obs))
 	}
 }
 

@@ -486,7 +486,7 @@ func TestEngineRebuildPolicyPerBackend(t *testing.T) {
 }
 
 // An analysis error must not outlive the program state it described: once
-// the function is edited, the engine retries instead of serving the old
+// the function is edited, the engine rebuilds instead of serving the old
 // verdict.
 func TestEngineErrorClearedByEdit(t *testing.T) {
 	bad := ir.NewFunc("fixme")

@@ -19,21 +19,20 @@ var (
 	ErrEngineClosed = errors.New("engine has been closed")
 
 	// ErrQuarantined is wrapped by every error the engine reports for a
-	// function whose build panicked: the first failing call, the fail-fast
-	// calls during the retry backoff, and the fail-fast calls after the
-	// retry budget is exhausted. The chain also carries the
-	// *BuildPanicError with the captured stack (errors.As). Quarantine
-	// ends at the function's next edit — the panic described a program
-	// that no longer exists — or when a backoff-paced retry succeeds.
+	// function whose build panicked: the failing call and every request
+	// after it, which fail fast without re-running the build. The chain
+	// also carries the *BuildPanicError with the captured stack
+	// (errors.As). Quarantine ends at the function's next edit or
+	// Invalidate: the build depends only on the IR, so until then it
+	// would panic again.
 	ErrQuarantined = errors.New("function is quarantined after a panicking build")
 )
 
 // BuildPanicError is a backend panic converted into a per-function error
 // at the engine's build boundary: the panic value and the goroutine stack
-// captured at recovery. The engine quarantines the function (bounded
-// backoff-paced retries, then fail-fast until its next edit) instead of
-// letting the panic take down the process; precompute workers likewise
-// survive it.
+// captured at recovery. The engine quarantines the function (fail-fast
+// until its next edit or Invalidate) instead of letting the panic take
+// down the process; precompute workers likewise survive it.
 type BuildPanicError struct {
 	// Func is the function whose build panicked.
 	Func string

@@ -32,7 +32,9 @@ type Result struct {
 	// Iterations counts worklist pops, for the evaluation harness.
 	Iterations int
 
-	blockPos map[*ir.Block]int
+	// pos maps a block ID to its position, -1 for an ID the analysis did
+	// not see.
+	pos []int32
 }
 
 // Analyze runs the analysis on f.
@@ -40,41 +42,42 @@ func Analyze(f *ir.Func) *Result {
 	nb := len(f.Blocks)
 	nv := f.NumValues()
 	r := &Result{
-		LiveIn:   newSets(nb, nv),
-		LiveOut:  newSets(nb, nv),
-		UEVar:    newSets(nb, nv),
-		Defs:     newSets(nb, nv),
-		blockPos: make(map[*ir.Block]int, nb),
+		LiveIn:  newSets(nb, nv),
+		LiveOut: newSets(nb, nv),
+		UEVar:   newSets(nb, nv),
+		Defs:    newSets(nb, nv),
+		pos:     make([]int32, f.NumBlocks()),
+	}
+	for i := range r.pos {
+		r.pos[i] = -1
 	}
 	for i, b := range f.Blocks {
-		r.blockPos[b] = i
+		r.pos[b.ID] = int32(i)
 	}
 
-	fillLocalSets(f, r.UEVar, r.Defs, r.blockPos)
+	fillLocalSets(f, r.UEVar, r.Defs, r.pos)
 
 	// Stack worklist seeded so blocks pop in postorder: liveness flows
 	// backward, so processing a block after its successors converges
 	// quickly (Cooper et al.).
-	post := postorder(f)
-	stack := make([]*ir.Block, len(post))
-	for i, b := range post {
-		stack[len(post)-1-i] = b
-	}
-	onStack := make(map[*ir.Block]bool, nb)
-	for _, b := range post {
-		onStack[b] = true
+	post := postorder(f, r.pos)
+	stack := make([]int32, len(post))
+	onStack := make([]bool, nb)
+	for i, p := range post {
+		stack[len(post)-1-i] = p
+		onStack[p] = true
 	}
 	scratch := bitset.New(nv)
 	for len(stack) > 0 {
-		b := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		onStack[b] = false
+		onStack[i] = false
 		r.Iterations++
-		i := r.blockPos[b]
+		b := f.Blocks[i]
 
 		out := r.LiveOut[i]
 		for _, e := range b.Succs {
-			out.Union(r.LiveIn[r.blockPos[e.B]])
+			out.Union(r.LiveIn[r.pos[e.B.ID]])
 		}
 		scratch.Copy(out)
 		scratch.Subtract(r.Defs[i])
@@ -82,9 +85,9 @@ func Analyze(f *ir.Func) *Result {
 		if !scratch.Equal(r.LiveIn[i]) {
 			r.LiveIn[i].Copy(scratch)
 			for _, e := range b.Preds {
-				if !onStack[e.B] {
-					onStack[e.B] = true
-					stack = append(stack, e.B)
+				if p := r.pos[e.B.ID]; !onStack[p] {
+					onStack[p] = true
+					stack = append(stack, p)
 				}
 			}
 		}
@@ -96,7 +99,7 @@ func Analyze(f *ir.Func) *Result {
 // receives the upward-exposed uses of block i (with φ arguments attributed
 // to predecessors per paper Definition 1) and defs[i] the values defined in
 // it.
-func fillLocalSets(f *ir.Func, ueVar, defs []*bitset.Set, blockPos map[*ir.Block]int) {
+func fillLocalSets(f *ir.Func, ueVar, defs []*bitset.Set, pos []int32) {
 	for i, b := range f.Blocks {
 		for _, v := range b.Values {
 			if v.Op.HasResult() {
@@ -107,7 +110,7 @@ func fillLocalSets(f *ir.Func, ueVar, defs []*bitset.Set, blockPos map[*ir.Block
 				for ai, a := range v.Args {
 					p := b.Preds[ai].B
 					if a.Block != p {
-						ueVar[blockPos[p]].Add(a.ID)
+						ueVar[pos[p.ID]].Add(a.ID)
 					}
 				}
 				continue
@@ -132,54 +135,72 @@ func newSets(n, universe int) []*bitset.Set {
 	return bitset.NewMatrix(n, universe).Views()
 }
 
-// postorder returns the blocks reachable from the entry in DFS postorder.
-func postorder(f *ir.Func) []*ir.Block {
-	seen := make(map[*ir.Block]bool, len(f.Blocks))
-	var out []*ir.Block
+// postorder returns the positions of the blocks reachable from the entry
+// in DFS postorder; pos maps block IDs to positions.
+func postorder(f *ir.Func, pos []int32) []int32 {
+	if len(f.Blocks) == 0 {
+		return nil
+	}
+	seen := make([]bool, len(f.Blocks))
+	var out []int32
 	type frame struct {
 		b    *ir.Block
 		next int
 	}
-	if len(f.Blocks) == 0 {
-		return nil
-	}
 	stack := []frame{{b: f.Entry()}}
-	seen[f.Entry()] = true
+	seen[pos[f.Entry().ID]] = true
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
 		if fr.next < len(fr.b.Succs) {
 			s := fr.b.Succs[fr.next].B
 			fr.next++
-			if !seen[s] {
-				seen[s] = true
+			if p := pos[s.ID]; !seen[p] {
+				seen[p] = true
 				stack = append(stack, frame{b: s})
 			}
 			continue
 		}
-		out = append(out, fr.b)
+		out = append(out, pos[fr.b.ID])
 		stack = stack[:len(stack)-1]
 	}
 	return out
 }
 
+// set returns b's row of sets, or nil for a block the analysis did not
+// see.
+func (r *Result) set(sets []*bitset.Set, b *ir.Block) *bitset.Set {
+	if b.ID >= len(r.pos) || r.pos[b.ID] < 0 {
+		return nil
+	}
+	return sets[r.pos[b.ID]]
+}
+
 // IsLiveIn reports whether v is live-in at block b.
 func (r *Result) IsLiveIn(v *ir.Value, b *ir.Block) bool {
-	return r.LiveIn[r.blockPos[b]].Has(v.ID)
+	s := r.set(r.LiveIn, b)
+	return s != nil && s.Has(v.ID)
 }
 
 // IsLiveOut reports whether v is live-out at block b.
 func (r *Result) IsLiveOut(v *ir.Value, b *ir.Block) bool {
-	return r.LiveOut[r.blockPos[b]].Has(v.ID)
+	s := r.set(r.LiveOut, b)
+	return s != nil && s.Has(v.ID)
 }
 
 // LiveInIDs returns the IDs of the values live-in at b, ascending.
 func (r *Result) LiveInIDs(b *ir.Block) []int {
-	return r.LiveIn[r.blockPos[b]].Elements()
+	if s := r.set(r.LiveIn, b); s != nil {
+		return s.Elements()
+	}
+	return nil
 }
 
 // LiveOutIDs returns the IDs of the values live-out at b, ascending.
 func (r *Result) LiveOutIDs(b *ir.Block) []int {
-	return r.LiveOut[r.blockPos[b]].Elements()
+	if s := r.set(r.LiveOut, b); s != nil {
+		return s.Elements()
+	}
+	return nil
 }
 
 // MemoryBytes reports the payload footprint of the live sets (the local

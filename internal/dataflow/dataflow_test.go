@@ -1,9 +1,11 @@
 package dataflow
 
 import (
+	"slices"
 	"testing"
 
 	"fastliveness/internal/ir"
+	"fastliveness/internal/pervar"
 )
 
 const loopSrc = `
@@ -104,6 +106,29 @@ func TestLiveOutIsUnionOfSuccessorLiveIn(t *testing.T) {
 				t.Fatalf("block %s: liveout %v vs union %v", b, got, want)
 			}
 		}
+	}
+}
+
+// A block added after the analysis is unknown to it: every query there
+// answers false/nil, as pervar's do, instead of reading another block's
+// sets.
+func TestBlockAddedAfterAnalysis(t *testing.T) {
+	f, r := analyzeLoop(t)
+	pv := pervar.Analyze(f)
+	nb := f.NewBlock(ir.BlockPlain)
+	f.Values(func(v *ir.Value) {
+		if got, want := r.IsLiveIn(v, nb), pv.IsLiveIn(v, nb); got != want {
+			t.Errorf("IsLiveIn(%s, new block) = %v, pervar %v", v, got, want)
+		}
+		if got, want := r.IsLiveOut(v, nb), pv.IsLiveOut(v, nb); got != want {
+			t.Errorf("IsLiveOut(%s, new block) = %v, pervar %v", v, got, want)
+		}
+	})
+	if got, want := r.LiveInIDs(nb), pv.LiveInIDs(nb); !slices.Equal(got, want) {
+		t.Errorf("LiveInIDs(new block) = %v, pervar %v", got, want)
+	}
+	if got, want := r.LiveOutIDs(nb), pv.LiveOutIDs(nb); !slices.Equal(got, want) {
+		t.Errorf("LiveOutIDs(new block) = %v, pervar %v", got, want)
 	}
 }
 

@@ -53,7 +53,7 @@ func (a Action) String() string {
 // Rule arms one fault at one site. The zero probability means "always
 // fire when eligible"; After and Times window the rule to a slice of the
 // site's call sequence, which is how tests script "the first save fails,
-// the retry succeeds" deterministically.
+// the next one succeeds" deterministically.
 type Rule struct {
 	// Site is the exact site name the rule matches.
 	Site string
@@ -178,7 +178,7 @@ func (in *Injector) Fire(site string) error {
 }
 
 // Calls reports how many times Fire has been called for site — the
-// "how much disk traffic happened" counter the breaker tests assert on.
+// "how much disk traffic happened" counter the dead-disk tests assert on.
 func (in *Injector) Calls(site string) int {
 	if in == nil {
 		return 0

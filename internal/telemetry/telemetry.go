@@ -253,12 +253,9 @@ type Tracer interface {
 	SnapshotSave(ok bool, d time.Duration)
 	// QuarantineEnter fires when a panicking build quarantines a function.
 	QuarantineEnter(fn string)
-	// QuarantineClear fires when a quarantine ends — a successful retry,
-	// or an edit that invalidated the recorded failure.
+	// QuarantineClear fires when a quarantine ends: an edit or Invalidate
+	// dropped the recorded failure.
 	QuarantineClear(fn string)
-	// BreakerTransition fires on snapshot-store circuit-breaker state
-	// changes ("closed", "open", "half-open").
-	BreakerTransition(from, to string)
 }
 
 // NopTracer is a Tracer that ignores every event; embed it in partial
@@ -286,9 +283,6 @@ func (NopTracer) QuarantineEnter(string) {}
 
 // QuarantineClear implements Tracer.
 func (NopTracer) QuarantineClear(string) {}
-
-// BreakerTransition implements Tracer.
-func (NopTracer) BreakerTransition(string, string) {}
 
 // NumBuckets reports the fixed bucket count of every Histogram — exposed
 // for tests and exporters that iterate bucket bounds.

@@ -342,5 +342,4 @@ func TestNopTracer(t *testing.T) {
 	tr.SnapshotSave(false, 0)
 	tr.QuarantineEnter("f")
 	tr.QuarantineClear("f")
-	tr.BreakerTransition("closed", "open")
 }

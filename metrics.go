@@ -45,7 +45,8 @@ type engineMetrics struct {
 	// (query execution only, not the analysis fetch).
 	batchNs telemetry.Histogram
 	// quarantined gauges how many functions are currently quarantined
-	// (a panicking build recorded, not yet cleared by retry or edit).
+	// (a panicking build recorded, not yet cleared by an edit or
+	// Invalidate).
 	quarantined telemetry.Gauge
 	// rebuilds counts staleness-forced re-analyses paid on the query path.
 	rebuilds telemetry.Counter
@@ -79,20 +80,17 @@ type EngineMetrics struct {
 	Rebuilds int
 
 	// Quarantined is how many functions are currently failing fast after
-	// a panicking build (ErrQuarantined) and have not yet recovered.
+	// a panicking build (ErrQuarantined) and have not been edited or
+	// invalidated since.
 	Quarantined int
 
 	// Snapshot is the disk tier's traffic (hits, misses, stores, computes,
-	// bytes, breaker skips) — SnapshotStats verbatim. BreakerState and
-	// BreakerTransitions describe the store's circuit breaker; both are
-	// per-store, so engines sharing one SnapshotStore see shared values.
-	// SnapshotGCRuns/SnapshotGCNs count the store directory's byte-budget
-	// GC passes and their cumulative nanoseconds.
-	Snapshot           SnapshotStats
-	BreakerState       string
-	BreakerTransitions int64
-	SnapshotGCRuns     int
-	SnapshotGCNs       int64
+	// bytes) — SnapshotStats verbatim. SnapshotGCRuns/SnapshotGCNs count
+	// the store directory's byte-budget GC passes and their cumulative
+	// nanoseconds.
+	Snapshot       SnapshotStats
+	SnapshotGCRuns int
+	SnapshotGCNs   int64
 
 	// Latency distributions, in nanoseconds: analysis builds, batched
 	// query executions, and snapshot-tier loads and saves. Mergeable
@@ -129,26 +127,9 @@ func (e *Engine) Metrics() EngineMetrics {
 	m.Funcs = len(e.funcs)
 	e.regMu.Unlock()
 	if ss := e.config.SnapshotStore; ss != nil {
-		m.BreakerState = ss.BreakerState()
-		m.BreakerTransitions = ss.BreakerTransitions()
 		m.SnapshotGCRuns, m.SnapshotGCNs = ss.store.GCStats()
 	}
 	return m
-}
-
-// breakerStateValue maps the breaker state string to the numeric gauge
-// /metrics exports (closed 0, open 1, half-open 2; -1 when there is no
-// snapshot store).
-func breakerStateValue(state string) int64 {
-	switch state {
-	case "closed":
-		return 0
-	case "open":
-		return 1
-	case "half-open":
-		return 2
-	}
-	return -1
 }
 
 // WriteMetrics writes the engine's metrics in Prometheus text exposition
@@ -182,13 +163,10 @@ func WriteEngineMetrics(w io.Writer, m EngineMetrics) {
 	c("computes_total", "full precomputes executed", m.Snapshot.Computes)
 	c("snapshot_loaded_bytes_total", "snapshot bytes read on hits", m.Snapshot.LoadedBytes)
 	c("snapshot_stored_bytes_total", "snapshot bytes written on stores", m.Snapshot.StoredBytes)
-	c("snapshot_breaker_skips_total", "builds that skipped an open snapshot breaker", m.Snapshot.BreakerSkips)
 	c("snapshot_decoded_cache_hits_total", "store loads absorbed by the in-process decoded cache", m.Snapshot.DecodedCacheHits)
 	c("snapshot_decoded_cache_misses_total", "store loads that touched a snapshot file", m.Snapshot.DecodedCacheMisses)
 	c("snapshot_section_scans_total", "per-section checksum scans run", m.Snapshot.SectionScans)
 	c("snapshot_section_skips_total", "per-section checksum scans avoided", m.Snapshot.SectionSkips)
-	g("snapshot_breaker_state", "snapshot breaker state (0 closed, 1 open, 2 half-open, -1 none)", breakerStateValue(m.BreakerState))
-	c("snapshot_breaker_transitions_total", "snapshot breaker state changes", m.BreakerTransitions)
 	c("snapshot_gc_runs_total", "snapshot directory byte-budget GC passes", int64(m.SnapshotGCRuns))
 	c("snapshot_gc_ns_total", "cumulative snapshot GC nanoseconds", m.SnapshotGCNs)
 	h("build_ns", "analysis build latency in nanoseconds", m.BuildNs)

@@ -12,68 +12,26 @@
 package fastliveness
 
 import (
-	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"fastliveness/internal/backend"
 	"fastliveness/internal/core"
 	"fastliveness/internal/ir"
-	"fastliveness/internal/retry"
 	"fastliveness/internal/snapshot"
 )
-
-// Save-retry pacing for transient snapshot write failures (a full /tmp,
-// a hiccuping network filesystem): how many extra attempts a failed save
-// gets, and the backoff bounds between them.
-const (
-	defaultSaveRetries = 2
-	saveBackoffBase    = time.Millisecond
-	saveBackoffCap     = 50 * time.Millisecond
-)
-
-// errSnapshotBreakerOpen marks a load or save skipped because the store's
-// circuit breaker is open: the disk tier is degraded and builds fall
-// through to recomputation. Deliberately unexported — callers observe the
-// degradation through SnapshotStats.BreakerSkips, not error plumbing.
-var errSnapshotBreakerOpen = errors.New("snapshot store circuit breaker is open")
 
 // SnapshotStore is a handle on an on-disk snapshot directory, shareable
 // between engines and processes. Open one with OpenSnapshotStore (or
 // OpenSnapshotStoreOptions for the arena-integrity opt-in) and set it as
 // EngineConfig.SnapshotStore.
 //
-// All of the store's I/O sits behind a circuit breaker: a run of 4
-// consecutive load/save errors opens it, after which builds skip the disk
-// entirely and recompute from IR (counted in SnapshotStats.BreakerSkips).
-// After a one-second cooldown the next load runs as a half-open probe;
-// its success closes the breaker again. Cache misses (no snapshot for the
-// fingerprint) are normal operation, never breaker failures. Transient
-// save errors are additionally retried twice with jittered backoff before
-// giving up, since a lost save silently costs a future process its warm
-// start.
+// The store is a cache, so its failures cost time, never answers: a load
+// error of any kind (no file, a corrupt file, an I/O error) is a miss, and
+// a failed save is dropped. A dropped save is written by the next cold
+// build of the same fingerprint.
 type SnapshotStore struct {
-	store       *snapshot.Store
-	breaker     *retry.Breaker
-	saveRetries int // extra attempts for a failed save: defaultSaveRetries
-
-	// Breaker-transition fan-out: the breaker's OnTransition bumps the
-	// store-global counter and forwards to every registered observer
-	// (engines forwarding to their tracers — see NewEngine). The observer
-	// list is copy-on-write under obsMu so the breaker callback never
-	// holds a lock while calling out.
-	transitions atomic.Int64
-	obsMu       sync.Mutex
-	obs         atomic.Pointer[[]breakerObserver]
-	nextObsID   int
-}
-
-// breakerObserver is one registered transition callback with the identity
-// its unregister function removes it by.
-type breakerObserver struct {
-	id int
-	fn func(from, to retry.State)
+	store *snapshot.Store
 }
 
 // SnapshotStoreOptions tunes OpenSnapshotStoreOptions. The zero value
@@ -108,100 +66,7 @@ func OpenSnapshotStoreOptions(dir string, opts SnapshotStoreOptions) (*SnapshotS
 		return nil, err
 	}
 	st.SetVerifyArenas(opts.VerifyArenas)
-	ss := &SnapshotStore{store: st, saveRetries: defaultSaveRetries}
-	ss.breaker = retry.NewBreaker(retry.BreakerConfig{OnTransition: ss.onBreakerTransition})
-	return ss, nil
-}
-
-// onBreakerTransition is the breaker's OnTransition hook: count the state
-// change and fan it out to the registered observers. Runs outside the
-// breaker lock, on the goroutine whose load/save caused the transition.
-func (s *SnapshotStore) onBreakerTransition(from, to retry.State) {
-	s.transitions.Add(1)
-	if obs := s.obs.Load(); obs != nil {
-		for _, o := range *obs {
-			o.fn(from, to)
-		}
-	}
-}
-
-// observeBreaker registers fn to be called on every breaker state change
-// and returns its unregister function. Engines call this at construction
-// to forward transitions to their tracer and unregister at Close; the
-// store may outlive (and be shared by) any number of engines.
-func (s *SnapshotStore) observeBreaker(fn func(from, to retry.State)) (unregister func()) {
-	s.obsMu.Lock()
-	id := s.nextObsID
-	s.nextObsID++
-	var next []breakerObserver
-	if cur := s.obs.Load(); cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, breakerObserver{id: id, fn: fn})
-	s.obs.Store(&next)
-	s.obsMu.Unlock()
-	return func() {
-		s.obsMu.Lock()
-		defer s.obsMu.Unlock()
-		cur := s.obs.Load()
-		if cur == nil {
-			return
-		}
-		kept := make([]breakerObserver, 0, len(*cur))
-		for _, o := range *cur {
-			if o.id != id {
-				kept = append(kept, o)
-			}
-		}
-		s.obs.Store(&kept)
-	}
-}
-
-// BreakerTransitions reports how many state changes the store's circuit
-// breaker has made — store-global, like the breaker itself: engines
-// sharing one store observe a shared count.
-func (s *SnapshotStore) BreakerTransitions() int64 { return s.transitions.Load() }
-
-// BreakerState reports the store's circuit-breaker position ("closed",
-// "open" or "half-open") for logs and stats.
-func (s *SnapshotStore) BreakerState() string { return s.breaker.State().String() }
-
-// load is Store.Load behind the breaker. An open breaker skips the disk
-// entirely and returns errSnapshotBreakerOpen; cache misses (ErrNotFound)
-// pass through as ordinary misses without counting against the breaker.
-func (s *SnapshotStore) load(fp uint64) (*snapshot.Snapshot, error) {
-	if !s.breaker.Allow() {
-		return nil, errSnapshotBreakerOpen
-	}
-	snap, err := s.store.Load(fp)
-	s.breaker.Record(err != nil && !errors.Is(err, snapshot.ErrNotFound))
-	return snap, err
-}
-
-// save is Store.Save behind the breaker, with backoff-paced retries for
-// transient errors. Saves never probe an open breaker — only loads do,
-// because a probe that writes could not distinguish "disk recovered" from
-// "write buffered to a dying disk" — so a non-closed breaker skips the
-// save outright. Save outcomes feed the breaker's failure count only
-// while it is closed, keeping them out of half-open probe accounting.
-func (s *SnapshotStore) save(snap *snapshot.Snapshot) error {
-	var bo *retry.Backoff
-	for attempt := 0; ; attempt++ {
-		if s.breaker.State() != retry.Closed {
-			return errSnapshotBreakerOpen
-		}
-		err := s.store.Save(snap)
-		if s.breaker.State() == retry.Closed {
-			s.breaker.Record(err != nil)
-		}
-		if err == nil || attempt >= s.saveRetries {
-			return err
-		}
-		if bo == nil {
-			bo = retry.NewBackoff(saveBackoffBase, saveBackoffCap, 0)
-		}
-		time.Sleep(bo.Next())
-	}
+	return &SnapshotStore{store: st}, nil
 }
 
 // Dir returns the store's directory.
@@ -235,19 +100,14 @@ type SnapshotStats struct {
 	// hits and written on stores.
 	LoadedBytes int64
 	StoredBytes int64
-	// BreakerSkips counts builds that would have consulted the store but
-	// found its circuit breaker open and recomputed from IR instead (each
-	// also counts as a Miss). A nonzero value is the measurable form of
-	// "the disk tier degraded but answers stayed correct".
-	BreakerSkips int64
 	// DecodedCacheHits and DecodedCacheMisses split store loads by whether
 	// the store's in-process decoded cache absorbed them without touching
 	// the file; SectionScans and SectionSkips count the format's
 	// per-section checksum scans run and avoided (a cached hit skips all
 	// of them, the aliasing mmap path defers the two arena sections,
 	// an early validation failure skips the sections never reached).
-	// Store-global, like the breaker: engines sharing one SnapshotStore see
-	// shared counts. All zero without a store.
+	// Store-global: engines sharing one SnapshotStore see shared counts.
+	// All zero without a store.
 	DecodedCacheHits   int64
 	DecodedCacheMisses int64
 	SectionScans       int64
@@ -257,26 +117,24 @@ type SnapshotStats struct {
 // snapshotCounters is the atomic-counter block behind SnapshotStats,
 // embedded in Engine.
 type snapshotCounters struct {
-	snapHits         atomic.Int64
-	snapMisses       atomic.Int64
-	snapStores       atomic.Int64
-	computes         atomic.Int64
-	snapLoadedBytes  atomic.Int64
-	snapStoredBytes  atomic.Int64
-	snapBreakerSkips atomic.Int64
+	snapHits        atomic.Int64
+	snapMisses      atomic.Int64
+	snapStores      atomic.Int64
+	computes        atomic.Int64
+	snapLoadedBytes atomic.Int64
+	snapStoredBytes atomic.Int64
 }
 
 // SnapshotStats reports the engine's snapshot-tier traffic so far. All
 // counters are zero except Computes when no SnapshotStore is configured.
 func (e *Engine) SnapshotStats() SnapshotStats {
 	st := SnapshotStats{
-		Hits:         e.snap.snapHits.Load(),
-		Misses:       e.snap.snapMisses.Load(),
-		Stores:       e.snap.snapStores.Load(),
-		Computes:     e.snap.computes.Load(),
-		LoadedBytes:  e.snap.snapLoadedBytes.Load(),
-		StoredBytes:  e.snap.snapStoredBytes.Load(),
-		BreakerSkips: e.snap.snapBreakerSkips.Load(),
+		Hits:        e.snap.snapHits.Load(),
+		Misses:      e.snap.snapMisses.Load(),
+		Stores:      e.snap.snapStores.Load(),
+		Computes:    e.snap.computes.Load(),
+		LoadedBytes: e.snap.snapLoadedBytes.Load(),
+		StoredBytes: e.snap.snapStoredBytes.Load(),
 	}
 	if ss := e.config.SnapshotStore; ss != nil {
 		s := ss.store.Stats()
@@ -356,10 +214,9 @@ func (e *Engine) verify(h *handle) error {
 // loadSnapshot tries to serve f's analysis from the store, returning nil
 // on a miss. Every failure — no file, torn or bit-flipped file, version
 // skew, a fingerprint that collides but fails Restore's structural
-// re-validation, an I/O error, an open circuit breaker — lands in the same
-// place: count a miss (and a breaker skip for the last) and let the caller
-// run the real precompute. The disk tier can therefore never produce a
-// wrong answer, only a slower one.
+// re-validation, an I/O error — lands in the same place: count a miss and
+// let the caller run the real precompute. The disk tier can therefore
+// never produce a wrong answer, only a slower one.
 //
 // The warm path never builds a CFG: FingerprintFunc derives the key (and
 // the block index) straight off the IR, and a validating
@@ -373,12 +230,9 @@ func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness) {
 	}()
 	opts := core.Options{Strategy: e.config.Config.Strategy}
 	fp, index := snapshot.FingerprintFunc(f, snapshot.FlagsFor(opts))
-	s, err := ss.load(fp)
+	s, err := ss.store.Load(fp)
 	if err != nil {
 		e.snap.snapMisses.Add(1)
-		if errors.Is(err, errSnapshotBreakerOpen) {
-			e.snap.snapBreakerSkips.Add(1)
-		}
 		return nil
 	}
 	cr, err := s.RestoreFrom(f, index, opts)
@@ -395,16 +249,14 @@ func (e *Engine) loadSnapshot(ss *SnapshotStore, f *ir.Func) (live *Liveness) {
 // the building goroutine, so every save is on disk when the build that
 // scheduled it returns: single-shot tools and a process that Closes right
 // after Precompute leave a warm store behind. Capture aliases the
-// checker's write-once arenas and copies only the idom array. While the
-// store's breaker is not closed the save is skipped before any work — no
-// capture, no stat, no latency sample — since the store would refuse it
-// anyway.
+// checker's write-once arenas and copies only the idom array. A failed
+// save is dropped: it is traced and timed but not counted as a store.
 //
 // Snapshots are keyed by fingerprint, not by function: a function with
 // the same CFG shape as one already stored has nothing to write.
 func (e *Engine) saveSnapshot(ss *SnapshotStore, live *Liveness) {
 	cr, ok := live.res.(*backend.CheckerResult)
-	if !ok || ss.breaker.State() != retry.Closed {
+	if !ok {
 		return
 	}
 	snap, err := snapshot.Capture(cr.Prep(), cr.Checker())
@@ -412,7 +264,7 @@ func (e *Engine) saveSnapshot(ss *SnapshotStore, live *Liveness) {
 		return
 	}
 	start := time.Now()
-	err = ss.save(snap)
+	err = ss.store.Save(snap)
 	d := time.Since(start)
 	e.met.snapSaveNs.Observe(d.Nanoseconds())
 	e.tracer.SnapshotSave(err == nil, d)
